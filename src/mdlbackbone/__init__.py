@@ -5,11 +5,11 @@ analytics."""
 from .errors import DomainError, ParseError
 from .graph import (
     Backbone,
-    NeighborhoodView,
     WeightedGraph,
     backbone_from_edge_subset,
     backbone_from_flags,
     collapse_to_undirected,
+    directed_parents,
     directed_view,
     neighborhoods,
     parse_edge_list,

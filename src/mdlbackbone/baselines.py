@@ -12,13 +12,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DomainError
-from .graph import (
-    Backbone,
-    backbone_from_flags,
-    collapse_to_undirected,
-    directed_view,
-    neighborhoods,
-)
+from .graph import backbone_from_flags, directed_parents, directed_view
 
 __all__ = [
     "SalienceTable",
@@ -54,20 +48,12 @@ def edge_disparity_pvalues(g):
     """Minimum disparity p-value per parent edge over the incident
     out-neighborhoods of the directed view."""
     dg = directed_view(g)
-    idx = g.edge_index()
+    w = np.asarray(dg.weights, dtype=float)
+    k = np.bincount(dg.src, minlength=dg.num_nodes)[dg.src]
+    s = np.bincount(dg.src, weights=w, minlength=dg.num_nodes)[dg.src]
+    p = np.where(k > 1, (1.0 - w / s) ** (k - 1), 1.0)
     pvals = np.ones(g.num_edges)
-    for view in neighborhoods(dg):
-        k, s = view.degree, float(view.weights.sum())
-        if k == 0:
-            continue
-        if k == 1:
-            p_edges = np.ones(1)
-        else:
-            p_edges = (1.0 - np.asarray(view.weights, dtype=float) / s) ** (k - 1)
-        for j, p in zip(view.dst, p_edges):
-            e = idx[(view.node, int(j))]
-            if p < pvals[e]:
-                pvals[e] = p
+    np.minimum.at(pvals, directed_parents(g), p)
     return pvals
 
 
@@ -105,7 +91,6 @@ def salience_table(g, sample_cap=10000, seed=0):
     dg = directed_view(g)
     n = g.num_nodes
     dist_mat = _distance_matrix(dg)
-    idx = g.edge_index()
     d_edge = 1.0 / np.asarray(dg.weights, dtype=float)
 
     if n <= sample_cap:
@@ -122,9 +107,7 @@ def salience_table(g, sample_cap=10000, seed=0):
     in_src = dg.src[in_order]
     in_d = d_edge[in_order]
     M = dg.num_edges
-    to_parent_edge = np.array(
-        [idx[(int(dg.src[t]), int(dg.dst[t]))] for t in in_order], dtype=np.int64
-    )
+    to_parent_edge = directed_parents(g)[in_order]
     has_in = in_starts[1:] > in_starts[:-1]
     starts_nz = in_starts[:-1][has_in]
     nodes_nz = np.nonzero(has_in)[0]

@@ -103,19 +103,7 @@ def cmd_backbone(args):
         bb = result.backbone
         doc = solver.result_to_dict(result, include_trace=True)
     else:
-        doc = {
-            "method": args.method,
-            "N": g.num_nodes,
-            "E": g.num_edges,
-            "W": g.total_weight,
-            "E_b": bb.num_edges,
-            "W_b": bb.total_weight,
-            "edges": [
-                [g.labels[int(g.src[e])], g.labels[int(g.dst[e])],
-                 float(g.weights[e])]
-                for e in np.nonzero(bb.member_flags)[0]
-            ],
-        }
+        doc = dict(solver.backbone_to_dict(bb), method=args.method)
         if args.method == "disparity-alpha":
             doc["alpha"] = args.alpha
         if args.method == "hss":
@@ -300,8 +288,6 @@ def build_parser():
     def common(p):
         p.add_argument("--output", default=None, help="output path prefix")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker bound for library parallelism")
 
     p = sub.add_parser("backbone", help="extract a backbone from an edge list")
     p.add_argument("input")

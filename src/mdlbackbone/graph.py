@@ -1,5 +1,5 @@
 """Weighted graph data model: edge-list ingestion, direction handling and
-neighborhood views.
+the out-neighborhood index.
 
 Node labels are arbitrary strings mapped to dense indices 0..N-1 in order of
 first appearance; all algorithms operate on the dense indices. Multi-edges
@@ -16,11 +16,11 @@ from .errors import DomainError, ParseError
 
 __all__ = [
     "WeightedGraph",
-    "NeighborhoodView",
     "Backbone",
     "parse_edge_list",
     "serialize_edge_list",
     "directed_view",
+    "directed_parents",
     "collapse_to_undirected",
     "neighborhoods",
     "backbone_from_flags",
@@ -81,16 +81,31 @@ class WeightedGraph:
             np.add.at(s, self.dst[loop], self.weights[loop])
         return s
 
-    def edge_index(self):
-        """Dict mapping (src, dst) pairs to edge positions. For undirected
-        graphs both orientations map to the same position."""
-        idx = {}
-        for e in range(self.num_edges):
-            i, j = int(self.src[e]), int(self.dst[e])
-            idx[(i, j)] = e
-            if not self.directed:
-                idx[(j, i)] = e
-        return idx
+    def edge_index(self, src, dst):
+        """Positions of the edges (src[i], dst[i]). For undirected graphs
+        either orientation matches; where several edges match a pair, the
+        last one wins. Raises DomainError for a pair not in the graph."""
+        src = np.asarray(src, dtype=np.int64).reshape(-1)
+        dst = np.asarray(dst, dtype=np.int64).reshape(-1)
+        n = self.num_nodes
+        a = np.asarray(self.src, dtype=np.int64)
+        b = np.asarray(self.dst, dtype=np.int64)
+        qa, qb = src, dst
+        if not self.directed:
+            a, b = np.minimum(a, b), np.maximum(a, b)
+            qa, qb = np.minimum(src, dst), np.maximum(src, dst)
+        keys = a * n + b
+        # key order, ties by position, so the last match sits rightmost
+        order = np.lexsort((np.arange(self.num_edges), keys))
+        sorted_keys = keys[order]
+        query = qa * n + qb
+        pos = np.searchsorted(sorted_keys, query, side="right") - 1
+        hit = (src >= 0) & (src < n) & (dst >= 0) & (dst < n) & (pos >= 0)
+        hit[hit] = sorted_keys[pos[hit]] == query[hit]
+        if not hit.all():
+            i = int(np.argmin(hit))
+            raise DomainError(f"edge {(int(src[i]), int(dst[i]))} not in parent graph")
+        return order[pos]
 
     def edge_set(self):
         """Set of (src, dst) index pairs; undirected edges normalized to
@@ -101,28 +116,6 @@ class WeightedGraph:
             (min(int(i), int(j)), max(int(i), int(j)))
             for i, j in zip(self.src, self.dst)
         }
-
-
-@dataclass(frozen=True)
-class NeighborhoodView:
-    """Out-neighborhood of one node, sorted by weight descending (ties by
-    destination index ascending)."""
-
-    node: int
-    edge_ids: np.ndarray  # positions into the parent directed graph's edge list
-    dst: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def degree(self):
-        return len(self.edge_ids)
-
-    @property
-    def strength(self):
-        if len(self.weights) == 0:
-            return 0
-        total = self.weights.sum()
-        return int(total) if np.issubdtype(self.weights.dtype, np.integer) else float(total)
 
 
 @dataclass(frozen=True)
@@ -171,16 +164,7 @@ class Backbone:
         return s
 
     def edge_set(self):
-        sub = WeightedGraph(
-            num_nodes=self.parent.num_nodes,
-            src=self.parent.src[self.member_flags].copy(),
-            dst=self.parent.dst[self.member_flags].copy(),
-            weights=self.parent.weights[self.member_flags].copy(),
-            directed=self.parent.directed,
-            weight_kind=self.parent.weight_kind,
-            labels=self.parent.labels,
-        )
-        return sub.edge_set()
+        return self.subgraph().edge_set()
 
     def subgraph(self):
         """The backbone as a standalone WeightedGraph over the parent's nodes."""
@@ -202,13 +186,9 @@ def backbone_from_flags(parent, flags):
 def backbone_from_edge_subset(parent, pairs):
     """Backbone whose members are the parent edges listed as (src, dst) index
     pairs. Raises DomainError for pairs not present in the parent."""
-    idx = parent.edge_index()
+    pairs = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
     flags = np.zeros(parent.num_edges, dtype=bool)
-    for pair in pairs:
-        pair = (int(pair[0]), int(pair[1]))
-        if pair not in idx:
-            raise DomainError(f"edge {pair} not in parent graph")
-        flags[idx[pair]] = True
+    flags[parent.edge_index(pairs[:, 0], pairs[:, 1])] = True
     return Backbone(parent=parent, member_flags=flags)
 
 
@@ -329,20 +309,22 @@ def directed_view(g):
     )
 
 
+def directed_parents(g):
+    """Parent edge of each edge of ``directed_view(g)``: edge i < E is parent
+    edge i, the rest are the reversed non-loop edges in order."""
+    ids = np.arange(g.num_edges)
+    if g.directed:
+        return ids
+    return np.concatenate([ids, ids[g.src != g.dst]])
+
+
 def collapse_to_undirected(pairs, parent):
     """Backbone of an undirected ``parent`` whose member edges are those with
     at least one orientation present in ``pairs`` (an iterable of directed
     (src, dst) index pairs)."""
     if parent.directed:
         raise DomainError("parent graph must be undirected")
-    idx = parent.edge_index()
-    flags = np.zeros(parent.num_edges, dtype=bool)
-    for pair in pairs:
-        pair = (int(pair[0]), int(pair[1]))
-        if pair not in idx:
-            raise DomainError(f"edge {pair} has no orientation in parent graph")
-        flags[idx[pair]] = True
-    return Backbone(parent=parent, member_flags=flags)
+    return backbone_from_edge_subset(parent, pairs)
 
 
 def neighborhood_order(g):
@@ -355,19 +337,10 @@ def neighborhood_order(g):
 
 
 def neighborhoods(g):
-    """One NeighborhoodView per node over out-edges of a directed graph."""
+    """Out-neighborhood index of a directed graph: ``(order, starts)`` with
+    node i's out-edges, sorted as by :func:`neighborhood_order`, at
+    ``order[starts[i]:starts[i + 1]]``."""
     order = neighborhood_order(g)
-    src_sorted = g.src[order]
-    starts = np.searchsorted(src_sorted, np.arange(g.num_nodes + 1))
-    views = []
-    for i in range(g.num_nodes):
-        sel = order[starts[i]:starts[i + 1]]
-        views.append(
-            NeighborhoodView(
-                node=i,
-                edge_ids=sel,
-                dst=g.dst[sel],
-                weights=g.weights[sel],
-            )
-        )
-    return views
+    degrees = np.bincount(g.src, minlength=g.num_nodes)
+    starts = np.concatenate([[0], np.cumsum(degrees)])
+    return order, starts

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .graph import directed_view, neighborhoods
+from .graph import directed_parents, directed_view
 
 __all__ = [
     "ObjectiveSpec",
@@ -111,27 +111,36 @@ def _log2_factorial(n):
 
 
 def _check_global_args(E, W, E_b, W_b, integer=True):
-    if E < 1 and (E_b != 0 or W_b != 0):
-        raise DomainError("no edges but nonempty backbone")
-    if not (0 <= E_b <= E):
-        raise DomainError(f"E_b={E_b} outside [0, {E}]")
+    """Raise DomainError unless (E, W, E_b, W_b) is a valid state. Each
+    argument is a scalar or an array holding one state per entry; the
+    message names the first invalid state under the first rule it breaks."""
+    E, W, E_b, W_b = np.broadcast_arrays(E, W, E_b, W_b)
+    rules = [
+        ((E < 1) & ((E_b != 0) | (W_b != 0)), "no edges but nonempty backbone"),
+        (~((0 <= E_b) & (E_b <= E)), "E_b={E_b} outside [0, {E}]"),
+    ]
     if integer:
-        if W < E:
-            raise DomainError(f"W={W} < E={E} impossible for integer weights")
-        if E_b == 0:
-            if W_b != 0:
-                raise DomainError("empty backbone must have zero weight")
-        elif not (E_b <= W_b <= W - (E - E_b)):
-            raise DomainError(
-                f"W_b={W_b} outside [{E_b}, {W - (E - E_b)}] for E_b={E_b}"
-            )
+        rules += [
+            (W < E, "W={W} < E={E} impossible for integer weights"),
+            ((E_b == 0) & (W_b != 0), "empty backbone must have zero weight"),
+            (
+                (E_b != 0) & ~((E_b <= W_b) & (W_b <= W - (E - E_b))),
+                "W_b={W_b} outside [{E_b}, {W_max}] for E_b={E_b}",
+            ),
+        ]
     else:
-        if W_b < 0 or W_b > W:
-            raise DomainError(f"W_b={W_b} outside [0, {W}]")
-        if E_b == 0 and W_b != 0:
-            raise DomainError("empty backbone must have zero weight")
-        if E_b == E and W_b != W:
-            raise DomainError("full backbone must carry the full weight")
+        rules += [
+            ((W_b < 0) | (W_b > W), "W_b={W_b} outside [0, {W}]"),
+            ((E_b == 0) & (W_b != 0), "empty backbone must have zero weight"),
+            ((E_b == E) & (W_b != W), "full backbone must carry the full weight"),
+        ]
+    for bad, message in rules:
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            e, w, e_b, w_b = (x.flat[i] for x in (E, W, E_b, W_b))
+            raise DomainError(
+                message.format(E=e, W=w, E_b=e_b, W_b=w_b, W_max=w - (e - e_b))
+            )
 
 
 def dl_global_micro_arr(E, W, E_b, W_b):
@@ -185,32 +194,46 @@ def strength_prior_bits(N, E, W):
 def dl_local_micro(g, bb):
     """Microcanonical local description length of backbone ``bb``: strength
     prior plus the sum of neighborhood terms over the directed view."""
-    dl, _ = _local_micro_terms(g, bb)
-    return dl
-
-
-def _directed_member_flags(g, bb):
-    """Backbone membership flags aligned with the directed view's edge list."""
-    flags = np.asarray(bb.member_flags, dtype=bool)
-    if g.directed:
-        return flags
-    rev = g.src != g.dst
-    return np.concatenate([flags, flags[rev]])
-
-
-def _local_micro_terms(g, bb):
+    spec = ObjectiveSpec("local", "microcanonical")
     dg = directed_view(g)
-    member = _directed_member_flags(g, bb)
-    total = strength_prior_bits(dg.num_nodes, dg.num_edges, dg.total_weight)
-    per_node = []
-    for view in neighborhoods(dg):
-        in_bb = member[view.edge_ids]
-        k_b = int(in_bb.sum())
-        s_b = int(view.weights[in_bb].sum()) if k_b else 0
-        term = dl_neigh_micro(view.degree, view.strength, k_b, s_b)
-        per_node.append(term)
-        total += term
-    return float(total), per_node
+    prior = strength_prior_bits(dg.num_nodes, dg.num_edges, dg.total_weight)
+    return float(prior + np.sum(_local_dl_terms(g, bb.member_flags, spec)))
+
+
+def _local_dl_terms(g, flags, spec):
+    """Description length under ``spec``'s family of every non-empty
+    out-neighborhood of the directed view, with backbone membership
+    ``flags`` over the edges of ``g``."""
+    dg = directed_view(g)
+    member = np.asarray(flags, dtype=bool)[directed_parents(g)]
+    n = dg.num_nodes
+    w = np.asarray(dg.weights, dtype=float)
+    k = np.bincount(dg.src, minlength=n)
+    nz = k > 0
+    s = np.bincount(dg.src, weights=w, minlength=n)[nz]
+    k_b = np.bincount(dg.src[member], minlength=n)[nz]
+    s_b = np.bincount(dg.src[member], weights=w[member], minlength=n)[nz]
+    k = k[nz]
+    _check_global_args(k, s, k_b, s_b, integer=not spec.continuous)
+    wfact = 0.0
+    if spec.family == "canonical" and spec.weight_model == "poisson":
+        wfact = np.bincount(dg.src, weights=_log2_factorial(w), minlength=n)[nz]
+    return np.asarray(_dl_curve(k, s, k_b, s_b, spec, wfact))
+
+
+def _dl_curve(E, W, E_b, W_b, spec, log2_wfact=0.0):
+    """Vectorized description length of ``spec``'s family; scope is up to
+    the caller. ``log2_wfact`` as in :func:`dl_global_canonical`."""
+    if spec.family == "microcanonical":
+        return dl_global_micro_arr(E, W, E_b, W_b)
+    return _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact)
+
+
+def _poisson_wfact(spec, weights):
+    """sum_e log2(w_e!) for the poisson model, else 0."""
+    if spec.family == "canonical" and spec.weight_model == "poisson":
+        return float(_log2_factorial(weights).sum())
+    return 0.0
 
 
 def _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact=0.0):
@@ -279,20 +302,7 @@ def dl_local_canonical(g, bb, spec):
     directed view (no strength prior in the canonical formulation)."""
     if spec.family != "canonical":
         raise DomainError("spec must be canonical")
-    dg = directed_view(g)
-    member = _directed_member_flags(g, bb)
-    total = 0.0
-    for view in neighborhoods(dg):
-        in_bb = member[view.edge_ids]
-        k_b = int(in_bb.sum())
-        s_b = view.weights[in_bb].sum() if k_b else 0
-        wfact = 0.0
-        if spec.weight_model == "poisson":
-            wfact = float(_log2_factorial(view.weights).sum())
-        total += dl_neigh_canonical(
-            view.degree, view.strength, k_b, s_b, spec, wfact
-        )
-    return float(total)
+    return float(np.sum(_local_dl_terms(g, bb.member_flags, spec)))
 
 
 def delta_dl_weight_increment(E, W, E_b, W_b, spec):

@@ -126,8 +126,8 @@ def message_passing_cluster(
     """Iterate the half-edge message equations at transmission probability p
     until the largest update falls below ``tolerance``.
 
-    Returns (S, per-node S_i, MessageState). ``init`` may be "random",
-    "ones", or "warm" (which requires ``warm_state`` from a previous run)."""
+    Returns (S, per-node S_i, MessageState). ``init`` may be "random" or
+    "warm" (which requires ``warm_state`` from a previous run)."""
     sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
     phi = contact_transmission(sys_.weights, p)
     m = sys_.num_half_edges
@@ -135,8 +135,6 @@ def message_passing_cluster(
         if warm_state is None:
             raise DomainError("warm init requires a previous MessageState")
         u = warm_state.u.copy()
-    elif init == "ones":
-        u = np.ones(m)
     elif init == "random":
         u = np.random.default_rng(seed).uniform(size=m)
     else:
@@ -215,6 +213,10 @@ def critical_probability(g, tolerance=1e-7, eig_tolerance=1e-10, max_bisections=
 
 @dataclass
 class PercolationReport:
+    """Cluster curve and threshold of one graph. ``eig_seconds`` is the
+    wall time of its whole threshold search (:func:`critical_probability`);
+    ``runtime_ratio`` is that time over the full graph's."""
+
     label: str
     p_grid: np.ndarray
     S: np.ndarray
@@ -224,38 +226,6 @@ class PercolationReport:
     mean_abs_error: float = None
     p_crit_error: float = None
     runtime_ratio: float = None
-
-
-def _timed_critical_probability(sys_, tolerance):
-    """(p_crit, mean seconds per eigenvalue evaluation)."""
-    times = []
-    original = nb_leading_eigenvalue
-
-    def solve(p):
-        t0 = time.perf_counter()
-        lam = original(sys_, p, tolerance=1e-10)
-        times.append(time.perf_counter() - t0)
-        return lam
-
-    if solve(1.0) < 1.0:
-        return None, float(np.mean(times))
-    lo, hi = 0.0, 1.0
-    p_c = None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lam = solve(mid)
-        if abs(lam - 1.0) < tolerance:
-            p_c = mid
-            break
-        if lam < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    if p_c is None:
-        p_c = 0.5 * (lo + hi)
-    return p_c, float(np.mean(times))
 
 
 def backbone_percolation_study(
@@ -284,7 +254,9 @@ def backbone_percolation_study(
             )
             S_vals[i] = S
             iters.append(state.iterations)
-        p_c, eig_sec = _timed_critical_probability(sys_, p_crit_tolerance)
+        t0 = time.perf_counter()
+        p_c = critical_probability(sys_, tolerance=p_crit_tolerance)
+        eig_sec = time.perf_counter() - t0
         rep = PercolationReport(
             label=label, p_grid=np.sort(p_grid), S=S_vals, p_crit=p_c,
             iterations=iters, eig_seconds=eig_sec,

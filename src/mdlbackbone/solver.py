@@ -18,17 +18,18 @@ import numpy as np
 from .errors import DomainError
 from .graph import (
     Backbone,
-    WeightedGraph,
     backbone_from_flags,
-    collapse_to_undirected,
+    directed_parents,
     directed_view,
-    neighborhood_order,
+    neighborhoods,
 )
 from .objectives import (
     ObjectiveSpec,
-    _dl_canonical_arr,
+    _dl_curve,
     _log2_factorial,
-    dl_global_micro_arr,
+    _poisson_wfact,
+    dl_local_canonical,
+    dl_local_micro,
     strength_prior_bits,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "inverse_compression_ratio",
     "empty_backbone_dls",
     "mean_weight_ordering_holds",
+    "backbone_to_dict",
     "result_to_dict",
 ]
 
@@ -85,18 +87,6 @@ def _require_weights(g, spec):
         )
 
 
-def _dl_curve(E, W, Eb, Wb, spec, log2_wfact=0.0):
-    if spec.family == "microcanonical":
-        return dl_global_micro_arr(E, W, Eb, Wb)
-    return _dl_canonical_arr(E, W, Eb, Wb, spec, log2_wfact)
-
-
-def _poisson_wfact(spec, weights):
-    if spec.family == "canonical" and spec.weight_model == "poisson":
-        return float(_log2_factorial(weights).sum())
-    return 0.0
-
-
 def _trace_argmin(values):
     best = values.min()
     ties = np.nonzero(values == best)[0]
@@ -114,24 +104,11 @@ def empty_backbone_dls(g, spec):
     g_spec = ObjectiveSpec("global", spec.family, spec.weight_model, spec.lam)
     dl_g = float(_dl_curve(E, W, 0, 0, g_spec, wf))
 
-    dg = directed_view(g)
-    order = neighborhood_order(dg)
-    src_sorted = dg.src[order]
-    w_sorted = dg.weights[order]
-    k = np.bincount(src_sorted, minlength=dg.num_nodes).astype(float)
-    s = np.bincount(src_sorted, weights=w_sorted, minlength=dg.num_nodes)
-    nz = k > 0
-    if spec.family == "canonical" and spec.weight_model == "poisson":
-        wfs = np.bincount(
-            src_sorted, weights=np.asarray(_log2_factorial(w_sorted)),
-            minlength=dg.num_nodes,
-        )[nz]
-    else:
-        wfs = 0.0
-    terms = _dl_curve(k[nz], s[nz], 0.0, 0.0, g_spec, wfs)
-    dl_l = float(np.sum(terms))
+    empty = backbone_from_flags(g, np.zeros(E, dtype=bool))
     if spec.family == "microcanonical":
-        dl_l += strength_prior_bits(dg.num_nodes, dg.num_edges, dg.total_weight)
+        dl_l = dl_local_micro(g, empty)
+    else:
+        dl_l = dl_local_canonical(g, empty, spec)
     return dl_g, dl_l
 
 
@@ -216,12 +193,11 @@ def greedy_local(g, spec=None, store_traces=False):
     _require_weights(g, spec)
 
     dg = directed_view(g)
-    order = neighborhood_order(dg)
+    order, starts = neighborhoods(dg)
     src_sorted = dg.src[order]
     w_sorted = np.asarray(dg.weights, dtype=float)[order]
     N = dg.num_nodes
     M = dg.num_edges
-    starts = np.searchsorted(src_sorted, np.arange(N + 1))
     k = (starts[1:] - starts[:-1]).astype(float)
     s = np.bincount(src_sorted, weights=w_sorted, minlength=N)
 
@@ -303,13 +279,9 @@ def greedy_local(g, spec=None, store_traces=False):
     if spec.family == "microcanonical":
         dl += strength_prior_bits(N, M, dg.total_weight)
 
-    if g.directed:
-        flags = np.zeros(M, dtype=bool)
-        flags[order[selected]] = True
-        bb = backbone_from_flags(g, flags)
-    else:
-        pairs = zip(src_sorted[selected], dg.dst[order][selected])
-        bb = collapse_to_undirected(pairs, g)
+    flags = np.zeros(g.num_edges, dtype=bool)
+    flags[directed_parents(g)[order[selected]]] = True
+    bb = backbone_from_flags(g, flags)
 
     dl_eg, dl_el = empty_backbone_dls(g, spec)
     result = BackboneResult(
@@ -404,14 +376,9 @@ def enumerate_optimal(g, spec):
             best_dl, best_Eb, best_mask_bits = _fold_best(
                 dls, Eb, bits, best_dl, best_Eb, best_mask_bits
             )
-        sel = best_mask_bits.astype(bool)
-        pairs = zip(scope_g.src[sel], scope_g.dst[sel])
-        if g.directed:
-            from .graph import backbone_from_edge_subset
-
-            bb = backbone_from_edge_subset(g, pairs)
-        else:
-            bb = collapse_to_undirected(pairs, g)
+        flags = np.zeros(g.num_edges, dtype=bool)
+        flags[directed_parents(g)[best_mask_bits.astype(bool)]] = True
+        bb = backbone_from_flags(g, flags)
 
     dl_eg, dl_el = empty_backbone_dls(g, spec)
     return BackboneResult(
@@ -449,27 +416,34 @@ def mean_weight_ordering_holds(weights):
     return True
 
 
-def result_to_dict(result, include_trace=False):
-    """JSON-ready summary of a BackboneResult."""
-    bb = result.backbone
+def backbone_to_dict(bb):
+    """JSON-ready sizes of a backbone and its parent, with its edges as
+    [src label, dst label, weight] rows in parent edge order."""
     g = bb.parent
-    doc = {
-        "method": result.method,
-        "objective": result.objective,
+    return {
         "N": g.num_nodes,
         "E": g.num_edges,
         "W": g.total_weight,
         "E_b": bb.num_edges,
         "W_b": bb.total_weight,
-        "dl_bits": result.dl,
-        "dl_empty_global_bits": result.dl_empty_global,
-        "dl_empty_local_bits": result.dl_empty_local,
-        "eta": result.eta,
         "edges": [
             [g.labels[int(g.src[e])], g.labels[int(g.dst[e])], float(g.weights[e])]
             for e in np.nonzero(bb.member_flags)[0]
         ],
     }
+
+
+def result_to_dict(result, include_trace=False):
+    """JSON-ready summary of a BackboneResult."""
+    doc = backbone_to_dict(result.backbone)
+    doc.update({
+        "method": result.method,
+        "objective": result.objective,
+        "dl_bits": result.dl,
+        "dl_empty_global_bits": result.dl_empty_global,
+        "dl_empty_local_bits": result.dl_empty_local,
+        "eta": result.eta,
+    })
     if include_trace and result.trace is not None:
         doc["trace"] = [float(v) for v in result.trace.values]
     return doc

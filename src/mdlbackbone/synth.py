@@ -148,8 +148,8 @@ def _rowwise_multinomial(rng, totals, probs):
     remaining = totals.astype(np.int64).copy()
     p_left = np.ones(n_rows)
     for c in range(n_cols - 1):
-        frac = np.clip(np.divide(probs[:, c], p_left, where=p_left > 0), 0.0, 1.0)
-        draw = rng.binomial(remaining, frac)
+        frac = np.divide(probs[:, c], p_left, out=np.zeros(n_rows), where=p_left > 0)
+        draw = rng.binomial(remaining, np.clip(frac, 0.0, 1.0))
         out[:, c] = draw
         remaining -= draw
         p_left -= probs[:, c]

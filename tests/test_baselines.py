@@ -12,6 +12,7 @@ from mdlbackbone.baselines import (
     salience_table,
 )
 from mdlbackbone.errors import DomainError
+from mdlbackbone.graph import parse_edge_list
 
 from conftest import make_graph
 
@@ -73,6 +74,20 @@ class TestDisparity:
         pvals = edge_disparity_pvalues(g)
         assert pvals[0] == pytest.approx(min((1 - 9 / 10), (1 - 9 / 27)),
                                          abs=1e-12)
+
+    def test_undirected_parallel_orientations_each_scored(self):
+        # "a b" and "b a" are two parallel undirected edges; each gets the
+        # minimum over its own two directed copies (a: k=3, s=9; b: k=3,
+        # s=6; c: k=2, s=5)
+        g = parse_edge_list("a b 3\nb a 2\nb c 1\na c 4", directed=False)
+        p = disparity_pvalue
+        expected = [
+            min(p(3, 9, 3), p(3, 6, 3)),
+            min(p(2, 6, 3), p(2, 9, 3)),
+            min(p(1, 6, 3), p(1, 5, 2)),
+            min(p(4, 9, 3), p(4, 5, 2)),
+        ]
+        assert edge_disparity_pvalues(g) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDisparityTopE:

@@ -132,22 +132,49 @@ class TestGraph:
 
 class TestNeighborhoods:
     def test_star_order(self, star_graph):
-        views = {v.node: v for v in neighborhoods(star_graph)}
-        v = views[0]
-        assert v.degree == 4
-        assert v.strength == 8
+        order, starts = neighborhoods(star_graph)
+        sel = order[starts[0]:starts[1]]
+        assert len(sel) == 4
+        assert star_graph.weights[sel].sum() == 8
         # weight-descending, ties by destination index
-        assert list(v.weights) == [5, 1, 1, 1]
-        assert list(v.dst) == [1, 2, 3, 4]
+        assert list(star_graph.weights[sel]) == [5, 1, 1, 1]
+        assert list(star_graph.dst[sel]) == [1, 2, 3, 4]
 
     def test_isolated_node(self):
         g = make_graph([0], [1], [2], num_nodes=3, directed=True)
-        views = {v.node: v for v in neighborhoods(g)}
-        assert views[2].degree == 0
-        assert views[2].strength == 0
+        order, starts = neighborhoods(g)
+        assert len(starts) == 4
+        assert len(order[starts[2]:starts[3]]) == 0
 
     def test_self_loop_in_neighborhood(self):
         g = make_graph([0], [0], [2], num_nodes=1, directed=True)
-        (v,) = neighborhoods(g)
-        assert v.degree == 1
-        assert v.strength == 2
+        order, starts = neighborhoods(g)
+        sel = order[starts[0]:starts[1]]
+        assert len(sel) == 1
+        assert list(g.weights[sel]) == [2]
+
+
+class TestEdgeIndex:
+    def test_undirected_either_orientation_last_wins(self):
+        g = make_graph([1, 0], [0, 1], [3, 2], directed=False)
+        assert list(g.edge_index([0, 1], [1, 0])) == [1, 1]
+
+    def test_directed_positions(self):
+        g = make_graph([0, 1, 1], [1, 0, 2], [3, 2, 1], directed=True)
+        assert list(g.edge_index([1, 0, 1], [2, 1, 0])) == [2, 0, 1]
+
+    def test_missing_pair_rejected(self):
+        g = make_graph([0], [1], [3], directed=False)
+        with pytest.raises(DomainError):
+            g.edge_index([0], [0])
+
+    def test_out_of_range_rejected(self):
+        g = make_graph([0, 1], [1, 2], [3, 4], directed=True)
+        # (2, -1) and (-1, 4) pack to the keys of edges (1, 2) and (0, 1)
+        for src, dst in [(0, 3), (3, 0), (2, -1), (-1, 4)]:
+            with pytest.raises(DomainError):
+                g.edge_index([src], [dst])
+
+    def test_empty_subset(self):
+        g = make_graph([0, 1], [1, 2], [3, 4], directed=False)
+        assert backbone_from_edge_subset(g, []).num_edges == 0

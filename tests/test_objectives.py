@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,79 @@ class TestLocalMicro:
             g, [True, False, False, False, True, False, False, False]
         )
         assert dl_local_micro(g, bb) == pytest.approx(16.4576, abs=1e-4)
+
+
+def local_dl_reference(g, flags, spec=None):
+    """Per-node sum of dl_neigh_* over the out-neighborhoods of the directed
+    view (microcanonical with the strength prior when ``spec`` is None)."""
+    edges = [
+        (int(i), int(j), w.item(), bool(f))
+        for i, j, w, f in zip(g.src, g.dst, g.weights, flags)
+    ]
+    if not g.directed:
+        edges += [(j, i, w, f) for i, j, w, f in edges if i != j]
+    total = 0.0
+    if spec is None:
+        total = strength_prior_bits(g.num_nodes, len(edges), sum(e[2] for e in edges))
+    for node in range(g.num_nodes):
+        ws = [w for i, _, w, _ in edges if i == node]
+        bs = [w for i, _, w, f in edges if i == node and f]
+        if spec is None:
+            total += dl_neigh_micro(len(ws), sum(ws), len(bs), sum(bs))
+        else:
+            wfact = sum(math.lgamma(w + 1) for w in ws) / math.log(2)
+            total += dl_neigh_canonical(len(ws), sum(ws), len(bs), sum(bs), spec, wfact)
+    return total
+
+
+@st.composite
+def graphs_with_backbones(draw, real=False):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    src = draw(st.lists(node, min_size=m, max_size=m))
+    dst = draw(st.lists(node, min_size=m, max_size=m))
+    if real:
+        w = draw(st.lists(st.floats(0.1, 20.0), min_size=m, max_size=m))
+    else:
+        w = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    flags = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    g = make_graph(src, dst, w, num_nodes=n, directed=draw(st.booleans()),
+                   weight_kind="real" if real else "integer")
+    return g, flags
+
+
+class TestLocalMatchesPerNodeLoop:
+    @given(graphs_with_backbones())
+    @settings(max_examples=60, deadline=None)
+    def test_micro(self, case):
+        g, flags = case
+        got = dl_local_micro(g, backbone_from_flags(g, flags))
+        assert got == pytest.approx(local_dl_reference(g, flags), rel=1e-9)
+
+    @pytest.mark.parametrize("model", ["geometric", "poisson", "exponential"])
+    @given(case=graphs_with_backbones())
+    @settings(max_examples=40, deadline=None)
+    def test_canonical(self, model, case):
+        g, flags = case
+        spec = ObjectiveSpec("local", "canonical", model, lam=0.7)
+        got = dl_local_canonical(g, backbone_from_flags(g, flags), spec)
+        assert got == pytest.approx(local_dl_reference(g, flags, spec), rel=1e-9)
+
+    @given(graphs_with_backbones(real=True))
+    @settings(max_examples=40, deadline=None)
+    def test_exponential_real_weights(self, case):
+        g, flags = case
+        spec = ObjectiveSpec("local", "canonical", "exponential")
+        got = dl_local_canonical(g, backbone_from_flags(g, flags), spec)
+        assert got == pytest.approx(local_dl_reference(g, flags, spec), rel=1e-9)
+
+    def test_invalid_neighborhood_rejected(self):
+        # node 0: k=2, s=3 and a backbone of weight 3 leaves the other edge
+        # weight 0; the per-node check raises, the bare formula gives inf
+        g = make_graph([0, 0], [1, 0], [0, 3], num_nodes=2)
+        with pytest.raises(DomainError):
+            dl_local_micro(g, backbone_from_flags(g, [False, True]))
 
 
 class TestCanonical:

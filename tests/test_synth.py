@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mdlbackbone.errors import DomainError
+from mdlbackbone.graph import serialize_edge_list
 from mdlbackbone.synth import (
     dirichlet_multinomial_weights,
     plant_weights_canonical,
@@ -118,6 +121,14 @@ class TestDirichletMultinomial:
     def test_w_below_minimum(self):
         with pytest.raises(DomainError):
             dirichlet_multinomial_weights(10, 5, 49, 1.0, 1.0)
+
+    def test_canary_bytes(self):
+        # the 20k-edge instance whose serialized bytes the benchmark pins
+        inst = dirichlet_multinomial_weights(2000, 10, 200_000, 0.1, 0.1, seed=1)
+        digest = hashlib.sha256(serialize_edge_list(inst.graph).encode()).hexdigest()
+        assert digest == (
+            "2a0957378e23a5d592472c49d693a66cc11aa4b529a5528fe37500c292aa71d5"
+        )
 
     def test_determinism(self):
         a = dirichlet_multinomial_weights(50, 5, 10000, 0.1, 0.1, seed=4)
