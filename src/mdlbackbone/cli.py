@@ -126,13 +126,15 @@ def _backbone_from_file(g, path):
         weight_kind=g.weight_kind,
     )
     label_idx = {lab: i for i, lab in enumerate(g.labels)}
-    pairs = []
-    for i, j in zip(bb_graph.src, bb_graph.dst):
-        a, b = bb_graph.labels[int(i)], bb_graph.labels[int(j)]
-        if a not in label_idx or b not in label_idx:
-            raise DomainError(f"backbone node {a!r} or {b!r} not in graph")
-        pairs.append((label_idx[a], label_idx[b]))
-    return backbone_from_edge_subset(g, pairs)
+    # parent index of each backbone-file label, -1 where the parent lacks it
+    idx = np.array([label_idx.get(lab, -1) for lab in bb_graph.labels], dtype=np.int64)
+    src, dst = idx[bb_graph.src], idx[bb_graph.dst]
+    foreign = (src < 0) | (dst < 0)
+    if foreign.any():
+        e = np.argmax(foreign)
+        a, b = bb_graph.labels[bb_graph.src[e]], bb_graph.labels[bb_graph.dst[e]]
+        raise DomainError(f"backbone node {a!r} or {b!r} not in graph")
+    return backbone_from_edge_subset(g, np.column_stack([src, dst]))
 
 
 def cmd_compare(args):

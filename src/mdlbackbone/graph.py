@@ -153,15 +153,7 @@ class Backbone:
         return k
 
     def retained_strengths(self):
-        s = np.zeros(self.parent.num_nodes, dtype=float)
-        src = self.parent.src[self.member_flags]
-        w = self.parent.weights[self.member_flags]
-        np.add.at(s, src, w)
-        if not self.parent.directed:
-            dst = self.parent.dst[self.member_flags]
-            loop = src != dst
-            np.add.at(s, dst[loop], w[loop])
-        return s
+        return self.subgraph().strengths()
 
     def edge_set(self):
         return self.subgraph().edge_set()
@@ -185,8 +177,11 @@ def backbone_from_flags(parent, flags):
 
 def backbone_from_edge_subset(parent, pairs):
     """Backbone whose members are the parent edges listed as (src, dst) index
-    pairs. Raises DomainError for pairs not present in the parent."""
-    pairs = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    pairs, an iterable of pairs or an (n, 2) array. Raises DomainError for
+    pairs not present in the parent."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     flags = np.zeros(parent.num_edges, dtype=bool)
     flags[parent.edge_index(pairs[:, 0], pairs[:, 1])] = True
     return Backbone(parent=parent, member_flags=flags)

@@ -58,6 +58,8 @@ class HalfEdgeSystem:
     weights: np.ndarray
     rev: np.ndarray
     starts: np.ndarray  # segment boundaries of half-edges grouped by src
+    nonempty: np.ndarray  # nodes with at least one half-edge
+    seg_starts: np.ndarray  # starts of the nonempty segments, for reduceat
 
     @classmethod
     def build(cls, g):
@@ -76,9 +78,11 @@ class HalfEdgeSystem:
         src, dst, weights = src[order], dst[order], weights[order]
         rev = inv[rev[order]]
         starts = np.searchsorted(src, np.arange(g.num_nodes + 1))
+        nonempty = starts[:-1] < starts[1:]
         return cls(
             num_nodes=g.num_nodes, src=src, dst=dst, weights=weights,
-            rev=rev, starts=starts,
+            rev=rev, starts=starts, nonempty=nonempty,
+            seg_starts=starts[:-1][nonempty],
         )
 
     @property
@@ -90,10 +94,8 @@ class HalfEdgeSystem:
         the leave-one-out product for every half-edge (j -> i): product over
         N(j) minus the (j -> i) entry itself."""
         prods = np.ones(self.num_nodes)
-        nz = self.starts[:-1] < self.starts[1:]
-        if nz.any():
-            seg = np.multiply.reduceat(values, self.starts[:-1][nz])
-            prods[nz] = seg
+        if len(self.seg_starts):
+            prods[self.nonempty] = np.multiply.reduceat(values, self.seg_starts)
         return prods
 
     def leave_one_out_products(self, values):
@@ -114,9 +116,8 @@ class HalfEdgeSystem:
 
     def segment_sums(self, values):
         sums = np.zeros(self.num_nodes)
-        nz = self.starts[:-1] < self.starts[1:]
-        if nz.any():
-            sums[nz] = np.add.reduceat(values, self.starts[:-1][nz])
+        if len(self.seg_starts):
+            sums[self.nonempty] = np.add.reduceat(values, self.seg_starts)
         return sums
 
 

@@ -1,12 +1,13 @@
 """Greedy backbone optimization, the exhaustive enumeration oracle, and
 inverse compression ratios.
 
-The greedy sweep adds edges in weight-descending order, evaluates the chosen
-description length at every candidate size 0..floor(E/2) and keeps the
-argmin prefix. For the local objectives the same sweep runs independently in
-every out-neighborhood of the directed view. Both are exact minimizers for
-the microcanonical objectives and for canonical geometric/poisson/exponential
-weights (asymptotically for the latter two).
+One greedy sweep serves both scopes: it orders the weights descending,
+evaluates the chosen description length of every heavy prefix and every
+light suffix of size 0..floor(E/2) and keeps the argmin. Global scope runs it
+once over the whole edge list, local scope once in every out-neighborhood of
+the directed view. Both are exact minimizers for the microcanonical
+objectives and for canonical geometric/poisson/exponential weights
+(asymptotically for the latter two).
 """
 
 from __future__ import annotations
@@ -87,12 +88,6 @@ def _require_weights(g, spec):
         )
 
 
-def _trace_argmin(values):
-    best = values.min()
-    ties = np.nonzero(values == best)[0]
-    return int(ties[0]), len(ties)
-
-
 def empty_backbone_dls(g, spec):
     """(global, local) description lengths of the empty backbone under the
     family/weight-model of ``spec``. The global value uses the graph's own
@@ -125,8 +120,62 @@ def _weight_sort_order(g):
     return np.lexsort((g.dst, g.src, -np.asarray(g.weights, dtype=float)))
 
 
+def _sweep(w, starts, strength, wfact, spec):
+    """The greedy sweep over every segment ``w[starts[i]:starts[i + 1]]`` of
+    the weights ``w``, each segment sorted heaviest first. ``strength`` and
+    ``wfact`` (sum of log2 w! for the poisson model, else 0) are the
+    segment totals: an array with one entry per segment, or a scalar that
+    holds for every segment.
+
+    A segment of k edges is scored under ``spec``'s family at its heavy
+    prefixes and its light suffixes of sizes 0..floor(k/2). At fixed size
+    the DL is concave in the backbone weight for every supported family, so
+    the per-size optimum sits at an extreme: the heaviest or the lightest
+    edges, and light suffixes of size <= k/2 stand in for heavy prefixes of
+    size > k/2 via the bit-flip symmetry. Ties: the empty backbone beats a
+    prefix, a prefix beats a suffix, a suffix wins only with a strictly
+    smaller DL, and the smallest minimizing size wins within each curve. When
+    a light suffix wins, the complementary heavy prefix (equal DL by the
+    bit-flip symmetry) is kept: the backbone is the heavy side.
+
+    Returns ``(n_keep, dl, curve, curve_starts)``: per segment the number of
+    heaviest edges kept and the winning DL, and the prefix DLs over sizes
+    0..floor(k/2) of segment i at ``curve[curve_starts[i]:curve_starts[i + 1]]``.
+    """
+    k = np.diff(starts)
+    sizes = k // 2 + 1
+    curve_starts = np.concatenate([[0], np.cumsum(sizes)])
+    at = curve_starts[:-1]
+    seg = np.repeat(np.arange(len(k)), sizes)
+    j = np.arange(curve_starts[-1]) - at[seg]
+    cum = np.concatenate([[0.0], np.cumsum(w)])
+    E = k[seg]
+    W = strength[seg] if np.ndim(strength) else strength
+    wf = wfact[seg] if np.ndim(wfact) else wfact
+
+    def dl_at(backbone_weight):
+        return np.asarray(_dl_curve(E, W, j, backbone_weight, spec, wf))
+
+    curve = dl_at(cum[starts[seg] + j] - cum[starts[seg]])
+    light = dl_at(cum[starts[seg + 1]] - cum[starts[seg + 1] - j])
+
+    best_p = np.minimum.reduceat(curve, at)
+    size_p = np.minimum.reduceat(np.where(curve == best_p[seg], j, len(j)), at)
+    best_s = np.minimum.reduceat(light, at)
+    size_s = np.minimum.reduceat(np.where(light == best_s[seg], j, len(j)), at)
+    take_s = best_s < best_p
+    n_keep = np.where(take_s, k - size_s, size_p)
+    return n_keep, np.where(take_s, best_s, best_p), curve, curve_starts
+
+
+def _trace(values):
+    ties = np.nonzero(values == values.min())[0]
+    return DlTrace(values=values, argmin=int(ties[0]), tie_count=len(ties))
+
+
 def greedy_global(g, spec=None):
-    """MDL-optimal global backbone via the weight-descending greedy sweep."""
+    """MDL-optimal global backbone: the greedy sweep over the whole edge
+    list, heaviest first."""
     if spec is None:
         spec = ObjectiveSpec("global", "microcanonical")
     if spec.scope != "global":
@@ -136,36 +185,17 @@ def greedy_global(g, spec=None):
     _require_weights(g, spec)
 
     order = _weight_sort_order(g)
-    w_sorted = np.asarray(g.weights, dtype=float)[order]
-    E, W = g.num_edges, g.total_weight
-    half = E // 2
-    sizes = np.arange(half + 1, dtype=float)
-    prefix_w = np.concatenate([[0.0], np.cumsum(w_sorted)[:half]])
-    wf = _poisson_wfact(spec, g.weights)
-    values = np.asarray(_dl_curve(float(E), float(W), sizes, prefix_w, spec, wf))
-    argmin, ties = _trace_argmin(values)
-
-    # the DL at fixed backbone size is concave in W_b for every supported
-    # family, so the per-size optimum sits at an extreme: either the heaviest
-    # edges (the prefix curve above) or the lightest ones. Light suffixes of
-    # size <= E/2 stand in for heavy prefixes of size > E/2 via the bit-flip
-    # symmetry, completing the candidate set.
-    suffix_w = np.concatenate([[0.0], np.cumsum(w_sorted[::-1])[:half]])
-    suf_values = np.asarray(
-        _dl_curve(float(E), float(W), sizes, suffix_w, spec, wf)
+    n_keep, dl, curve, _ = _sweep(
+        np.asarray(g.weights, dtype=float)[order],
+        np.array([0, g.num_edges]),
+        float(g.total_weight),
+        _poisson_wfact(spec, g.weights),
+        spec,
     )
-    suf_argmin, _ = _trace_argmin(suf_values)
-
-    # when a light suffix wins, report the complementary heavy prefix (equal
-    # DL by the bit-flip symmetry): the backbone is the heavy side
-    flags = np.zeros(E, dtype=bool)
-    if suf_values[suf_argmin] < values[argmin]:
-        flags[order[:E - suf_argmin]] = True
-        dl = float(suf_values[suf_argmin])
-    else:
-        flags[order[:argmin]] = True
-        dl = float(values[argmin])
+    flags = np.zeros(g.num_edges, dtype=bool)
+    flags[order[:n_keep[0]]] = True
     bb = backbone_from_flags(g, flags)
+    dl = float(dl[0])
     dl_eg, dl_el = empty_backbone_dls(g, spec)
     return BackboneResult(
         backbone=bb,
@@ -175,7 +205,7 @@ def greedy_global(g, spec=None):
         dl_empty_local=dl_el,
         method="mdl-global",
         objective=_objective_name(spec),
-        trace=DlTrace(values=values, argmin=argmin, tie_count=ties),
+        trace=_trace(curve),
     )
 
 
@@ -197,88 +227,22 @@ def greedy_local(g, spec=None, store_traces=False):
     src_sorted = dg.src[order]
     w_sorted = np.asarray(dg.weights, dtype=float)[order]
     N = dg.num_nodes
-    M = dg.num_edges
-    k = (starts[1:] - starts[:-1]).astype(float)
     s = np.bincount(src_sorted, weights=w_sorted, minlength=N)
-
-    pos = np.arange(M) - np.repeat(starts[:-1], (starts[1:] - starts[:-1]))
-    cand_Eb = pos + 1.0
-    cumw0 = np.concatenate([[0.0], np.cumsum(w_sorted)])
-    cand_Wb = cumw0[1:] - np.repeat(cumw0[starts[:-1]], (starts[1:] - starts[:-1]))
-
-    k_edge = k[src_sorted]
-    s_edge = s[src_sorted]
-    family_spec = ObjectiveSpec("global", spec.family, spec.weight_model, spec.lam)
+    wfact = 0.0
     if spec.family == "canonical" and spec.weight_model == "poisson":
-        wf_node = np.bincount(
-            src_sorted, weights=np.asarray(_log2_factorial(w_sorted)), minlength=N
+        wfact = np.bincount(
+            src_sorted, weights=_log2_factorial(w_sorted), minlength=N
         )
-        wf_edge = wf_node[src_sorted]
-    else:
-        wf_node = np.zeros(N)
-        wf_edge = 0.0
+    n_keep, node_dl, curve, curve_starts = _sweep(w_sorted, starts, s, wfact, spec)
 
-    cand_dl = np.asarray(
-        _dl_curve(k_edge, s_edge, cand_Eb, cand_Wb, family_spec, wf_edge)
-    )
-    cand_dl[cand_Eb > np.floor(k_edge / 2.0)] = np.inf
-    # light-suffix candidates: backbone = the lightest edges of the
-    # neighborhood, covering per-size optima at the low-W_b extreme (see
-    # greedy_global)
-    suf_Eb = k_edge - cand_Eb + 1.0
-    suf_Wb = s_edge - cand_Wb + w_sorted
-    suf_dl = np.asarray(
-        _dl_curve(k_edge, s_edge, suf_Eb, suf_Wb, family_spec, wf_edge)
-    )
-    suf_dl[suf_Eb > np.floor(k_edge / 2.0)] = np.inf
-    zero_dl = np.asarray(_dl_curve(k, s, 0.0, 0.0, family_spec, wf_node))
-
-    n_keep = np.zeros(N, dtype=np.int64)
-    big = np.iinfo(np.int64).max
-    nz = np.nonzero(starts[1:] > starts[:-1])[0]
-    if len(nz):
-        starts_nz = starts[:-1][nz]
-        counts_nz = (starts[1:] - starts[:-1])[nz]
-        seg_min_p = np.minimum.reduceat(cand_dl, starts_nz)
-        hit_p = np.where(
-            cand_dl == np.repeat(seg_min_p, counts_nz), pos, big
-        )
-        first_p = np.minimum.reduceat(hit_p, starts_nz)
-        seg_min_s = np.minimum.reduceat(suf_dl, starts_nz)
-        hit_s = np.where(
-            suf_dl == np.repeat(seg_min_s, counts_nz), pos, -1
-        )
-        last_s = np.maximum.reduceat(hit_s, starts_nz)
-        eb_s = counts_nz - last_s
-
-        node_dl = zero_dl[nz]
-        mode = np.zeros(len(nz), dtype=np.int64)
-        node_eb = np.zeros(len(nz))
-        take_p = seg_min_p < node_dl
-        node_dl = np.where(take_p, seg_min_p, node_dl)
-        node_eb = np.where(take_p, first_p + 1.0, node_eb)
-        mode = np.where(take_p, 1, mode)
-        take_s = (seg_min_s < node_dl) | (
-            (seg_min_s == node_dl) & (eb_s < node_eb)
-        )
-        node_dl = np.where(take_s, seg_min_s, node_dl)
-        mode = np.where(take_s, 2, mode)
-
-        # mode 2 (light suffix wins): keep the complementary heavy prefix,
-        # which has the same DL by the bit-flip symmetry — the backbone is
-        # the heavy side of the neighborhood
-        n_keep[nz] = np.where(
-            mode == 1, first_p + 1, np.where(mode == 2, last_s, 0)
-        )
-    else:
-        node_dl = np.array([])
-
-    selected = pos < n_keep[src_sorted]
-    dl = float(np.sum(node_dl)) if len(nz) else 0.0
+    k = np.diff(starts)
     # isolated nodes contribute 0 bits
+    dl = float(np.sum(node_dl[k > 0]))
     if spec.family == "microcanonical":
-        dl += strength_prior_bits(N, M, dg.total_weight)
+        dl += strength_prior_bits(N, dg.num_edges, dg.total_weight)
 
+    pos = np.arange(dg.num_edges) - np.repeat(starts[:-1], k)
+    selected = pos < np.repeat(n_keep, k)
     flags = np.zeros(g.num_edges, dtype=bool)
     flags[directed_parents(g)[order[selected]]] = True
     bb = backbone_from_flags(g, flags)
@@ -294,14 +258,9 @@ def greedy_local(g, spec=None, store_traces=False):
         objective=_objective_name(spec),
     )
     if store_traces:
-        traces = []
-        for i in range(N):
-            lo, hi = starts[i], starts[i + 1]
-            half = int(k[i]) // 2
-            vals = np.concatenate([[zero_dl[i]], cand_dl[lo:lo + half]])
-            argmin, ties = _trace_argmin(vals)
-            traces.append(DlTrace(values=vals, argmin=argmin, tie_count=ties))
-        result.node_traces = traces
+        result.node_traces = [
+            _trace(curve[curve_starts[i]:curve_starts[i + 1]]) for i in range(N)
+        ]
     return result
 
 

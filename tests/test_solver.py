@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlbackbone.errors import DomainError
 from mdlbackbone.graph import parse_edge_list
-from mdlbackbone.objectives import ObjectiveSpec, dl_local_micro
+from mdlbackbone.objectives import (
+    ObjectiveSpec,
+    dl_local_micro,
+    strength_prior_bits,
+)
 from mdlbackbone.solver import (
     ENUMERATION_EDGE_CAP,
     empty_backbone_dls,
@@ -107,6 +113,59 @@ class TestGreedyLocal:
         assert len(res.node_traces) == 1
         trace = res.node_traces[0]
         assert trace.values[trace.argmin] <= trace.values.min() + 1e-12
+
+
+@st.composite
+def single_neighborhoods(draw, real=False):
+    """Directed graph in which only node 0 has out-edges (self-loops and
+    parallel edges allowed). Real weights are multiples of 1/8, so their
+    sums are exact whichever order the two solvers add them in, and at
+    least 1, where every empty-backbone DL is positive and eta is defined."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 12))
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    if real:
+        w = draw(st.lists(st.integers(8, 80).map(lambda x: x / 8),
+                          min_size=m, max_size=m))
+    else:
+        w = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    return make_graph([0] * m, dst, w, num_nodes=n,
+                      weight_kind="real" if real else "integer")
+
+
+class TestGlobalMatchesLocalOnOneNeighborhood:
+    """One out-neighborhood is one sweep segment for both scopes: the same
+    backbone, the same DL up to the local strength prior, and the same
+    trace."""
+
+    def check(self, g, family, model=None):
+        glob = greedy_global(g, ObjectiveSpec("global", family, model))
+        loc = greedy_local(g, ObjectiveSpec("local", family, model),
+                           store_traces=True)
+        assert np.array_equal(loc.backbone.member_flags,
+                              glob.backbone.member_flags)
+        prior = 0.0
+        if family == "microcanonical":
+            prior = strength_prior_bits(g.num_nodes, g.num_edges, g.total_weight)
+        assert loc.dl - prior == pytest.approx(glob.dl, abs=1e-9)
+        np.testing.assert_allclose(loc.node_traces[0].values,
+                                   glob.trace.values, rtol=0, atol=1e-9)
+
+    @given(single_neighborhoods())
+    @settings(max_examples=60, deadline=None)
+    def test_micro(self, g):
+        self.check(g, "microcanonical")
+
+    @pytest.mark.parametrize("model", ["geometric", "poisson"])
+    @given(g=single_neighborhoods())
+    @settings(max_examples=60, deadline=None)
+    def test_canonical(self, model, g):
+        self.check(g, "canonical", model)
+
+    @given(single_neighborhoods(real=True))
+    @settings(max_examples=60, deadline=None)
+    def test_exponential_real_weights(self, g):
+        self.check(g, "canonical", "exponential")
 
 
 class TestAgainstEnumeration:
