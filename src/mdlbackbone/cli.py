@@ -1,5 +1,5 @@
 """Batch command-line front end: backbone extraction, backbone comparison,
-synthetic instance generation, percolation studies, and runtime benchmarks.
+synthetic instance generation and percolation studies.
 
 Exit codes: 0 all artifacts written, 1 parse/domain/runtime error,
 2 usage error (bad flags).
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -247,39 +246,6 @@ def cmd_percolation(args):
     return 0
 
 
-def cmd_bench(args):
-    sizes = [int(float(s)) for s in args.sizes.split(",")]
-    spec_g = _objective_spec(args.objective, "global", args.lam)
-    spec_l = _objective_spec(args.objective, "local", args.lam)
-    rows = []
-    for n in sizes:
-        inst = synth.dirichlet_multinomial_weights(
-            n, args.k, n * args.k * args.wfactor, args.hstr, args.hneig,
-            seed=args.seed,
-        )
-        g = inst.graph
-        t0 = time.perf_counter()
-        solver.greedy_global(g, spec_g)
-        t_global = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        solver.greedy_local(g, spec_l)
-        t_local = time.perf_counter() - t0
-        rows.append({
-            "N": n, "E": g.num_edges, "W": g.total_weight,
-            "seconds_global": t_global, "seconds_local": t_local,
-        })
-    doc = {"objective": args.objective, "k": args.k, "seed": args.seed,
-           "runs": rows}
-    if len(rows) >= 2:
-        logn = np.log([r["N"] for r in rows])
-        for key in ("seconds_global", "seconds_local"):
-            slope = np.polyfit(logn, np.log([r[key] for r in rows]), 1)[0]
-            doc["slope_" + key.split("_")[1]] = float(slope)
-    prefix = _output_prefix(args, "bench")
-    _write_json(str(prefix) + ".json", doc)
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mdlbackbone",
@@ -337,18 +303,6 @@ def build_parser():
     p.add_argument("--round-weights", action="store_true")
     common(p)
     p.set_defaults(func=cmd_percolation)
-
-    p = sub.add_parser("bench", help="runtime scaling benchmark")
-    p.add_argument("--sizes", default="1e3,1e4,1e5")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--wfactor", type=int, default=10,
-                   help="total weight as a multiple of N*k")
-    p.add_argument("--hstr", type=float, default=0.1)
-    p.add_argument("--hneig", type=float, default=0.1)
-    p.add_argument("--objective", choices=sorted(OBJECTIVES), default="micro")
-    p.add_argument("--lam", type=float, default=1.0)
-    common(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -3,12 +3,17 @@ the out-neighborhood index.
 
 Node labels are arbitrary strings mapped to dense indices 0..N-1 in order of
 first appearance; all algorithms operate on the dense indices. Multi-edges
-are merged by weight summation at construction time.
+are merged by weight summation at parse time. Parsing and serializing work
+on whole arrays; a per-line check runs only on non-ASCII text and to
+locate an input error.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +86,20 @@ class WeightedGraph:
             np.add.at(s, self.dst[loop], self.weights[loop])
         return s
 
+    @cached_property
+    def _key_index(self):
+        """``(order, sorted_keys)``: the packed (src, dst) key of every edge,
+        (min, max) for undirected graphs, sorted with ties by position, so
+        the last edge of a pair sits rightmost. Built on the first
+        :meth:`edge_index` call and kept with the graph."""
+        a = np.asarray(self.src, dtype=np.int64)
+        b = np.asarray(self.dst, dtype=np.int64)
+        if not self.directed:
+            a, b = np.minimum(a, b), np.maximum(a, b)
+        keys = a * self.num_nodes + b
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+
     def edge_index(self, src, dst):
         """Positions of the edges (src[i], dst[i]). For undirected graphs
         either orientation matches; where several edges match a pair, the
@@ -88,16 +107,10 @@ class WeightedGraph:
         src = np.asarray(src, dtype=np.int64).reshape(-1)
         dst = np.asarray(dst, dtype=np.int64).reshape(-1)
         n = self.num_nodes
-        a = np.asarray(self.src, dtype=np.int64)
-        b = np.asarray(self.dst, dtype=np.int64)
         qa, qb = src, dst
         if not self.directed:
-            a, b = np.minimum(a, b), np.maximum(a, b)
             qa, qb = np.minimum(src, dst), np.maximum(src, dst)
-        keys = a * n + b
-        # key order, ties by position, so the last match sits rightmost
-        order = np.lexsort((np.arange(self.num_edges), keys))
-        sorted_keys = keys[order]
+        order, sorted_keys = self._key_index
         query = qa * n + qb
         pos = np.searchsorted(sorted_keys, query, side="right") - 1
         hit = (src >= 0) & (src < n) & (dst >= 0) & (dst < n) & (pos >= 0)
@@ -187,44 +200,20 @@ def backbone_from_edge_subset(parent, pairs):
     return Backbone(parent=parent, member_flags=flags)
 
 
-def _merge_multi_edges(src, dst, weights):
-    """Merge duplicate (src, dst) pairs by weight summation, keeping the
-    first-occurrence order of the surviving pairs."""
-    order = {}
-    merged_w = []
-    merged_src = []
-    merged_dst = []
-    for i, j, w in zip(src, dst, weights):
-        key = (i, j)
-        if key in order:
-            merged_w[order[key]] += w
-        else:
-            order[key] = len(merged_w)
-            merged_src.append(i)
-            merged_dst.append(j)
-            merged_w.append(w)
-    return merged_src, merged_dst, merged_w
+# ASCII bytes that str.split() treats as whitespace and those at which
+# str.splitlines() ends a line (\x1f is whitespace but ends no line).
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_ASCII_BREAK = np.zeros(256, dtype=bool)
+_ASCII_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
 
 
-def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
-    """Parse an edge-list stream with lines "src dst weight" (tabs or spaces).
-
-    Lines starting with '#' and blank lines are ignored. Multi-edges are
-    merged by summing weights. With ``round_weights`` non-integer weights are
-    rounded to the nearest integer before validation (integer mode only).
-    """
-    if hasattr(text, "read"):
-        text = text.read()
-    label_to_idx = {}
-    labels = []
-    src, dst, weights = [], [], []
-
-    def node_id(label):
-        if label not in label_to_idx:
-            label_to_idx[label] = len(labels)
-            labels.append(label)
-        return label_to_idx[label]
-
+def _check_lines(text):
+    """The per-line check of an edge list and the locator of its errors:
+    raises ParseError or DomainError, with the line number, at the first
+    line that is not a comment, blank or "src dst weight" with a positive
+    finite weight. Returns the tokens of the edge lines in order."""
+    tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -238,48 +227,127 @@ def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
             raise ParseError(f"bad weight {parts[2]!r}", line=lineno) from None
         if not np.isfinite(w) or w <= 0:
             raise DomainError(f"line {lineno}: weight must be positive, got {parts[2]}")
-        src.append(node_id(parts[0]))
-        dst.append(node_id(parts[1]))
-        weights.append(w)
+        tokens += parts
+    return tokens
 
-    if not src:
+
+def _edge_tokens(text):
+    """Tokens of the edge lines of ``text``, src dst weight after each
+    other. ASCII text is checked as arrays: every line must hold 0 or 3
+    tokens unless its first token starts with '#'. Other text, and text that
+    fails the check, goes to :func:`_check_lines`."""
+    if not text.isascii():
+        return _check_lines(text)
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = _ASCII_SPACE[b]
+    starts = np.flatnonzero(~space & np.concatenate([[True], space[:-1]]))
+    # the tokens of line i start at starts[bounds[i]:bounds[i + 1]]
+    breaks = np.searchsorted(starts, np.flatnonzero(_ASCII_BREAK[b]))
+    bounds = np.concatenate([[0], breaks, [len(starts)]])
+    counts = np.diff(bounds)
+    comment = counts > 0
+    comment[comment] = b[starts[bounds[:-1][comment]]] == ord("#")
+    if not np.all((counts == 0) | (counts == 3) | comment):
+        return _check_lines(text)
+    tokens = text.split()
+    if comment.any():
+        tokens = list(itertools.compress(tokens, np.repeat(~comment, counts).tolist()))
+    return tokens
+
+
+def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
+    """Parse an edge list: a string, or a file object that is read whole.
+
+    Lines end where ``str.splitlines`` ends them: ``\\n``, ``\\r``,
+    ``\\r\\n``, ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``
+    and ``\\u2029``. Tokens are separated by any run of whitespace
+    (``str.split``). A line that is blank, or whose first token starts with
+    '#', is skipped; '#' elsewhere is part of a token. Every other line is
+    "src dst weight", where the weight is any string Python's ``float``
+    accepts and must be positive and finite. Node labels are numbered in
+    order of first appearance, src before dst. Multi-edges (repeated
+    (src, dst) pairs) are merged into the position of their first
+    occurrence, their weights summed in the order they appear.
+
+    With ``weight_kind="integer"`` the merged weights must be whole, >= 1
+    and below 2**63; ``round_weights`` first rounds each to the nearest
+    integer (half to even), with a floor of 1. ``"real"`` keeps the merged
+    float weights.
+
+    A line without exactly three tokens, or with a weight ``float``
+    rejects, raises ParseError; a weight that is not positive and finite
+    raises DomainError. Both name the first offending line, counted from 1.
+    An input without edge lines raises DomainError.
+    """
+    if hasattr(text, "read"):
+        text = text.read()
+    tokens = _edge_tokens(text)
+    n = len(tokens) // 3
+    try:
+        w = np.fromiter(map(float, tokens[2::3]), dtype=float, count=n)
+    except ValueError:
+        w = None
+    if w is None or not np.all(np.isfinite(w) & (w > 0)):
+        _check_lines(text)  # raises at the first bad line
+    if n == 0:
         raise DomainError("empty edge list")
 
-    src, dst, weights = _merge_multi_edges(src, dst, weights)
+    # src and dst interleaved, so labels number in order of first appearance:
+    # a label not yet seen gets the id len(ids) as it is inserted
+    del tokens[2::3]
+    ids = defaultdict()
+    ids.default_factory = ids.__len__
+    codes = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=2 * n)
+    # Free the tokens now, and keep copies of the labels, not the label
+    # tokens themselves: one kept token pins the memory of the tokens
+    # allocated next to it. The factory refers back to the dict, so that
+    # cycle is cut first.
+    ids.default_factory = None
+    num_nodes, joined = len(ids), "\n".join(ids)
+    del tokens, ids
+    labels = tuple(joined.split("\n"))
+    src, dst = codes[0::2], codes[1::2]
+
+    # bincount adds each pair's weights in order of appearance
+    _, first, pair = np.unique(
+        src * num_nodes + dst, return_index=True, return_inverse=True
+    )
+    merged = np.bincount(pair, weights=w)
+    order = np.argsort(first, kind="stable")
+    src, dst, w = src[first[order]], dst[first[order]], merged[order]
 
     if weight_kind == "integer":
         if round_weights:
-            weights = [max(1.0, round(w)) for w in weights]
-        for w in weights:
-            if w != int(w) or w < 1:
-                raise DomainError(
-                    f"integer weight mode requires whole weights >= 1, got {w}"
-                )
-        warr = np.array(weights, dtype=np.int64)
-    else:
-        warr = np.array(weights, dtype=float)
+            w = np.maximum(1.0, np.round(w))
+        bad = (w != np.floor(w)) | (w < 1) | (w >= 2.0**63)
+        if bad.any():
+            got = float(w[bad.argmax()])
+            raise DomainError(f"integer weight mode requires whole weights >= 1, got {got}")
+        w = w.astype(np.int64)
 
     return WeightedGraph(
-        num_nodes=len(labels),
-        src=np.array(src, dtype=np.int64),
-        dst=np.array(dst, dtype=np.int64),
-        weights=warr,
+        num_nodes=num_nodes,
+        src=src,
+        dst=dst,
+        weights=w,
         directed=directed,
         weight_kind=weight_kind,
-        labels=tuple(labels),
+        labels=labels,
     )
 
 
 def serialize_edge_list(g):
     """Serialize to the tab-separated exchange format with original labels,
     one edge per line, sorted by (src, dst) dense index."""
-    order = np.lexsort((g.dst, g.src))
-    lines = []
-    for e in order:
-        w = g.weights[e]
-        wtxt = str(int(w)) if g.weight_kind == "integer" else repr(float(w))
-        lines.append(f"{g.labels[g.src[e]]}\t{g.labels[g.dst[e]]}\t{wtxt}")
-    return "\n".join(lines) + "\n"
+    order = np.argsort(g.src * g.num_nodes + g.dst, kind="stable")
+    labels = np.array(g.labels, dtype=object)
+    w = g.weights[order]
+    if g.weight_kind == "integer":
+        wtxt = map(str, w.astype(np.int64).tolist())
+    else:
+        wtxt = map(repr, w.astype(float).tolist())
+    rows = zip(labels[g.src[order]].tolist(), labels[g.dst[order]].tolist(), wtxt)
+    return "\n".join(map("\t".join, rows)) + "\n"
 
 
 def directed_view(g):

@@ -108,10 +108,16 @@ def empty_backbone_dls(g, spec):
 
 
 def inverse_compression_ratio(dl_opt, dl_empty_global, dl_empty_local):
-    """dl_opt / max(empty-backbone DLs); <= 1 means the backbone compresses."""
+    """dl_opt / max(empty-backbone DLs); <= 1 means the backbone compresses.
+    Raises DomainError when neither empty-backbone DL is positive, as the
+    exponential model's differential code gives for small real weights."""
     denom = max(dl_empty_global, dl_empty_local)
     if denom <= 0:
-        raise DomainError("empty-backbone description length is zero")
+        raise DomainError(
+            f"eta is undefined: the empty-backbone description lengths are "
+            f"{dl_empty_global:.6g} bits (global) and {dl_empty_local:.6g} bits "
+            f"(local), and neither is positive"
+        )
     return float(dl_opt / denom)
 
 
@@ -379,16 +385,19 @@ def backbone_to_dict(bb):
     """JSON-ready sizes of a backbone and its parent, with its edges as
     [src label, dst label, weight] rows in parent edge order."""
     g = bb.parent
+    kept = bb.member_flags
+    labels = np.array(g.labels, dtype=object)
     return {
         "N": g.num_nodes,
         "E": g.num_edges,
         "W": g.total_weight,
         "E_b": bb.num_edges,
         "W_b": bb.total_weight,
-        "edges": [
-            [g.labels[int(g.src[e])], g.labels[int(g.dst[e])], float(g.weights[e])]
-            for e in np.nonzero(bb.member_flags)[0]
-        ],
+        "edges": list(map(list, zip(
+            labels[g.src[kept]].tolist(),
+            labels[g.dst[kept]].tolist(),
+            g.weights[kept].astype(float).tolist(),
+        ))),
     }
 
 
@@ -404,5 +413,5 @@ def result_to_dict(result, include_trace=False):
         "eta": result.eta,
     })
     if include_trace and result.trace is not None:
-        doc["trace"] = [float(v) for v in result.trace.values]
+        doc["trace"] = np.asarray(result.trace.values, dtype=float).tolist()
     return doc

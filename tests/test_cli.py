@@ -74,6 +74,15 @@ class TestBackboneCommand:
         code = main(["backbone", "--method", "mdl-global", str(path)])
         assert code == 1
 
+    def test_nonpositive_empty_dl_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "small.tsv"
+        path.write_text("".join(f"a\t{v}\t0.125\n" for v in "bcdef"))
+        code = main(["backbone", "--method", "mdl-global",
+                     "--objective", "canonical-exponential", str(path),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert "eta is undefined" in capsys.readouterr().err
+
     def test_bad_method_exit_2(self, star_file):
         with pytest.raises(SystemExit) as exc:
             main(["backbone", "--method", "bogus", str(star_file)])
@@ -166,15 +175,3 @@ class TestPercolationCommand:
         code = main(["percolation", str(path), "--pgrid", "log:0:1:5"])
         assert code == 1
 
-
-class TestBenchCommand:
-    def test_small_run(self, tmp_path):
-        out = tmp_path / "bench"
-        code = main([
-            "bench", "--sizes", "100,200", "--k", "5", "--wfactor", "3",
-            "--output", str(out),
-        ])
-        assert code == 0
-        doc = read_json(f"{out}.json")
-        assert len(doc["runs"]) == 2
-        assert "slope_global" in doc

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mdlbackbone.errors import DomainError, ParseError
 from mdlbackbone.graph import (
+    WeightedGraph,
     backbone_from_edge_subset,
     backbone_from_flags,
     collapse_to_undirected,
@@ -46,6 +49,12 @@ class TestParse:
             parse_edge_list("a b 1\na b\n", directed=True)
         assert "2" in str(err.value)
 
+    def test_token_count_is_checked_per_line(self):
+        # six tokens in all, but two on line 1
+        with pytest.raises(ParseError) as err:
+            parse_edge_list("1 2\n3 4 5 6", directed=True)
+        assert err.value.line == 1
+
     def test_nonpositive_weight(self):
         with pytest.raises(DomainError):
             parse_edge_list("a b 0", directed=True)
@@ -59,6 +68,10 @@ class TestParse:
     def test_fractional_weight_without_rounding(self):
         with pytest.raises(DomainError):
             parse_edge_list("a b 1.5", directed=True)
+
+    def test_integer_weight_beyond_int64(self):
+        with pytest.raises(DomainError, match="whole weights"):
+            parse_edge_list("a b 1e19", directed=True)
 
     def test_real_mode(self):
         g = parse_edge_list("a b 1.5", directed=True, weight_kind="real")
@@ -75,6 +88,143 @@ class TestParse:
         edges1 = {(g1.labels[i], g1.labels[j]) for i, j in zip(g1.src, g1.dst)}
         edges2 = {(g2.labels[i], g2.labels[j]) for i, j in zip(g2.src, g2.dst)}
         assert edges1 == edges2
+
+
+def _merge_multi_edges_reference(src, dst, weights):
+    order = {}
+    merged_w = []
+    merged_src = []
+    merged_dst = []
+    for i, j, w in zip(src, dst, weights):
+        key = (i, j)
+        if key in order:
+            merged_w[order[key]] += w
+        else:
+            order[key] = len(merged_w)
+            merged_src.append(i)
+            merged_dst.append(j)
+            merged_w.append(w)
+    return merged_src, merged_dst, merged_w
+
+
+def parse_edge_list_reference(text, directed, weight_kind="integer", round_weights=False):
+    """The per-line parser that the array parser replaced, kept as its oracle."""
+    label_to_idx = {}
+    labels = []
+    src, dst, weights = [], [], []
+
+    def node_id(label):
+        if label not in label_to_idx:
+            label_to_idx[label] = len(labels)
+            labels.append(label)
+        return label_to_idx[label]
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected 'src dst weight', got {stripped!r}", line=lineno)
+        try:
+            w = float(parts[2])
+        except ValueError:
+            raise ParseError(f"bad weight {parts[2]!r}", line=lineno) from None
+        if not np.isfinite(w) or w <= 0:
+            raise DomainError(f"line {lineno}: weight must be positive, got {parts[2]}")
+        src.append(node_id(parts[0]))
+        dst.append(node_id(parts[1]))
+        weights.append(w)
+
+    if not src:
+        raise DomainError("empty edge list")
+
+    src, dst, weights = _merge_multi_edges_reference(src, dst, weights)
+
+    if weight_kind == "integer":
+        if round_weights:
+            weights = [max(1.0, round(w)) for w in weights]
+        for w in weights:
+            if w != int(w) or w < 1:
+                raise DomainError(
+                    f"integer weight mode requires whole weights >= 1, got {w}"
+                )
+        warr = np.array(weights, dtype=np.int64)
+    else:
+        warr = np.array(weights, dtype=float)
+
+    return WeightedGraph(
+        num_nodes=len(labels),
+        src=np.array(src, dtype=np.int64),
+        dst=np.array(dst, dtype=np.int64),
+        weights=warr,
+        directed=directed,
+        weight_kind=weight_kind,
+        labels=tuple(labels),
+    )
+
+
+GOOD_WEIGHTS = ["1", "2", "3", "1_0", "1.5", "0.5", "2e0"]
+BAD_WEIGHTS = ["x", "nan", "inf", "0", "-1"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+SEPARATORS = [" ", "\t", "\x1f", " \t ", "\t\t"]
+MARGINS = ["", " ", "\t", "\x1f"]
+
+
+@st.composite
+def edge_texts(draw):
+    """Edge-list texts over a few labels: edge lines (repeated pairs are
+    likely), blank and comment lines, every line end and whitespace byte
+    that ends or splits a line; half of them also with malformed lines, bad
+    weights and non-ASCII labels."""
+    valid = draw(st.booleans())
+    labels = ["a", "b", "c", "0", "x#y", "#z"] + ([] if valid else ["é", "ü1"])
+    weights = GOOD_WEIGHTS + ([] if valid else BAD_WEIGHTS)
+    kinds = ["edge"] * 6 + ["blank", "comment", "indented comment"]
+    if not valid:
+        kinds += ["two", "four"]
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        sep = draw(st.sampled_from(SEPARATORS))
+        if kind == "blank":
+            body = sep
+        elif kind == "comment":
+            body = "#" + sep.join(draw(st.lists(st.sampled_from(labels), max_size=3)))
+        elif kind == "indented comment":
+            body = sep + "# a b 1"
+        else:
+            n = {"edge": 2, "two": 1, "four": 3}[kind]
+            tokens = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+            body = sep.join(tokens + [draw(st.sampled_from(weights))])
+        margin = draw(st.sampled_from(MARGINS))
+        lines.append(margin + body + draw(st.sampled_from(MARGINS)))
+        lines.append(draw(st.sampled_from(LINE_ENDS)))
+    if lines and draw(st.booleans()):
+        lines.pop()
+    return "".join(lines)
+
+
+def _parse_outcome(parse, *args):
+    try:
+        g = parse(*args)
+    except (ParseError, DomainError) as exc:
+        return type(exc), str(exc)
+    return (g.labels, g.num_nodes, g.src.tolist(), g.dst.tolist(),
+            g.weights.dtype, g.weights.tolist(), g.directed, g.weight_kind)
+
+
+class TestParseOracle:
+    @given(text=edge_texts(), directed=st.booleans(),
+           weight_kind=st.sampled_from(["integer", "real"]),
+           round_weights=st.booleans())
+    @example(text="1 2\n3 4 5 6", directed=True, weight_kind="integer",
+             round_weights=False)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_line_reference(self, text, directed, weight_kind, round_weights):
+        args = (text, directed, weight_kind, round_weights)
+        assert _parse_outcome(parse_edge_list, *args) == _parse_outcome(
+            parse_edge_list_reference, *args
+        )
 
 
 class TestGraph:
@@ -174,6 +324,16 @@ class TestEdgeIndex:
         for src, dst in [(0, 3), (3, 0), (2, -1), (-1, 4)]:
             with pytest.raises(DomainError):
                 g.edge_index([src], [dst])
+
+    def test_backbone_files_share_one_parent_index(self, tmp_path):
+        from mdlbackbone.cli import _backbone_from_file
+
+        g = parse_edge_list("a b 3\nb c 1\nc a 2\nb a 4\n", directed=True)
+        path = tmp_path / "bb.tsv"
+        path.write_text("b\ta\t4\na\tb\t3\n")
+        first = _backbone_from_file(g, path).member_flags
+        second = _backbone_from_file(g, path).member_flags
+        assert first.tolist() == second.tolist() == [True, False, False, True]
 
     def test_empty_subset(self):
         g = make_graph([0, 1], [1, 2], [3, 4], directed=False)

@@ -236,6 +236,18 @@ class TestInvariants:
         with pytest.raises(DomainError):
             inverse_compression_ratio(1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("solve, scope", [(greedy_global, "global"),
+                                              (greedy_local, "local")])
+    def test_nonpositive_empty_dl_names_both_values(self, solve, scope):
+        # the exponential model is a differential code: on small real
+        # weights both empty-backbone DLs are -0.119 bits
+        g = make_graph([0] * 5, [1, 2, 3, 4, 5], [0.125] * 5, weight_kind="real")
+        with pytest.raises(DomainError, match=(
+            r"eta is undefined: .* -0\.119\d* bits \(global\) "
+            r"and -0\.119\d* bits \(local\)"
+        )):
+            solve(g, ObjectiveSpec(scope, "canonical", "exponential"))
+
 
 class TestReporting:
     def test_result_to_dict_keys(self, star_graph):
