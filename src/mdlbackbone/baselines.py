@@ -132,70 +132,40 @@ def high_salience_skeleton(g, sample_cap=10000, threshold=0.5, seed=0):
     return backbone_from_flags(g, table.saliency >= threshold)
 
 
-class _DisjointSet:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def percolation_backbone(g):
     """Densest-first backbone: edges added in decreasing weight (whole weight
-    classes at a time) until the retained subgraph's weak components over
-    non-isolated nodes match those of ``g``."""
-    n = g.num_nodes
-    adj = csr_matrix(
-        (np.ones(g.num_edges), (g.src, g.dst)), shape=(n, n)
-    )
-    n_comp_target, comp = connected_components(adj, directed=True, connection="weak")
-    nonisolated = np.zeros(n, dtype=bool)
-    nonisolated[g.src] = True
-    nonisolated[g.dst] = True
-    # components consisting solely of isolated nodes don't count
-    target = len(np.unique(comp[nonisolated])) if nonisolated.any() else 0
-    n_nonisolated = int(nonisolated.sum())
+    classes at a time) until the retained subgraph covers every non-isolated
+    node of ``g`` and has as many weak components as ``g``. Both conditions
+    only become true as classes are added, so the shortest such prefix of
+    classes is found by bisection."""
+    n, E = g.num_nodes, g.num_edges
+    if E == 0:
+        return backbone_from_flags(g, np.zeros(0, dtype=bool))
+    w = np.asarray(g.weights, dtype=float)
+    order = np.argsort(-w, kind="stable")
+    w_sorted = w[order]
+    # class_ends[k]: number of sorted edges in the k + 1 heaviest classes
+    class_ends = np.append(np.nonzero(w_sorted[1:] != w_sorted[:-1])[0] + 1, E)
 
-    order = np.argsort(-np.asarray(g.weights, dtype=float), kind="stable")
-    w_sorted = np.asarray(g.weights, dtype=float)[order]
-    dsu = _DisjointSet(n)
-    covered = np.zeros(n, dtype=bool)
-    n_covered = 0
-    n_comp = n_nonisolated
-    flags = np.zeros(g.num_edges, dtype=bool)
+    def n_components(stop):
+        kept = order[:stop]
+        adj = csr_matrix(
+            (np.ones(stop), (g.src[kept], g.dst[kept])), shape=(n, n)
+        )
+        return connected_components(adj, directed=True, connection="weak")[0]
 
-    pos = 0
-    E = g.num_edges
-    while pos < E:
-        wclass = w_sorted[pos]
-        while pos < E and w_sorted[pos] == wclass:
-            e = order[pos]
-            flags[e] = True
-            for node in (int(g.src[e]), int(g.dst[e])):
-                if not covered[node]:
-                    covered[node] = True
-                    n_covered += 1
-            if dsu.union(int(g.src[e]), int(g.dst[e])):
-                n_comp -= 1
-            pos += 1
-        # uncovered non-isolated nodes each still count as their own component
-        if n_covered == n_nonisolated and n_comp == target:
-            break
+    # a non-isolated node is covered once the class of its heaviest edge is in
+    ends = np.column_stack([g.src[order], g.dst[order]]).ravel()
+    first = np.unique(ends, return_index=True)[1] // 2
+    lo = int(np.searchsorted(class_ends, first.max(), side="right"))
+    hi = len(class_ends) - 1
+    target = n_components(E)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if n_components(class_ends[mid]) == target:
+            hi = mid
+        else:
+            lo = mid + 1
+    flags = np.zeros(E, dtype=bool)
+    flags[order[:class_ends[lo]]] = True
     return backbone_from_flags(g, flags)

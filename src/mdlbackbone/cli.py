@@ -221,7 +221,7 @@ def cmd_percolation(args):
     ]
     grid = _parse_pgrid(args.pgrid)
     reports = percolation.backbone_percolation_study(
-        g, backbone_graphs, grid, seed=args.seed, warm_start=not args.no_warm_start
+        g, backbone_graphs, grid, seed=args.seed
     )
     doc = {
         "input": str(args.input),
@@ -299,7 +299,6 @@ def build_parser():
     p.add_argument("--pgrid", default="log:1e-4:1:25",
                    help="log:a:b:n or lin:a:b:n")
     p.add_argument("--backbones", nargs="*", default=[])
-    p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--round-weights", action="store_true")
     common(p)
     p.set_defaults(func=cmd_percolation)

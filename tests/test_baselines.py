@@ -1,6 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from mdlbackbone.baselines import (
     disparity_filter,
@@ -163,3 +169,97 @@ class TestPercolationBackbone:
         g = make_graph([0, 0, 1], [1, 2, 2], [3, 3, 1], directed=False)
         bb = percolation_backbone(g)
         assert bb.edge_set() == {(0, 1), (0, 2)}
+
+
+class _DisjointSet:
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+        return True
+
+
+def percolation_flags_reference(g):
+    """Flags of the per-edge union-find loop that ``percolation_backbone``
+    replaced, kept as its reference."""
+    n = g.num_nodes
+    adj = csr_matrix(
+        (np.ones(g.num_edges), (g.src, g.dst)), shape=(n, n)
+    )
+    n_comp_target, comp = connected_components(adj, directed=True, connection="weak")
+    nonisolated = np.zeros(n, dtype=bool)
+    nonisolated[g.src] = True
+    nonisolated[g.dst] = True
+    # components consisting solely of isolated nodes don't count
+    target = len(np.unique(comp[nonisolated])) if nonisolated.any() else 0
+    n_nonisolated = int(nonisolated.sum())
+
+    order = np.argsort(-np.asarray(g.weights, dtype=float), kind="stable")
+    w_sorted = np.asarray(g.weights, dtype=float)[order]
+    dsu = _DisjointSet(n)
+    covered = np.zeros(n, dtype=bool)
+    n_covered = 0
+    n_comp = n_nonisolated
+    flags = np.zeros(g.num_edges, dtype=bool)
+
+    pos = 0
+    E = g.num_edges
+    while pos < E:
+        wclass = w_sorted[pos]
+        while pos < E and w_sorted[pos] == wclass:
+            e = order[pos]
+            flags[e] = True
+            for node in (int(g.src[e]), int(g.dst[e])):
+                if not covered[node]:
+                    covered[node] = True
+                    n_covered += 1
+            if dsu.union(int(g.src[e]), int(g.dst[e])):
+                n_comp -= 1
+            pos += 1
+        # uncovered non-isolated nodes each still count as their own component
+        if n_covered == n_nonisolated and n_comp == target:
+            break
+    return flags
+
+
+@st.composite
+def weighted_multigraphs(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 14))
+    node = st.integers(0, n - 1)
+    src = draw(st.lists(node, min_size=m, max_size=m))
+    dst = draw(st.lists(node, min_size=m, max_size=m))
+    w = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    return make_graph(src, dst, w, num_nodes=n, directed=draw(st.booleans()))
+
+
+class TestPercolationBackboneMatchesLoop:
+    @given(weighted_multigraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, g):
+        bb = percolation_backbone(g)
+        assert np.array_equal(bb.member_flags, percolation_flags_reference(g))
+
+    def test_contact_graph(self):
+        path = Path(__file__).resolve().parents[1] / "datasets" / "contact-1000.tsv"
+        with open(path) as fh:
+            g = parse_edge_list(fh, directed=False)
+        bb = percolation_backbone(g)
+        assert np.array_equal(bb.member_flags, percolation_flags_reference(g))
