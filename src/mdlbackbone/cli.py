@@ -14,10 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, metrics, percolation, solver, synth
+from . import __version__, baselines, metrics, percolation, solver, synth
 from .errors import DomainError, ParseError
 from .graph import (
+    _edge_tokens,
     backbone_from_edge_subset,
+    backbone_from_flags,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -100,16 +102,22 @@ def cmd_backbone(args):
     prefix = _output_prefix(args, Path(args.input).stem + "." + args.method)
     if result is not None:
         bb = result.backbone
-        doc = solver.result_to_dict(result, include_trace=True)
+        doc = solver.result_to_dict(result)
     else:
         doc = dict(solver.backbone_to_dict(bb), method=args.method)
         if args.method == "disparity-alpha":
             doc["alpha"] = args.alpha
-        if args.method == "hss":
-            doc["seed"] = args.seed
-    doc["seed"] = doc.get("seed", args.seed)
-    doc["input"] = str(args.input)
-    doc["directed"] = not args.undirected
+    # with the method's own keys, enough to re-run the command
+    doc.update(
+        seed=args.seed,
+        input=str(args.input),
+        directed=not args.undirected,
+        lam=args.lam,
+        round_weights=args.round_weights,
+        etarget=args.etarget,
+        weight_kind=g.weight_kind,
+        version=__version__,
+    )
 
     if bb.num_edges:
         _write_text(str(prefix) + ".tsv", serialize_edge_list(bb.subgraph()))
@@ -120,10 +128,12 @@ def cmd_backbone(args):
 
 
 def _backbone_from_file(g, path):
-    bb_graph = _load_graph(
-        path, directed=g.directed,
-        weight_kind=g.weight_kind,
-    )
+    with open(path) as fh:
+        text = fh.read()
+    if not _edge_tokens(text):
+        # `backbone` writes an empty backbone as a file without edge lines
+        return backbone_from_flags(g, np.zeros(g.num_edges, dtype=bool))
+    bb_graph = parse_edge_list(text, directed=g.directed, weight_kind=g.weight_kind)
     label_idx = {lab: i for i, lab in enumerate(g.labels)}
     # parent index of each backbone-file label, -1 where the parent lacks it
     idx = np.array([label_idx.get(lab, -1) for lab in bb_graph.labels], dtype=np.int64)

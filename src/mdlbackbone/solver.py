@@ -2,12 +2,12 @@
 inverse compression ratios.
 
 One greedy sweep serves both scopes: it orders the weights descending,
-evaluates the chosen description length of every heavy prefix and every
-light suffix of size 0..floor(E/2) and keeps the argmin. Global scope runs it
-once over the whole edge list, local scope once in every out-neighborhood of
-the directed view. Both are exact minimizers for the microcanonical
-objectives and for canonical geometric/poisson/exponential weights
-(asymptotically for the latter two).
+evaluates the chosen description length of the heavy prefix of every size
+0..E and keeps the first minimum. Global scope runs it once over the whole
+edge list, local scope once in every out-neighborhood of the directed view.
+Both are exact minimizers for the microcanonical objectives and for
+canonical geometric/poisson/exponential weights (asymptotically for the
+latter two).
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ ENUMERATION_EDGE_CAP = 24
 
 @dataclass(frozen=True)
 class DlTrace:
-    """Description-length values per candidate backbone size 0..floor(E/2)."""
+    """Description length of the heavy prefix of every size 0..E, the curve
+    the greedy minimizes. ``argmin`` is the smallest minimizing size, so it
+    is the backbone's edge count and ``values[argmin]`` its DL;
+    ``tie_count`` is the number of sizes that reach the minimum."""
 
     values: np.ndarray
     argmin: int
@@ -69,7 +72,9 @@ class BackboneResult:
     method: str
     objective: str
     trace: DlTrace = None
-    node_traces: list = field(default=None, repr=False)
+    # mdl-local only: (values, starts), node i's DL curve over sizes 0..k_i
+    # of its out-neighborhood at values[starts[i]:starts[i + 1]]
+    node_traces: tuple = field(default=None, repr=False)
 
 
 def _objective_name(spec):
@@ -126,6 +131,11 @@ def _weight_sort_order(g):
     return np.lexsort((g.dst, g.src, -np.asarray(g.weights, dtype=float)))
 
 
+# Curve values evaluated per _dl_curve call: bounds the sweep's temporaries
+# on graphs with millions of edges.
+_CURVE_BLOCK = 1 << 19
+
+
 def _sweep(w, starts, strength, wfact, spec):
     """The greedy sweep over every segment ``w[starts[i]:starts[i + 1]]`` of
     the weights ``w``, each segment sorted heaviest first. ``strength`` and
@@ -134,49 +144,35 @@ def _sweep(w, starts, strength, wfact, spec):
     holds for every segment.
 
     A segment of k edges is scored under ``spec``'s family at its heavy
-    prefixes and its light suffixes of sizes 0..floor(k/2). At fixed size
-    the DL is concave in the backbone weight for every supported family, so
-    the per-size optimum sits at an extreme: the heaviest or the lightest
-    edges, and light suffixes of size <= k/2 stand in for heavy prefixes of
-    size > k/2 via the bit-flip symmetry. Ties: the empty backbone beats a
-    prefix, a prefix beats a suffix, a suffix wins only with a strictly
-    smaller DL, and the smallest minimizing size wins within each curve. When
-    a light suffix wins, the complementary heavy prefix (equal DL by the
-    bit-flip symmetry) is kept: the backbone is the heavy side.
+    prefixes of every size 0..k. At fixed size the DL is concave in the
+    backbone weight for every supported family, so the per-size optimum
+    sits at an extreme: the heaviest or the lightest edges. The light
+    suffix of size j has the DL of the heavy prefix of size k - j (bit-flip
+    symmetry), so the prefix curve covers both. Ties: the smallest
+    minimizing size wins.
 
     Returns ``(n_keep, dl, curve, curve_starts)``: per segment the number of
-    heaviest edges kept and the winning DL, and the prefix DLs over sizes
-    0..floor(k/2) of segment i at ``curve[curve_starts[i]:curve_starts[i + 1]]``.
+    heaviest edges kept and its DL, and the DLs over sizes 0..k of segment i
+    at ``curve[curve_starts[i]:curve_starts[i + 1]]``.
     """
     k = np.diff(starts)
-    sizes = k // 2 + 1
-    curve_starts = np.concatenate([[0], np.cumsum(sizes)])
-    at = curve_starts[:-1]
-    seg = np.repeat(np.arange(len(k)), sizes)
-    j = np.arange(curve_starts[-1]) - at[seg]
+    curve_starts = np.concatenate([[0], np.cumsum(k + 1)])
     cum = np.concatenate([[0.0], np.cumsum(w)])
-    E = k[seg]
-    W = strength[seg] if np.ndim(strength) else strength
-    wf = wfact[seg] if np.ndim(wfact) else wfact
+    curve = np.empty(curve_starts[-1])
+    for lo in range(0, len(curve), _CURVE_BLOCK):
+        pos = np.arange(lo, min(lo + _CURVE_BLOCK, len(curve)))
+        seg = np.searchsorted(curve_starts, pos, side="right") - 1
+        j = pos - curve_starts[seg]
+        W = strength[seg] if np.ndim(strength) else strength
+        wf = wfact[seg] if np.ndim(wfact) else wfact
+        w_b = cum[starts[seg] + j] - cum[starts[seg]]
+        curve[lo:lo + len(pos)] = _dl_curve(k[seg], W, j, w_b, spec, wf)
 
-    def dl_at(backbone_weight):
-        return np.asarray(_dl_curve(E, W, j, backbone_weight, spec, wf))
-
-    curve = dl_at(cum[starts[seg] + j] - cum[starts[seg]])
-    light = dl_at(cum[starts[seg + 1]] - cum[starts[seg + 1] - j])
-
-    best_p = np.minimum.reduceat(curve, at)
-    size_p = np.minimum.reduceat(np.where(curve == best_p[seg], j, len(j)), at)
-    best_s = np.minimum.reduceat(light, at)
-    size_s = np.minimum.reduceat(np.where(light == best_s[seg], j, len(j)), at)
-    take_s = best_s < best_p
-    n_keep = np.where(take_s, k - size_s, size_p)
-    return n_keep, np.where(take_s, best_s, best_p), curve, curve_starts
-
-
-def _trace(values):
-    ties = np.nonzero(values == values.min())[0]
-    return DlTrace(values=values, argmin=int(ties[0]), tie_count=len(ties))
+    at = curve_starts[:-1]
+    dl = np.minimum.reduceat(curve, at)
+    # the first minimizing size of each segment
+    first = np.where(curve == np.repeat(dl, k + 1), np.arange(len(curve)), len(curve))
+    return np.minimum.reduceat(first, at) - at, dl, curve, curve_starts
 
 
 def greedy_global(g, spec=None):
@@ -211,15 +207,15 @@ def greedy_global(g, spec=None):
         dl_empty_local=dl_el,
         method="mdl-global",
         objective=_objective_name(spec),
-        trace=_trace(curve),
+        trace=DlTrace(curve, int(n_keep[0]), int(np.count_nonzero(curve == dl))),
     )
 
 
-def greedy_local(g, spec=None, store_traces=False):
+def greedy_local(g, spec=None):
     """MDL-optimal local backbone: the greedy sweep applied independently to
     every out-neighborhood of the directed view, union of the neighborhood
     backbones, deduplicated back to undirected form when the input is
-    undirected."""
+    undirected. ``node_traces`` holds every node's DL curve."""
     if spec is None:
         spec = ObjectiveSpec("local", "microcanonical")
     if spec.scope != "local":
@@ -254,7 +250,7 @@ def greedy_local(g, spec=None, store_traces=False):
     bb = backbone_from_flags(g, flags)
 
     dl_eg, dl_el = empty_backbone_dls(g, spec)
-    result = BackboneResult(
+    return BackboneResult(
         backbone=bb,
         dl=dl,
         eta=inverse_compression_ratio(dl, dl_eg, dl_el),
@@ -262,12 +258,8 @@ def greedy_local(g, spec=None, store_traces=False):
         dl_empty_local=dl_el,
         method="mdl-local",
         objective=_objective_name(spec),
+        node_traces=(curve, curve_starts),
     )
-    if store_traces:
-        result.node_traces = [
-            _trace(curve[curve_starts[i]:curve_starts[i + 1]]) for i in range(N)
-        ]
-    return result
 
 
 def _enumerate_masks(n_edges, chunk=1 << 16):
@@ -382,27 +374,21 @@ def mean_weight_ordering_holds(weights):
 
 
 def backbone_to_dict(bb):
-    """JSON-ready sizes of a backbone and its parent, with its edges as
-    [src label, dst label, weight] rows in parent edge order."""
+    """JSON-ready sizes of a backbone and its parent. The edges themselves
+    go to the edge-list file only."""
     g = bb.parent
-    kept = bb.member_flags
-    labels = np.array(g.labels, dtype=object)
     return {
         "N": g.num_nodes,
         "E": g.num_edges,
         "W": g.total_weight,
         "E_b": bb.num_edges,
         "W_b": bb.total_weight,
-        "edges": list(map(list, zip(
-            labels[g.src[kept]].tolist(),
-            labels[g.dst[kept]].tolist(),
-            g.weights[kept].astype(float).tolist(),
-        ))),
     }
 
 
-def result_to_dict(result, include_trace=False):
-    """JSON-ready summary of a BackboneResult."""
+def result_to_dict(result):
+    """JSON-ready summary of a BackboneResult; a global trace is summarized
+    by its length, argmin, minimum and tie count."""
     doc = backbone_to_dict(result.backbone)
     doc.update({
         "method": result.method,
@@ -412,6 +398,8 @@ def result_to_dict(result, include_trace=False):
         "dl_empty_local_bits": result.dl_empty_local,
         "eta": result.eta,
     })
-    if include_trace and result.trace is not None:
-        doc["trace"] = np.asarray(result.trace.values, dtype=float).tolist()
+    t = result.trace
+    if t is not None:
+        doc["trace"] = {"length": len(t.values), "argmin": t.argmin,
+                        "min_bits": float(t.values[t.argmin]), "tie_count": t.tie_count}
     return doc

@@ -2,10 +2,18 @@ import json
 
 import pytest
 
+import mdlbackbone
 from mdlbackbone.cli import main
 
 STAR = "a\tb\t5\na\tc\t1\na\td\t1\na\te\t1\n"
 TRIANGLE = "a\tb\t3\nb\tc\t3\na\tc\t1\n"
+EQUAL = "a\tb\t2\na\tc\t2\nb\tc\t2\nc\td\t2\n"
+# mdl-local under canonical-poisson keeps 2 edges at --lam 2 and none at 1
+MIXED = "".join(f"{a}\t{b}\t{w}\n" for a, b, w in [
+    ("a", "b", 14), ("f", "d", 7), ("c", "f", 21), ("b", "c", 11),
+    ("f", "a", 6), ("e", "b", 27), ("c", "a", 26), ("d", "a", 21),
+    ("d", "e", 10), ("e", "f", 11),
+])
 
 
 @pytest.fixture
@@ -32,7 +40,9 @@ class TestBackboneCommand:
         assert doc["E_b"] == 1
         assert doc["dl_bits"] == pytest.approx(6.6439, abs=1e-4)
         assert 0 < doc["eta"] <= 1
-        assert "trace" in doc
+        assert doc["trace"] == {"length": 5, "argmin": 1,
+                                "min_bits": doc["dl_bits"], "tie_count": 1}
+        assert "edges" not in doc
         lines = (tmp_path / "out.tsv").read_text().splitlines()
         assert lines == ["a\tb\t5"]
 
@@ -83,6 +93,41 @@ class TestBackboneCommand:
         assert code == 1
         assert "eta is undefined" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--method", "mdl-global"],
+        ["--method", "mdl-local", "--objective", "canonical-poisson",
+         "--lam", "2"],
+        ["--method", "disparity-tope", "--etarget", "4", "--undirected"],
+    ])
+    def test_json_reruns_command(self, tmp_path, argv):
+        path = tmp_path / "mixed.tsv"
+        path.write_text(MIXED)
+        first = tmp_path / "first"
+        assert main(["backbone", str(path), *argv, "--output", str(first)]) == 0
+        doc = read_json(f"{first}.json")
+        assert doc["version"] == mdlbackbone.__version__
+
+        again = tmp_path / "again"
+        rerun = ["backbone", doc["input"], "--method", doc["method"],
+                 "--seed", str(doc["seed"]), "--lam", repr(doc["lam"]),
+                 "--output", str(again)]
+        if "objective" in doc:  # "<objective>-<scope>"
+            rerun += ["--objective", doc["objective"].rsplit("-", 1)[0]]
+        elif doc["weight_kind"] == "real":
+            rerun += ["--objective", "canonical-exponential"]
+        if doc["etarget"] is not None:
+            rerun += ["--etarget", str(doc["etarget"])]
+        if "alpha" in doc:
+            rerun += ["--alpha", repr(doc["alpha"])]
+        if not doc["directed"]:
+            rerun.append("--undirected")
+        if doc["round_weights"]:
+            rerun.append("--round-weights")
+        assert main(rerun) == 0
+        tsv = (tmp_path / "first.tsv").read_bytes()
+        assert tsv and (tmp_path / "again.tsv").read_bytes() == tsv
+        assert read_json(f"{again}.json") == dict(doc, input=str(path))
+
     def test_bad_method_exit_2(self, star_file):
         with pytest.raises(SystemExit) as exc:
             main(["backbone", "--method", "bogus", str(star_file)])
@@ -105,6 +150,29 @@ class TestCompareCommand:
         assert len(doc["backbones"]) == 2
         assert doc["backbones"][0]["edge_fraction"] == pytest.approx(0.25)
         assert doc["jaccard_matrix"][0][1] == pytest.approx(0.5)
+
+    def test_empty_backbone(self, tmp_path):
+        path = tmp_path / "equal.tsv"
+        path.write_text(EQUAL)
+        out = tmp_path / "bb"
+        assert main(["backbone", "--method", "mdl-global", str(path),
+                     "--undirected", "--output", str(out)]) == 0
+        assert read_json(f"{out}.json")["E_b"] == 0
+        assert (tmp_path / "bb.tsv").read_text() == ""
+
+        cmp = tmp_path / "cmp"
+        assert main(["compare", str(path), "--undirected", "--backbones",
+                     str(tmp_path / "bb.tsv"), "--output", str(cmp)]) == 0
+        row = read_json(f"{cmp}.json")["backbones"][0]
+        assert (row["E_b"], row["W_b"], row["edge_fraction"]) == (0, 0, 0.0)
+
+        perc = tmp_path / "perc"
+        assert main(["percolation", str(path), "--pgrid", "lin:0.5:0.9:3",
+                     "--backbones", str(tmp_path / "bb.tsv"),
+                     "--output", str(perc)]) == 0
+        backbone = read_json(f"{perc}.json")["graphs"][1]
+        assert backbone["S"] == [0.0, 0.0, 0.0]
+        assert backbone["p_crit"] is None
 
     def test_foreign_edge_exit_1(self, star_file, tmp_path):
         bad = tmp_path / "bad.tsv"

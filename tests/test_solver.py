@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdlbackbone.errors import DomainError
-from mdlbackbone.graph import parse_edge_list
+from mdlbackbone.graph import directed_view, parse_edge_list
 from mdlbackbone.objectives import (
     ObjectiveSpec,
     dl_local_micro,
@@ -73,11 +73,15 @@ class TestGreedyGlobal:
             assert res.dl == pytest.approx(res2.dl, abs=1e-9)
             assert res.backbone.edge_set() == res2.backbone.edge_set()
 
-    def test_trace_covers_half_range(self):
+    def test_trace_covers_full_range(self):
         g = make_graph([0, 0, 0, 0], [1, 2, 3, 4], [9, 5, 2, 1], num_nodes=5)
         res = greedy_global(g, MICRO_G)
-        assert len(res.trace.values) == g.num_edges // 2 + 1
-        assert res.trace.values[res.trace.argmin] == pytest.approx(res.dl)
+        values = res.trace.values
+        assert len(values) == g.num_edges + 1
+        # the empty and the full backbone are one bit-flip apart
+        assert values[0] == values[g.num_edges]
+        assert res.trace.argmin == res.backbone.num_edges == 1
+        assert values[res.trace.argmin] == res.dl
 
 
 class TestGreedyLocal:
@@ -108,28 +112,35 @@ class TestGreedyLocal:
         assert res.backbone.num_edges <= g.num_edges
         assert res.backbone.parent is g
 
-    def test_store_traces(self, star_selfloops):
-        res = greedy_local(star_selfloops, MICRO_L, store_traces=True)
-        assert len(res.node_traces) == 1
-        trace = res.node_traces[0]
-        assert trace.values[trace.argmin] <= trace.values.min() + 1e-12
+    def test_node_traces(self, star_selfloops):
+        res = greedy_local(star_selfloops, MICRO_L)
+        values, starts = res.node_traces
+        assert list(starts) == [0, 5]
+        assert np.argmin(values) == res.backbone.num_edges == 1
+        prior = strength_prior_bits(1, 4, 8)
+        assert values.min() + prior == pytest.approx(res.dl, abs=1e-12)
 
 
 @st.composite
-def single_neighborhoods(draw, real=False):
-    """Directed graph in which only node 0 has out-edges (self-loops and
-    parallel edges allowed). Real weights are multiples of 1/8, so their
-    sums are exact whichever order the two solvers add them in, and at
-    least 1, where every empty-backbone DL is positive and eta is defined."""
+def small_graphs(draw, directed=True, real=False, one_neighborhood=False):
+    """Graph on up to 5 nodes, self-loops and parallel edges allowed; with
+    ``one_neighborhood`` only node 0 has out-edges. Real weights are
+    multiples of 1/8, so their sums are exact whichever order the solvers
+    add them in, and at least 1, where every empty-backbone DL is positive
+    and eta is defined."""
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 12))
+    if one_neighborhood:
+        src = [0] * m
+    else:
+        src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     if real:
         w = draw(st.lists(st.integers(8, 80).map(lambda x: x / 8),
                           min_size=m, max_size=m))
     else:
         w = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
-    return make_graph([0] * m, dst, w, num_nodes=n,
+    return make_graph(src, dst, w, num_nodes=n, directed=directed,
                       weight_kind="real" if real else "integer")
 
 
@@ -140,32 +151,73 @@ class TestGlobalMatchesLocalOnOneNeighborhood:
 
     def check(self, g, family, model=None):
         glob = greedy_global(g, ObjectiveSpec("global", family, model))
-        loc = greedy_local(g, ObjectiveSpec("local", family, model),
-                           store_traces=True)
+        loc = greedy_local(g, ObjectiveSpec("local", family, model))
         assert np.array_equal(loc.backbone.member_flags,
                               glob.backbone.member_flags)
         prior = 0.0
         if family == "microcanonical":
             prior = strength_prior_bits(g.num_nodes, g.num_edges, g.total_weight)
         assert loc.dl - prior == pytest.approx(glob.dl, abs=1e-9)
-        np.testing.assert_allclose(loc.node_traces[0].values,
+        values, starts = loc.node_traces
+        np.testing.assert_allclose(values[starts[0]:starts[1]],
                                    glob.trace.values, rtol=0, atol=1e-9)
 
-    @given(single_neighborhoods())
+    @given(small_graphs(one_neighborhood=True))
     @settings(max_examples=60, deadline=None)
     def test_micro(self, g):
         self.check(g, "microcanonical")
 
     @pytest.mark.parametrize("model", ["geometric", "poisson"])
-    @given(g=single_neighborhoods())
+    @given(g=small_graphs(one_neighborhood=True))
     @settings(max_examples=60, deadline=None)
     def test_canonical(self, model, g):
         self.check(g, "canonical", model)
 
-    @given(single_neighborhoods(real=True))
+    @given(small_graphs(real=True, one_neighborhood=True))
     @settings(max_examples=60, deadline=None)
     def test_exponential_real_weights(self, g):
         self.check(g, "canonical", "exponential")
+
+
+OBJECTIVES = [("microcanonical", None), ("canonical", "geometric"),
+              ("canonical", "poisson"), ("canonical", "exponential")]
+
+
+class TestTraceIsTheCurve:
+    """The trace is the curve the greedy minimizes: its first minimum is the
+    returned backbone size and DL, in every segment of both scopes."""
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("family, model", OBJECTIVES)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_global(self, family, model, directed, data):
+        g = data.draw(small_graphs(directed, real=model == "exponential"))
+        res = greedy_global(g, ObjectiveSpec("global", family, model))
+        values = res.trace.values
+        assert len(values) == g.num_edges + 1
+        assert res.trace.argmin == res.backbone.num_edges
+        assert values[res.trace.argmin] == res.dl
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("family, model", OBJECTIVES)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_local(self, family, model, directed, data):
+        g = data.draw(small_graphs(directed, real=model == "exponential"))
+        res = greedy_local(g, ObjectiveSpec("local", family, model))
+        values, starts = res.node_traces
+        N = g.num_nodes
+        assert len(starts) == N + 1
+        slices = [values[starts[i]:starts[i + 1]] for i in range(N)]
+        if directed:
+            kept = np.bincount(g.src[res.backbone.member_flags], minlength=N)
+            assert [int(np.argmin(v)) for v in slices] == list(kept)
+        dl = sum(v.min() for v in slices)
+        if family == "microcanonical":
+            dg = directed_view(g)
+            dl += strength_prior_bits(N, dg.num_edges, dg.total_weight)
+        assert dl == pytest.approx(res.dl, abs=1e-9)
 
 
 class TestAgainstEnumeration:
@@ -252,13 +304,17 @@ class TestInvariants:
 class TestReporting:
     def test_result_to_dict_keys(self, star_graph):
         res = greedy_global(star_graph, MICRO_G)
-        doc = result_to_dict(res, include_trace=True)
+        doc = result_to_dict(res)
         for key in ("method", "objective", "N", "E", "W", "E_b", "W_b",
                     "dl_bits", "dl_empty_global_bits", "dl_empty_local_bits",
-                    "eta", "edges", "trace"):
+                    "eta", "trace"):
             assert key in doc
+        assert "edges" not in doc
         assert doc["E_b"] == 1
         assert doc["method"] == "mdl-global"
+        assert doc["trace"] == {"length": 5, "argmin": 1,
+                                "min_bits": res.dl, "tie_count": 1}
+        assert "trace" not in result_to_dict(greedy_local(star_graph, MICRO_L))
 
     def test_empty_backbone_dls_poisson_constant(self, star_graph):
         # poisson DLs include the per-graph sum of log2 w_e! so empty DLs
