@@ -130,10 +130,13 @@ def cmd_backbone(args):
 def _backbone_from_file(g, path):
     with open(path) as fh:
         text = fh.read()
-    if not _edge_tokens(text):
+    try:
+        bb_graph = parse_edge_list(text, directed=g.directed, weight_kind=g.weight_kind)
+    except DomainError:
+        if _edge_tokens(text):
+            raise
         # `backbone` writes an empty backbone as a file without edge lines
         return backbone_from_flags(g, np.zeros(g.num_edges, dtype=bool))
-    bb_graph = parse_edge_list(text, directed=g.directed, weight_kind=g.weight_kind)
     label_idx = {lab: i for i, lab in enumerate(g.labels)}
     # parent index of each backbone-file label, -1 where the parent lacks it
     idx = np.array([label_idx.get(lab, -1) for lab in bb_graph.labels], dtype=np.int64)

@@ -126,14 +126,29 @@ def inverse_compression_ratio(dl_opt, dl_empty_global, dl_empty_local):
     return float(dl_opt / denom)
 
 
+def _result(g, flags, dl, spec, method, **traces):
+    """BackboneResult of the parent-edge membership ``flags`` with DL ``dl``."""
+    dl_eg, dl_el = empty_backbone_dls(g, spec)
+    return BackboneResult(
+        backbone=backbone_from_flags(g, flags),
+        dl=dl,
+        eta=inverse_compression_ratio(dl, dl_eg, dl_el),
+        dl_empty_global=dl_eg,
+        dl_empty_local=dl_el,
+        method=method,
+        objective=_objective_name(spec),
+        **traces,
+    )
+
+
 def _weight_sort_order(g):
     # weight descending, ties by (src, dst) index ascending
     return np.lexsort((g.dst, g.src, -np.asarray(g.weights, dtype=float)))
 
 
 # Curve values evaluated per _dl_curve call: bounds the sweep's temporaries
-# on graphs with millions of edges.
-_CURVE_BLOCK = 1 << 19
+# on graphs with millions of edges and keeps them cache-sized.
+_CURVE_BLOCK = 1 << 16
 
 
 def _sweep(w, starts, strength, wfact, spec):
@@ -149,7 +164,8 @@ def _sweep(w, starts, strength, wfact, spec):
     sits at an extreme: the heaviest or the lightest edges. The light
     suffix of size j has the DL of the heavy prefix of size k - j (bit-flip
     symmetry), so the prefix curve covers both. Ties: the smallest
-    minimizing size wins.
+    minimizing size wins. Size k is given size 0's value exactly, so the
+    full segment never beats the empty backbone by rounding.
 
     Returns ``(n_keep, dl, curve, curve_starts)``: per segment the number of
     heaviest edges kept and its DL, and the DLs over sizes 0..k of segment i
@@ -169,10 +185,13 @@ def _sweep(w, starts, strength, wfact, spec):
         curve[lo:lo + len(pos)] = _dl_curve(k[seg], W, j, w_b, spec, wf)
 
     at = curve_starts[:-1]
+    # the full segment has the empty backbone's DL (bit-flip symmetry); copy
+    # it so rounding never ranks the full segment below the empty backbone
+    curve[(at + k)[k > 0]] = curve[at[k > 0]]
     dl = np.minimum.reduceat(curve, at)
     # the first minimizing size of each segment
-    first = np.where(curve == np.repeat(dl, k + 1), np.arange(len(curve)), len(curve))
-    return np.minimum.reduceat(first, at) - at, dl, curve, curve_starts
+    ties = np.flatnonzero(curve == np.repeat(dl, k + 1))
+    return ties[np.searchsorted(ties, at)] - at, dl, curve, curve_starts
 
 
 def greedy_global(g, spec=None):
@@ -196,19 +215,9 @@ def greedy_global(g, spec=None):
     )
     flags = np.zeros(g.num_edges, dtype=bool)
     flags[order[:n_keep[0]]] = True
-    bb = backbone_from_flags(g, flags)
     dl = float(dl[0])
-    dl_eg, dl_el = empty_backbone_dls(g, spec)
-    return BackboneResult(
-        backbone=bb,
-        dl=dl,
-        eta=inverse_compression_ratio(dl, dl_eg, dl_el),
-        dl_empty_global=dl_eg,
-        dl_empty_local=dl_el,
-        method="mdl-global",
-        objective=_objective_name(spec),
-        trace=DlTrace(curve, int(n_keep[0]), int(np.count_nonzero(curve == dl))),
-    )
+    trace = DlTrace(curve, int(n_keep[0]), int(np.count_nonzero(curve == dl)))
+    return _result(g, flags, dl, spec, "mdl-global", trace=trace)
 
 
 def greedy_local(g, spec=None):
@@ -247,19 +256,7 @@ def greedy_local(g, spec=None):
     selected = pos < np.repeat(n_keep, k)
     flags = np.zeros(g.num_edges, dtype=bool)
     flags[directed_parents(g)[order[selected]]] = True
-    bb = backbone_from_flags(g, flags)
-
-    dl_eg, dl_el = empty_backbone_dls(g, spec)
-    return BackboneResult(
-        backbone=bb,
-        dl=dl,
-        eta=inverse_compression_ratio(dl, dl_eg, dl_el),
-        dl_empty_global=dl_eg,
-        dl_empty_local=dl_el,
-        method="mdl-local",
-        objective=_objective_name(spec),
-        node_traces=(curve, curve_starts),
-    )
+    return _result(g, flags, dl, spec, "mdl-local", node_traces=(curve, curve_starts))
 
 
 def _enumerate_masks(n_edges, chunk=1 << 16):
@@ -304,7 +301,6 @@ def enumerate_optimal(g, spec):
                 dls, Eb, bits, best_dl, best_Eb, best_mask_bits
             )
         flags = best_mask_bits.astype(bool)
-        bb = backbone_from_flags(g, flags)
     else:
         N = scope_g.num_nodes
         onehot = np.zeros((m, N))
@@ -335,18 +331,7 @@ def enumerate_optimal(g, spec):
             )
         flags = np.zeros(g.num_edges, dtype=bool)
         flags[directed_parents(g)[best_mask_bits.astype(bool)]] = True
-        bb = backbone_from_flags(g, flags)
-
-    dl_eg, dl_el = empty_backbone_dls(g, spec)
-    return BackboneResult(
-        backbone=bb,
-        dl=float(best_dl),
-        eta=inverse_compression_ratio(best_dl, dl_eg, dl_el),
-        dl_empty_global=dl_eg,
-        dl_empty_local=dl_el,
-        method="enumerate",
-        objective=_objective_name(spec),
-    )
+    return _result(g, flags, float(best_dl), spec, "enumerate")
 
 
 def _fold_best(dls, Eb, bits, best_dl, best_Eb, best_bits):

@@ -8,11 +8,11 @@ from mdlbackbone.cli import main
 STAR = "a\tb\t5\na\tc\t1\na\td\t1\na\te\t1\n"
 TRIANGLE = "a\tb\t3\nb\tc\t3\na\tc\t1\n"
 EQUAL = "a\tb\t2\na\tc\t2\nb\tc\t2\nc\td\t2\n"
-# mdl-local under canonical-poisson keeps 2 edges at --lam 2 and none at 1
+# mdl-local under canonical-poisson keeps 2 edges at --lam 2 and 3 at 1
 MIXED = "".join(f"{a}\t{b}\t{w}\n" for a, b, w in [
-    ("a", "b", 14), ("f", "d", 7), ("c", "f", 21), ("b", "c", 11),
-    ("f", "a", 6), ("e", "b", 27), ("c", "a", 26), ("d", "a", 21),
-    ("d", "e", 10), ("e", "f", 11),
+    ("a", "b", 10), ("e", "a", 24), ("b", "f", 4), ("f", "d", 9),
+    ("f", "b", 15), ("d", "a", 12), ("e", "f", 2), ("a", "f", 21),
+    ("b", "a", 30), ("d", "f", 1),
 ])
 
 

@@ -220,6 +220,39 @@ class TestTraceIsTheCurve:
         assert dl == pytest.approx(res.dl, abs=1e-9)
 
 
+class TestNonDyadicRealWeights:
+    """Weights in tenths are not exact in binary, so the sums the sweep
+    forms round; the empty and the full backbone tie exactly all the same,
+    and the empty one wins."""
+
+    EXP_G = ObjectiveSpec("global", "canonical", "exponential")
+    EXP_L = ObjectiveSpec("local", "canonical", "exponential")
+
+    @given(st.lists(st.integers(10, 200), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_degree_one_neighborhoods_keep_nothing(self, tenths):
+        # a chain 0 -> 1 -> ... -> m: every out-neighborhood has one edge
+        m = len(tenths)
+        g = make_graph(range(m), range(1, m + 1), [t / 10 for t in tenths],
+                       weight_kind="real")
+        res = greedy_local(g, self.EXP_L)
+        assert res.backbone.num_edges == 0
+        values, starts = res.node_traces
+        head = starts[:-1][np.diff(starts) == 2]
+        assert np.array_equal(values[head], values[head + 1])
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @given(m=st.integers(1, 24), tenths=st.integers(10, 200))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_weights_give_empty_backbone(self, directed, m, tenths):
+        g = make_graph([0] * m, range(1, m + 1), [tenths / 10] * m,
+                       directed=directed, weight_kind="real")
+        res = greedy_global(g, self.EXP_G)
+        assert res.backbone.num_edges == res.trace.argmin == 0
+        assert res.trace.values[0] == res.trace.values[m]
+        assert greedy_local(g, self.EXP_L).backbone.num_edges == 0
+
+
 class TestAgainstEnumeration:
     @pytest.mark.parametrize("spec", [MICRO_G, GEOM_G, POIS_G])
     def test_global(self, spec):
