@@ -12,7 +12,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DomainError
-from .graph import backbone_from_flags, directed_parents, directed_view
+from .graph import _first_in_order, backbone_from_flags, directed_parents, directed_view
 
 __all__ = [
     "SalienceTable",
@@ -68,14 +68,14 @@ def disparity_filter(g, alpha=0.05):
 
 def disparity_filter_top_e(g, e_target):
     """The ``e_target`` edges with smallest disparity p-values; ties broken
-    by larger weight, then (src, dst) index."""
+    by larger weight, then (src, dst) index: the first ``e_target`` edges in
+    the order of (p-value, -weight, src, dst, position), weights compared
+    as floats."""
     if not 0 <= e_target <= g.num_edges:
         raise DomainError(f"e_target={e_target} outside [0, {g.num_edges}]")
     pvals = edge_disparity_pvalues(g)
-    order = np.lexsort((g.dst, g.src, -np.asarray(g.weights, dtype=float), pvals))
-    flags = np.zeros(g.num_edges, dtype=bool)
-    flags[order[:e_target]] = True
-    return backbone_from_flags(g, flags)
+    w = np.asarray(g.weights, dtype=float)
+    return backbone_from_flags(g, _first_in_order(e_target, (pvals, -w, g.src, g.dst)))
 
 
 def _distance_matrix(g):
@@ -101,7 +101,8 @@ def salience_table(g, sample_cap=10000, seed=0):
 
     # in-edges of each node in the directed view, sorted by (dst, src) so the
     # first feasible predecessor within a segment is the smallest-index one
-    in_order = np.lexsort((dg.src, dg.dst))
+    in_key = np.asarray(dg.dst, dtype=np.int64) * n + dg.src
+    in_order = np.argsort(in_key, kind="stable")
     in_dst = dg.dst[in_order]
     in_starts = np.searchsorted(in_dst, np.arange(n + 1))
     in_src = dg.src[in_order]

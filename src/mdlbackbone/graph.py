@@ -4,8 +4,8 @@ the out-neighborhood index.
 Node labels are arbitrary strings mapped to dense indices 0..N-1 in order of
 first appearance; all algorithms operate on the dense indices. Multi-edges
 are merged by weight summation at parse time. Parsing and serializing work
-on whole arrays; a per-line check runs only on non-ASCII text and to
-locate an input error.
+on whole arrays; a per-line check runs only on text with non-ASCII
+whitespace and to locate an input error.
 """
 
 from __future__ import annotations
@@ -79,12 +79,8 @@ class WeightedGraph:
         """Per-node strength: sum of incident weights (both endpoints for
         undirected graphs, out-edges only for directed ones; self-loops
         counted once)."""
-        s = np.zeros(self.num_nodes, dtype=float)
-        np.add.at(s, self.src, self.weights)
-        if not self.directed:
-            loop = self.src != self.dst
-            np.add.at(s, self.dst[loop], self.weights[loop])
-        return s
+        return _endpoint_sums(self.num_nodes, self.src, self.dst, self.directed,
+                              np.asarray(self.weights, dtype=float))
 
     @cached_property
     def _key_index(self):
@@ -156,14 +152,8 @@ class Backbone:
         return int(total) if self.parent.weight_kind == "integer" else float(total)
 
     def retained_degrees(self):
-        k = np.zeros(self.parent.num_nodes, dtype=int)
-        src = self.parent.src[self.member_flags]
-        np.add.at(k, src, 1)
-        if not self.parent.directed:
-            dst = self.parent.dst[self.member_flags]
-            loop = src != dst
-            np.add.at(k, dst[loop], 1)
-        return k
+        g, flags = self.parent, self.member_flags
+        return _endpoint_sums(g.num_nodes, g.src[flags], g.dst[flags], g.directed)
 
     def retained_strengths(self):
         return self.subgraph().strengths()
@@ -182,6 +172,37 @@ class Backbone:
             weight_kind=self.parent.weight_kind,
             labels=self.parent.labels,
         )
+
+
+def _endpoint_sums(num_nodes, src, dst, directed, weights=None):
+    """Per-node sums of ``weights`` (counts without them) over every src,
+    then, for an undirected graph, every dst of a non-loop edge, added in
+    that order, as a loop over the edges would add them."""
+    if not directed:
+        rev = src != dst
+        src = np.concatenate([src, dst[rev]])
+        if weights is not None:
+            weights = np.concatenate([weights, weights[rev]])
+    return np.bincount(src, weights=weights, minlength=num_nodes)
+
+
+def _first_in_order(n, keys):
+    """Flags of the first ``n`` edges in the lexicographic order of
+    ``keys`` (equal-length arrays, primary key first), ties left by
+    position. Only the boundary class, the edges whose primary key equals
+    the n-th smallest, is sorted: every edge below it is kept whole."""
+    primary = keys[0]
+    flags = np.zeros(len(primary), dtype=bool)
+    if n == 0:
+        return flags
+    bound = np.partition(primary, n - 1)[n - 1]
+    below = primary < bound
+    flags[below] = True
+    tie = np.flatnonzero(primary == bound)
+    # lexsort: last key is primary; it is stable, so ties stay by position
+    ranked = np.lexsort([k[tie] for k in reversed(keys)])
+    flags[tie[ranked[:n - np.count_nonzero(below)]]] = True
+    return flags
 
 
 def backbone_from_flags(parent, flags):
@@ -206,6 +227,12 @@ _ASCII_SPACE = np.zeros(256, dtype=bool)
 _ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 _ASCII_BREAK = np.zeros(256, dtype=bool)
 _ASCII_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
+# The non-ASCII characters that str.isspace() accepts; they include every
+# non-ASCII line end (\x85, \u2028, \u2029).
+_UNICODE_SPACES = (
+    "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+    "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
 
 
 def _check_lines(text):
@@ -233,12 +260,14 @@ def _check_lines(text):
 
 def _edge_tokens(text):
     """Tokens of the edge lines of ``text``, src dst weight after each
-    other. ASCII text is checked as arrays: every line must hold 0 or 3
-    tokens unless its first token starts with '#'. Other text, and text that
-    fails the check, goes to :func:`_check_lines`."""
-    if not text.isascii():
+    other. The UTF-8 bytes are checked as arrays: every line must hold 0 or
+    3 tokens unless its first token starts with '#'. Every byte of a
+    multi-byte character is >= 0x80, so only text with non-ASCII
+    whitespace, and text that fails the check, goes to
+    :func:`_check_lines`."""
+    if not text.isascii() and any(c in text for c in _UNICODE_SPACES):
         return _check_lines(text)
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     space = _ASCII_SPACE[b]
     starts = np.flatnonzero(~space & np.concatenate([[True], space[:-1]]))
     # the tokens of line i start at starts[bounds[i]:bounds[i + 1]]
@@ -392,11 +421,20 @@ def collapse_to_undirected(pairs, parent):
 
 def neighborhood_order(g):
     """Edge permutation grouping out-edges by source node, each group sorted
-    by weight descending with ties broken by destination index ascending."""
+    by weight descending with ties broken by destination index ascending:
+    the order of (src, -weight, dst, position), weights compared as floats.
+
+    Two stable sorts of packed int64 keys: by (src, dst), then by (src,
+    weight rank). Both keys are below N * max(N, E), so below 2**63 for N
+    and E under 3e9."""
     if not g.directed:
         raise DomainError("neighborhoods are defined on directed graphs")
-    # lexsort: last key is primary
-    return np.lexsort((g.dst, -np.asarray(g.weights, dtype=float), g.src))
+    src = np.asarray(g.src, dtype=np.int64)
+    by_dst = np.argsort(src * g.num_nodes + g.dst, kind="stable")
+    # rank 0 is the heaviest weight
+    distinct, rank = np.unique(-np.asarray(g.weights, dtype=float), return_inverse=True)
+    key = (src * len(distinct) + rank)[by_dst]
+    return by_dst[np.argsort(key, kind="stable")]
 
 
 def neighborhoods(g):

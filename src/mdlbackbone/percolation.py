@@ -75,7 +75,8 @@ class HalfEdgeSystem:
         dst = np.concatenate([v, u])
         weights = np.concatenate([w, w])
         rev = np.concatenate([np.arange(E, 2 * E), np.arange(E)])
-        order = np.lexsort((dst, src))
+        key = np.asarray(src, dtype=np.int64) * g.num_nodes + dst
+        order = np.argsort(key, kind="stable")
         inv = np.empty(2 * E, dtype=np.int64)
         inv[order] = np.arange(2 * E)
         src, dst, weights = src[order], dst[order], weights[order]

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .graph import (
     Backbone,
+    _first_in_order,
     backbone_from_flags,
     directed_parents,
     directed_view,
@@ -141,11 +142,6 @@ def _result(g, flags, dl, spec, method, **traces):
     )
 
 
-def _weight_sort_order(g):
-    # weight descending, ties by (src, dst) index ascending
-    return np.lexsort((g.dst, g.src, -np.asarray(g.weights, dtype=float)))
-
-
 # Curve values evaluated per _dl_curve call: bounds the sweep's temporaries
 # on graphs with millions of edges and keeps them cache-sized.
 _CURVE_BLOCK = 1 << 16
@@ -196,7 +192,9 @@ def _sweep(w, starts, strength, wfact, spec):
 
 def greedy_global(g, spec=None):
     """MDL-optimal global backbone: the greedy sweep over the whole edge
-    list, heaviest first."""
+    list, heaviest first. The backbone of size E_b is the first E_b edges
+    in the order of (-weight, src, dst, position), weights compared as
+    floats."""
     if spec is None:
         spec = ObjectiveSpec("global", "microcanonical")
     if spec.scope != "global":
@@ -205,16 +203,15 @@ def greedy_global(g, spec=None):
         raise DomainError("cannot backbone an empty graph")
     _require_weights(g, spec)
 
-    order = _weight_sort_order(g)
+    w = np.asarray(g.weights, dtype=float)
     n_keep, dl, curve, _ = _sweep(
-        np.asarray(g.weights, dtype=float)[order],
+        np.sort(w)[::-1],
         np.array([0, g.num_edges]),
         float(g.total_weight),
         _poisson_wfact(spec, g.weights),
         spec,
     )
-    flags = np.zeros(g.num_edges, dtype=bool)
-    flags[order[:n_keep[0]]] = True
+    flags = _first_in_order(int(n_keep[0]), (-w, g.src, g.dst))
     dl = float(dl[0])
     trace = DlTrace(curve, int(n_keep[0]), int(np.count_nonzero(curve == dl)))
     return _result(g, flags, dl, spec, "mdl-global", trace=trace)

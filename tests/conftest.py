@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mdlbackbone.graph import WeightedGraph
 
@@ -18,6 +19,29 @@ def make_graph(src, dst, weights, num_nodes=None, directed=True,
         num_nodes=num_nodes, src=src, dst=dst, weights=weights,
         directed=directed, weight_kind=weight_kind,
     )
+
+
+@st.composite
+def small_graphs(draw, directed=True, real=False, one_neighborhood=False):
+    """Graph on up to 5 nodes, self-loops and parallel edges allowed; with
+    ``one_neighborhood`` only node 0 has out-edges. Real weights are
+    multiples of 1/8, so their sums are exact whichever order the solvers
+    add them in, and at least 1, where every empty-backbone DL is positive
+    and eta is defined."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 12))
+    if one_neighborhood:
+        src = [0] * m
+    else:
+        src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    if real:
+        w = draw(st.lists(st.integers(8, 80).map(lambda x: x / 8),
+                          min_size=m, max_size=m))
+    else:
+        w = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    return make_graph(src, dst, w, num_nodes=n, directed=directed,
+                      weight_kind="real" if real else "integer")
 
 
 def random_multigraph_free(rng, max_nodes=6, max_edges=12, max_weight=10,

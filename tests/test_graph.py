@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mdlbackbone.errors import DomainError, ParseError
 from mdlbackbone.graph import (
+    _UNICODE_SPACES,
     WeightedGraph,
     backbone_from_edge_subset,
     backbone_from_flags,
@@ -164,28 +165,45 @@ def parse_edge_list_reference(text, directed, weight_kind="integer", round_weigh
     )
 
 
-GOOD_WEIGHTS = ["1", "2", "3", "1_0", "1.5", "0.5", "2e0"]
+GOOD_WEIGHTS = ["1", "2", "3", "1_0", "1.5", "0.5", "2e0", "\u0663"]
 BAD_WEIGHTS = ["x", "nan", "inf", "0", "-1"]
 LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
 SEPARATORS = [" ", "\t", "\x1f", " \t ", "\t\t"]
 MARGINS = ["", " ", "\t", "\x1f"]
+# the non-ASCII characters str.isspace() accepts; \x85, \u2028 and \u2029
+# also end a line
+UNICODE_SPACES = [chr(c) for c in [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
+                                   0x2028, 0x2029, 0x202F, 0x205F, 0x3000]]
+
+
+def test_unicode_spaces_are_every_non_ascii_space():
+    assert _UNICODE_SPACES == "".join(UNICODE_SPACES)
+    assert UNICODE_SPACES == [c for c in map(chr, range(0x80, 0x110000)) if c.isspace()]
 
 
 @st.composite
 def edge_texts(draw):
-    """Edge-list texts over a few labels: edge lines (repeated pairs are
-    likely), blank and comment lines, every line end and whitespace byte
-    that ends or splits a line; half of them also with malformed lines, bad
-    weights and non-ASCII labels."""
+    """Edge-list texts over a few labels, ASCII and not: edge lines
+    (repeated pairs are likely), blank and comment lines, every line end
+    and whitespace byte that ends or splits a line, and in half of them one
+    or two non-ASCII whitespace characters too; half of them also with
+    malformed lines and bad weights."""
     valid = draw(st.booleans())
-    labels = ["a", "b", "c", "0", "x#y", "#z"] + ([] if valid else ["é", "ü1"])
+    labels = ["a", "b", "c", "0", "x#y", "#z", "\xe9", "\xfc1", "\u65e5\u672c",
+              "\U0001f600"]
     weights = GOOD_WEIGHTS + ([] if valid else BAD_WEIGHTS)
     kinds = ["edge"] * 6 + ["blank", "comment", "indented comment"]
     if not valid:
         kinds += ["two", "four"]
+    separators, line_ends = SEPARATORS, LINE_ENDS
+    if draw(st.booleans()):
+        # one or two of them per text, so each is often the only one
+        extra = draw(st.lists(st.sampled_from(UNICODE_SPACES), min_size=1,
+                              max_size=2, unique=True))
+        separators, line_ends = SEPARATORS + extra, LINE_ENDS + extra
     lines = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
-        sep = draw(st.sampled_from(SEPARATORS))
+        sep = draw(st.sampled_from(separators))
         if kind == "blank":
             body = sep
         elif kind == "comment":
@@ -198,7 +216,7 @@ def edge_texts(draw):
             body = sep.join(tokens + [draw(st.sampled_from(weights))])
         margin = draw(st.sampled_from(MARGINS))
         lines.append(margin + body + draw(st.sampled_from(MARGINS)))
-        lines.append(draw(st.sampled_from(LINE_ENDS)))
+        lines.append(draw(st.sampled_from(line_ends)))
     if lines and draw(st.booleans()):
         lines.pop()
     return "".join(lines)

@@ -21,7 +21,7 @@ from mdlbackbone.solver import (
     result_to_dict,
 )
 
-from conftest import make_graph, random_multigraph_free
+from conftest import make_graph, random_multigraph_free, small_graphs
 
 MICRO_G = ObjectiveSpec("global", "microcanonical")
 MICRO_L = ObjectiveSpec("local", "microcanonical")
@@ -119,29 +119,6 @@ class TestGreedyLocal:
         assert np.argmin(values) == res.backbone.num_edges == 1
         prior = strength_prior_bits(1, 4, 8)
         assert values.min() + prior == pytest.approx(res.dl, abs=1e-12)
-
-
-@st.composite
-def small_graphs(draw, directed=True, real=False, one_neighborhood=False):
-    """Graph on up to 5 nodes, self-loops and parallel edges allowed; with
-    ``one_neighborhood`` only node 0 has out-edges. Real weights are
-    multiples of 1/8, so their sums are exact whichever order the solvers
-    add them in, and at least 1, where every empty-backbone DL is positive
-    and eta is defined."""
-    n = draw(st.integers(1, 5))
-    m = draw(st.integers(1, 12))
-    if one_neighborhood:
-        src = [0] * m
-    else:
-        src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    if real:
-        w = draw(st.lists(st.integers(8, 80).map(lambda x: x / 8),
-                          min_size=m, max_size=m))
-    else:
-        w = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
-    return make_graph(src, dst, w, num_nodes=n, directed=directed,
-                      weight_kind="real" if real else "integer")
 
 
 class TestGlobalMatchesLocalOnOneNeighborhood:
