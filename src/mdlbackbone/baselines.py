@@ -9,10 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra, minimum_spanning_tree
 
 from .errors import DomainError
-from .graph import _first_in_order, backbone_from_flags, directed_parents, directed_view
+from .graph import (
+    _first_in_order,
+    _out_sums,
+    backbone_from_flags,
+    directed_parents,
+    directed_view,
+)
 
 __all__ = [
     "SalienceTable",
@@ -46,15 +52,15 @@ def disparity_pvalue(w, s, k):
 
 def edge_disparity_pvalues(g):
     """Minimum disparity p-value per parent edge over the incident
-    out-neighborhoods of the directed view."""
-    dg = directed_view(g)
-    w = np.asarray(dg.weights, dtype=float)
-    k = np.bincount(dg.src, minlength=dg.num_nodes)[dg.src]
-    s = np.bincount(dg.src, weights=w, minlength=dg.num_nodes)[dg.src]
-    p = np.where(k > 1, (1.0 - w / s) ** (k - 1), 1.0)
-    pvals = np.ones(g.num_edges)
-    np.minimum.at(pvals, directed_parents(g), p)
-    return pvals
+    out-neighborhoods of the directed view: its src's and, for an
+    undirected edge, its dst's."""
+    w = np.asarray(g.weights, dtype=float)
+    k, s = _out_sums(g), g.strengths()
+
+    def at(node):
+        return np.where(k[node] > 1, (1.0 - w / s[node]) ** (k[node] - 1), 1.0)
+
+    return at(g.src) if g.directed else np.minimum(at(g.src), at(g.dst))
 
 
 def disparity_filter(g, alpha=0.05):
@@ -78,10 +84,14 @@ def disparity_filter_top_e(g, e_target):
     return backbone_from_flags(g, _first_in_order(e_target, (pvals, -w, g.src, g.dst)))
 
 
-def _distance_matrix(g):
-    d = 1.0 / np.asarray(g.weights, dtype=float)
-    mat = csr_matrix((d, (g.src, g.dst)), shape=(g.num_nodes, g.num_nodes))
-    return mat
+def _pair_matrix(n, a, b, values):
+    """n x n sparse matrix with one entry per distinct pair (a, b): the
+    smallest of the pair's values (``csr_matrix`` would add them up)."""
+    order = np.argsort(values, kind="stable")
+    key = (np.asarray(a, dtype=np.int64) * n + b)[order]
+    # return_index sorts stably: each pair's first entry in value order
+    keep = order[np.unique(key, return_index=True)[1]]
+    return csr_matrix((values[keep], (a[keep], b[keep])), shape=(n, n))
 
 
 def salience_table(g, sample_cap=10000, seed=0):
@@ -90,8 +100,9 @@ def salience_table(g, sample_cap=10000, seed=0):
     on equal-length paths is the smallest predecessor index."""
     dg = directed_view(g)
     n = g.num_nodes
-    dist_mat = _distance_matrix(dg)
     d_edge = 1.0 / np.asarray(dg.weights, dtype=float)
+    # of parallel edges, the shortest, the heaviest edge's, stands for the pair
+    dist_mat = _pair_matrix(n, dg.src, dg.dst, d_edge)
 
     if n <= sample_cap:
         roots = np.arange(n)
@@ -134,39 +145,21 @@ def high_salience_skeleton(g, sample_cap=10000, threshold=0.5, seed=0):
 
 
 def percolation_backbone(g):
-    """Densest-first backbone: edges added in decreasing weight (whole weight
-    classes at a time) until the retained subgraph covers every non-isolated
-    node of ``g`` and has as many weak components as ``g``. Both conditions
-    only become true as classes are added, so the shortest such prefix of
-    classes is found by bisection."""
+    """Densest-first backbone: the shortest prefix of whole weight classes,
+    heaviest first, that covers every non-isolated node of ``g`` and has
+    as many weak components as ``g``. Its lightest class is the lighter of
+    two: the lightest among the non-isolated nodes' heaviest edges, and
+    the lightest in a maximum spanning forest of the weak graph."""
     n, E = g.num_nodes, g.num_edges
-    if E == 0:
-        return backbone_from_flags(g, np.zeros(0, dtype=bool))
-    w = np.asarray(g.weights, dtype=float)
-    order = np.argsort(-w, kind="stable")
-    w_sorted = w[order]
-    # class_ends[k]: number of sorted edges in the k + 1 heaviest classes
-    class_ends = np.append(np.nonzero(w_sorted[1:] != w_sorted[:-1])[0] + 1, E)
+    # class ranks, 1 the heaviest class, so a minimum spanning tree on ranks
+    # is a maximum spanning forest on weights
+    rank = np.unique(-np.asarray(g.weights, dtype=float), return_inverse=True)[1] + 1
+    heaviest = np.full(n, E + 1)
+    np.minimum.at(heaviest, g.src, rank)
+    np.minimum.at(heaviest, g.dst, rank)
+    cover = heaviest[heaviest <= E].max(initial=0)
 
-    def n_components(stop):
-        kept = order[:stop]
-        adj = csr_matrix(
-            (np.ones(stop), (g.src[kept], g.dst[kept])), shape=(n, n)
-        )
-        return connected_components(adj, directed=True, connection="weak")[0]
-
-    # a non-isolated node is covered once the class of its heaviest edge is in
-    ends = np.column_stack([g.src[order], g.dst[order]]).ravel()
-    first = np.unique(ends, return_index=True)[1] // 2
-    lo = int(np.searchsorted(class_ends, first.max(), side="right"))
-    hi = len(class_ends) - 1
-    target = n_components(E)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if n_components(class_ends[mid]) == target:
-            hi = mid
-        else:
-            lo = mid + 1
-    flags = np.zeros(E, dtype=bool)
-    flags[order[:class_ends[lo]]] = True
-    return backbone_from_flags(g, flags)
+    pair = g.src != g.dst
+    a, b = np.minimum(g.src, g.dst)[pair], np.maximum(g.src, g.dst)[pair]
+    forest = minimum_spanning_tree(_pair_matrix(n, a, b, rank[pair]))
+    return backbone_from_flags(g, rank <= max(cover, forest.data.max(initial=0)))

@@ -79,8 +79,7 @@ class WeightedGraph:
         """Per-node strength: sum of incident weights (both endpoints for
         undirected graphs, out-edges only for directed ones; self-loops
         counted once)."""
-        return _endpoint_sums(self.num_nodes, self.src, self.dst, self.directed,
-                              np.asarray(self.weights, dtype=float))
+        return _out_sums(self, weights=self.weights)
 
     @cached_property
     def _key_index(self):
@@ -152,11 +151,10 @@ class Backbone:
         return int(total) if self.parent.weight_kind == "integer" else float(total)
 
     def retained_degrees(self):
-        g, flags = self.parent, self.member_flags
-        return _endpoint_sums(g.num_nodes, g.src[flags], g.dst[flags], g.directed)
+        return _out_sums(self.parent, self.member_flags)
 
     def retained_strengths(self):
-        return self.subgraph().strengths()
+        return _out_sums(self.parent, self.member_flags, self.parent.weights)
 
     def edge_set(self):
         return self.subgraph().edge_set()
@@ -174,16 +172,23 @@ class Backbone:
         )
 
 
-def _endpoint_sums(num_nodes, src, dst, directed, weights=None):
-    """Per-node sums of ``weights`` (counts without them) over every src,
-    then, for an undirected graph, every dst of a non-loop edge, added in
-    that order, as a loop over the edges would add them."""
-    if not directed:
+def _out_sums(g, flags=None, weights=None):
+    """Per-node sums, as floats, of ``weights`` (one value per edge of
+    ``g``; without them, integer counts) over the out-neighborhoods of
+    :func:`directed_view`, restricted to the edges ``flags`` marks. The view
+    is not built: every src, then, for an undirected graph, every dst of a
+    non-loop edge, is added in that order, the order of the view's edges."""
+    src, dst = g.src, g.dst
+    if flags is not None:
+        src, dst = src[flags], dst[flags]
+        if weights is not None:
+            weights = weights[flags]
+    if not g.directed:
         rev = src != dst
         src = np.concatenate([src, dst[rev]])
         if weights is not None:
             weights = np.concatenate([weights, weights[rev]])
-    return np.bincount(src, weights=weights, minlength=num_nodes)
+    return np.bincount(src, weights=weights, minlength=g.num_nodes)
 
 
 def _first_in_order(n, keys):
@@ -299,9 +304,10 @@ def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
     occurrence, their weights summed in the order they appear.
 
     With ``weight_kind="integer"`` the merged weights must be whole, >= 1
-    and below 2**63; ``round_weights`` first rounds each to the nearest
-    integer (half to even), with a floor of 1. ``"real"`` keeps the merged
-    float weights.
+    and below 2**63, and so must the total weight of :func:`directed_view`
+    (on undirected input it counts every non-loop weight twice);
+    ``round_weights`` first rounds each to the nearest integer (half to
+    even), with a floor of 1. ``"real"`` keeps the merged float weights.
 
     A line without exactly three tokens, or with a weight ``float``
     rejects, raises ParseError; a weight that is not positive and finite
@@ -352,6 +358,11 @@ def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
         if bad.any():
             got = float(w[bad.argmax()])
             raise DomainError(f"integer weight mode requires whole weights >= 1, got {got}")
+        view = w if directed else np.concatenate([w, w[src != dst]])
+        # a float sum is off by far less than a factor 2: add exactly near 2**63
+        if view.sum() >= 2.0**62 and (total := sum(map(int, view.tolist()))) >= 2**63:
+            raise DomainError("integer weight mode requires the directed view's "
+                              f"total weight below 2**63, got {total}")
         w = w.astype(np.int64)
 
     return WeightedGraph(

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .graph import directed_parents, directed_view
+from .graph import _out_sums
 
 __all__ = [
     "ObjectiveSpec",
@@ -194,31 +194,32 @@ def strength_prior_bits(N, E, W):
 def dl_local_micro(g, bb):
     """Microcanonical local description length of backbone ``bb``: strength
     prior plus the sum of neighborhood terms over the directed view."""
-    spec = ObjectiveSpec("local", "microcanonical")
-    dg = directed_view(g)
-    prior = strength_prior_bits(dg.num_nodes, dg.num_edges, dg.total_weight)
-    return float(prior + np.sum(_local_dl_terms(g, bb.member_flags, spec)))
+    return _local_dl(g, bb.member_flags, ObjectiveSpec("local", "microcanonical"))
 
 
-def _local_dl_terms(g, flags, spec):
-    """Description length under ``spec``'s family of every non-empty
-    out-neighborhood of the directed view, with backbone membership
-    ``flags`` over the edges of ``g``."""
-    dg = directed_view(g)
-    member = np.asarray(flags, dtype=bool)[directed_parents(g)]
-    n = dg.num_nodes
-    w = np.asarray(dg.weights, dtype=float)
-    k = np.bincount(dg.src, minlength=n)
+def _local_dl(g, flags, spec):
+    """Local description length under ``spec``'s family of the backbone
+    membership ``flags`` over the edges of ``g``: the sum over every
+    non-empty out-neighborhood of the directed view, plus, for the
+    microcanonical family, the strength prior."""
+    k = _out_sums(g)
     nz = k > 0
-    s = np.bincount(dg.src, weights=w, minlength=n)[nz]
-    k_b = np.bincount(dg.src[member], minlength=n)[nz]
-    s_b = np.bincount(dg.src[member], weights=w[member], minlength=n)[nz]
-    k = k[nz]
-    _check_global_args(k, s, k_b, s_b, integer=not spec.continuous)
+    s = g.strengths()[nz]
+    k_b = _out_sums(g, flags)[nz]
+    s_b = _out_sums(g, flags, g.weights)[nz]
+    _check_global_args(k[nz], s, k_b, s_b, integer=not spec.continuous)
     wfact = 0.0
     if spec.family == "canonical" and spec.weight_model == "poisson":
-        wfact = np.bincount(dg.src, weights=_log2_factorial(w), minlength=n)[nz]
-    return np.asarray(_dl_curve(k, s, k_b, s_b, spec, wfact))
+        wfact = _out_sums(g, weights=_log2_factorial(g.weights))[nz]
+    dl = np.sum(_dl_curve(k[nz], s, k_b, s_b, spec, wfact))
+    if spec.family == "microcanonical":
+        # the directed view's weights: undirected non-loop edges count twice
+        w = g.weights
+        if not g.directed:
+            w = np.concatenate([w, w[g.src != g.dst]])
+        W = int(w.sum()) if g.weight_kind == "integer" else float(w.sum())
+        dl = strength_prior_bits(g.num_nodes, len(w), W) + dl
+    return float(dl)
 
 
 def _dl_curve(E, W, E_b, W_b, spec, log2_wfact=0.0):
@@ -302,7 +303,7 @@ def dl_local_canonical(g, bb, spec):
     directed view (no strength prior in the canonical formulation)."""
     if spec.family != "canonical":
         raise DomainError("spec must be canonical")
-    return float(np.sum(_local_dl_terms(g, bb.member_flags, spec)))
+    return _local_dl(g, bb.member_flags, spec)
 
 
 def delta_dl_weight_increment(E, W, E_b, W_b, spec):

@@ -20,6 +20,7 @@ from .errors import DomainError
 from .graph import (
     Backbone,
     _first_in_order,
+    _out_sums,
     backbone_from_flags,
     directed_parents,
     directed_view,
@@ -28,10 +29,9 @@ from .graph import (
 from .objectives import (
     ObjectiveSpec,
     _dl_curve,
+    _local_dl,
     _log2_factorial,
     _poisson_wfact,
-    dl_local_canonical,
-    dl_local_micro,
     strength_prior_bits,
 )
 
@@ -104,13 +104,7 @@ def empty_backbone_dls(g, spec):
     wf = _poisson_wfact(spec, g.weights)
     g_spec = ObjectiveSpec("global", spec.family, spec.weight_model, spec.lam)
     dl_g = float(_dl_curve(E, W, 0, 0, g_spec, wf))
-
-    empty = backbone_from_flags(g, np.zeros(E, dtype=bool))
-    if spec.family == "microcanonical":
-        dl_l = dl_local_micro(g, empty)
-    else:
-        dl_l = dl_local_canonical(g, empty, spec)
-    return dl_g, dl_l
+    return dl_g, _local_dl(g, np.zeros(E, dtype=bool), spec)
 
 
 def inverse_compression_ratio(dl_opt, dl_empty_global, dl_empty_local):
@@ -232,22 +226,18 @@ def greedy_local(g, spec=None):
 
     dg = directed_view(g)
     order, starts = neighborhoods(dg)
-    src_sorted = dg.src[order]
     w_sorted = np.asarray(dg.weights, dtype=float)[order]
-    N = dg.num_nodes
-    s = np.bincount(src_sorted, weights=w_sorted, minlength=N)
+    s = g.strengths()
     wfact = 0.0
     if spec.family == "canonical" and spec.weight_model == "poisson":
-        wfact = np.bincount(
-            src_sorted, weights=_log2_factorial(w_sorted), minlength=N
-        )
+        wfact = _out_sums(g, weights=_log2_factorial(g.weights))
     n_keep, node_dl, curve, curve_starts = _sweep(w_sorted, starts, s, wfact, spec)
 
     k = np.diff(starts)
     # isolated nodes contribute 0 bits
     dl = float(np.sum(node_dl[k > 0]))
     if spec.family == "microcanonical":
-        dl += strength_prior_bits(N, dg.num_edges, dg.total_weight)
+        dl += strength_prior_bits(g.num_nodes, dg.num_edges, dg.total_weight)
 
     pos = np.arange(dg.num_edges) - np.repeat(starts[:-1], k)
     selected = pos < np.repeat(n_keep, k)

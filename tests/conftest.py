@@ -44,6 +44,25 @@ def small_graphs(draw, directed=True, real=False, one_neighborhood=False):
                       weight_kind="real" if real else "integer")
 
 
+@st.composite
+def graphs_with_backbones(draw, real=False):
+    """Graph on up to 5 nodes in either direction, self-loops and parallel
+    edges allowed, with a random backbone membership per edge."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    src = draw(st.lists(node, min_size=m, max_size=m))
+    dst = draw(st.lists(node, min_size=m, max_size=m))
+    if real:
+        w = draw(st.lists(st.floats(0.1, 20.0), min_size=m, max_size=m))
+    else:
+        w = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    flags = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    g = make_graph(src, dst, w, num_nodes=n, directed=draw(st.booleans()),
+                   weight_kind="real" if real else "integer")
+    return g, flags
+
+
 def random_multigraph_free(rng, max_nodes=6, max_edges=12, max_weight=10,
                            directed=True):
     """Random simple graph with integer weights for oracle comparisons."""

@@ -129,6 +129,12 @@ class TestSalience:
                        num_nodes=5, directed=False)
         assert high_salience_skeleton(g).num_edges == 4
 
+    def test_parallel_edges_heaviest_is_the_distance(self):
+        # "a b 3" and "b a 2" are parallel undirected edges: a-b is 1/3 long,
+        # not 1/3 + 1/2, so the heavier one is on every tree
+        g = parse_edge_list("a b 3\nb a 2\nb c 1", directed=False)
+        assert salience_table(g).saliency.tolist() == [1.0, 0.0, 1.0]
+
     def test_sampling_cap_deterministic(self):
         rng = np.random.default_rng(1)
         n = 30
@@ -246,8 +252,12 @@ def weighted_multigraphs(draw):
     node = st.integers(0, n - 1)
     src = draw(st.lists(node, min_size=m, max_size=m))
     dst = draw(st.lists(node, min_size=m, max_size=m))
-    w = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
-    return make_graph(src, dst, w, num_nodes=n, directed=draw(st.booleans()))
+    real = draw(st.booleans())
+    # thirds are not dyadic, so real classes are floats that tie only when equal
+    weight = st.integers(1, 4).map(lambda x: x / 3) if real else st.integers(1, 4)
+    w = draw(st.lists(weight, min_size=m, max_size=m))
+    return make_graph(src, dst, w, num_nodes=n, directed=draw(st.booleans()),
+                      weight_kind="real" if real else "integer")
 
 
 class TestPercolationBackboneMatchesLoop:

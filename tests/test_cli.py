@@ -84,6 +84,15 @@ class TestBackboneCommand:
         code = main(["backbone", "--method", "mdl-global", str(path)])
         assert code == 1
 
+    def test_total_beyond_int64_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "big.tsv"
+        path.write_text("a b 4611686018427387904\na c 4611686018427387904\na a 2\n")
+        code = main(["backbone", "--method", "mdl-global", str(path),
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "mdlbackbone: error: integer weight mode requires the directed view's total")
+
     def test_nonpositive_empty_dl_exit_1(self, tmp_path, capsys):
         path = tmp_path / "small.tsv"
         path.write_text("".join(f"a\t{v}\t0.125\n" for v in "bcdef"))

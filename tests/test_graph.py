@@ -74,6 +74,19 @@ class TestParse:
         with pytest.raises(DomainError, match="whole weights"):
             parse_edge_list("a b 1e19", directed=True)
 
+    def test_directed_view_total_beyond_int64(self):
+        # each weight fits int64, their total does not
+        text = "a b 4611686018427387904\na c 4611686018427387904\na a 2"
+        for directed in (True, False):
+            with pytest.raises(DomainError, match="total weight below 2\\*\\*63"):
+                parse_edge_list(text, directed=directed)
+        # undirected, the non-loop weight counts twice
+        half = "a b 4611686018427387904"
+        assert parse_edge_list(half, directed=True).total_weight == 2**62
+        with pytest.raises(DomainError, match="got 9223372036854775808"):
+            parse_edge_list(half, directed=False)
+        assert parse_edge_list(text, directed=True, weight_kind="real").num_edges == 3
+
     def test_real_mode(self):
         g = parse_edge_list("a b 1.5", directed=True, weight_kind="real")
         assert g.weights.dtype == float

@@ -20,7 +20,7 @@ from mdlbackbone.objectives import (
     strength_prior_bits,
 )
 
-from conftest import make_graph
+from conftest import graphs_with_backbones, make_graph
 
 GEOM = ObjectiveSpec("global", "canonical", "geometric")
 POIS = ObjectiveSpec("global", "canonical", "poisson")
@@ -175,23 +175,6 @@ def local_dl_reference(g, flags, spec=None):
             wfact = sum(math.lgamma(w + 1) for w in ws) / math.log(2)
             total += dl_neigh_canonical(len(ws), sum(ws), len(bs), sum(bs), spec, wfact)
     return total
-
-
-@st.composite
-def graphs_with_backbones(draw, real=False):
-    n = draw(st.integers(1, 5))
-    m = draw(st.integers(1, 10))
-    node = st.integers(0, n - 1)
-    src = draw(st.lists(node, min_size=m, max_size=m))
-    dst = draw(st.lists(node, min_size=m, max_size=m))
-    if real:
-        w = draw(st.lists(st.floats(0.1, 20.0), min_size=m, max_size=m))
-    else:
-        w = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
-    flags = draw(st.lists(st.booleans(), min_size=m, max_size=m))
-    g = make_graph(src, dst, w, num_nodes=n, directed=draw(st.booleans()),
-                   weight_kind="real" if real else "integer")
-    return g, flags
 
 
 class TestLocalMatchesPerNodeLoop:
