@@ -53,14 +53,6 @@ def hellinger_strength_distance(g, bb):
     return float(np.sqrt(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)))
 
 
-def _adjacency(num_nodes, src, dst, directed):
-    data = np.ones(len(src))
-    mat = csr_matrix((data, (src, dst)), shape=(num_nodes, num_nodes))
-    if not directed:
-        mat = mat + mat.T
-    return mat
-
-
 def reachable_pair_count(num_nodes, src, dst, directed, nodes=None):
     """Number of ordered pairs (i, j), i != j, with a directed path i -> j,
     optionally restricted to the induced subgraph on ``nodes``."""
@@ -73,7 +65,8 @@ def reachable_pair_count(num_nodes, src, dst, directed, nodes=None):
         mask = keep[src] & keep[dst]
         src, dst = relabel[src[mask]], relabel[dst[mask]]
         num_nodes = len(nodes)
-    mat = _adjacency(num_nodes, src, dst, directed)
+    data = np.ones(len(src))
+    mat = csr_matrix((data, (src, dst)), shape=(num_nodes, num_nodes))
     if not directed:
         _, comp = connected_components(mat, directed=False)
         sizes = np.bincount(comp)

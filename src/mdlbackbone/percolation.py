@@ -194,25 +194,23 @@ def nb_leading_eigenvalue(g, p, tolerance=1e-8, max_iters=10000):
     )
 
 
-def critical_probability(g, tolerance=1e-7, eig_tolerance=1e-10, max_bisections=200):
+def critical_probability(g, tolerance=1e-7):
     """Binary search for the p at which the non-backtracking leading
     eigenvalue crosses 1. Returns None when the graph never percolates
     (eigenvalue below 1 even at p = 1)."""
     sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
-    if nb_leading_eigenvalue(sys_, 1.0, tolerance=eig_tolerance) < 1.0:
+    if nb_leading_eigenvalue(sys_, 1.0, tolerance=1e-10) < 1.0:
         return None
     lo, hi = 0.0, 1.0
-    for _ in range(int(max_bisections)):
+    while hi - lo >= 1e-15:
         mid = 0.5 * (lo + hi)
-        lam = nb_leading_eigenvalue(sys_, mid, tolerance=eig_tolerance)
+        lam = nb_leading_eigenvalue(sys_, mid, tolerance=1e-10)
         if abs(lam - 1.0) < tolerance:
             return mid
         if lam < 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-15:
-            break
     return 0.5 * (lo + hi)
 
 

@@ -101,9 +101,8 @@ def empty_backbone_dls(g, spec):
     E, W = g.num_edges, g.total_weight
     if E == 0:
         raise DomainError("empty graph has no description length")
-    wf = _poisson_wfact(spec, g.weights)
-    g_spec = ObjectiveSpec("global", spec.family, spec.weight_model, spec.lam)
-    dl_g = float(_dl_curve(E, W, 0, 0, g_spec, wf))
+    _require_weights(g, spec)
+    dl_g = float(_dl_curve(E, W, 0, 0, spec, _poisson_wfact(spec, g.weights)))
     return dl_g, _local_dl(g, np.zeros(E, dtype=bool), spec)
 
 
@@ -299,7 +298,6 @@ def enumerate_optimal(g, spec):
             if spec.family == "microcanonical"
             else 0.0
         )
-        family_spec = ObjectiveSpec("global", spec.family, spec.weight_model, spec.lam)
         if spec.family == "canonical" and spec.weight_model == "poisson":
             wf_nodes = np.asarray(_log2_factorial(scope_g.weights)) @ onehot
         else:
@@ -309,7 +307,7 @@ def enumerate_optimal(g, spec):
             Kb = bits @ onehot
             Sb = bits @ w_onehot
             terms = np.asarray(
-                _dl_curve(k[None, :], s[None, :], Kb, Sb, family_spec, wf_nodes)
+                _dl_curve(k[None, :], s[None, :], Kb, Sb, spec, wf_nodes)
             )
             dls = prior + terms.sum(axis=1)
             Eb = bits.sum(axis=1)

@@ -9,6 +9,10 @@ from mdlbackbone.errors import DomainError
 from mdlbackbone.graph import backbone_from_flags
 from mdlbackbone.objectives import (
     ObjectiveSpec,
+    _check_global_args,
+    _dl_curve,
+    _log2_binom_raw,
+    _log2_factorial,
     delta_dl_weight_increment,
     dl_global_canonical,
     dl_global_micro,
@@ -82,6 +86,10 @@ class TestMicroGlobal:
             dl_global_micro(4, 3, 1, 1)  # W < E
         with pytest.raises(DomainError):
             dl_global_micro(4, 8, 1, 6)  # leaves < 1 per non-backbone edge
+        with pytest.raises(DomainError, match="full backbone"):
+            dl_global_micro(4, 8, 4, 7)  # the full backbone carries all of W
+        with pytest.raises(DomainError, match="full backbone"):
+            dl_global_canonical(4, 8, 4, 7, GEOM)
 
     def test_bit_flip_symmetry_random(self):
         rng = np.random.default_rng(0)
@@ -125,6 +133,98 @@ class TestMicroGlobal:
                 assert Z == pytest.approx(expected, abs=1e-9)
 
 
+def oracle_binom(n, k):
+    """log2 C(n, k) with C(n, 0) = 1 for n >= 0 and C(-1, -1) = 1 masked in,
+    +inf outside the domain: the evaluator the clamps replaced."""
+    n = np.asarray(n, dtype=float)
+    k = np.asarray(k, dtype=float)
+    empty = ((k == 0) & (n >= 0)) | ((n == -1) & (k == -1))
+    bad = ~empty & ((k < 0) | (n < 0) | (k > n))
+    safe_n = np.where(empty | bad, 0.0, n)
+    safe_k = np.where(empty | bad, 0.0, k)
+    out = _log2_binom_raw(safe_n, safe_k)
+    out = np.where(empty, 0.0, out)
+    out = np.where(bad, np.inf, out)
+    return out
+
+
+def oracle_curve(E, W, E_b, W_b, spec, log2_wfact):
+    """Every family's closed form, each binomial through ``oracle_binom``."""
+    E, W, E_b, W_b = (np.asarray(x, dtype=float) for x in (E, W, E_b, W_b))
+    Et, Wt = E - E_b, W - W_b
+    if spec.family == "microcanonical":
+        return (
+            np.log2(E + 1.0) + np.log2(W - E + 1.0) + oracle_binom(E, E_b)
+            + oracle_binom(W_b - 1.0, E_b - 1.0) + oracle_binom(Wt - 1.0, Et - 1.0)
+        )
+    base = np.log2(E + 1.0) + oracle_binom(E, E_b)
+    lam = spec.lam
+    if spec.weight_model == "geometric":
+        return (
+            base + np.log2(W_b + 1.0) + np.log2(Wt + 1.0)
+            + oracle_binom(W_b, E_b) + oracle_binom(Wt, Et)
+        )
+    if spec.weight_model == "poisson":
+        return (
+            base - 2.0 * np.log2(lam)
+            + (W_b + 1.0) * np.log2(E_b + lam) - _log2_factorial(W_b)
+            + (Wt + 1.0) * np.log2(Et + lam) - _log2_factorial(Wt)
+            + log2_wfact
+        )
+    return (
+        base - 2.0 * np.log2(lam)
+        + (E_b + 1.0) * np.log2(W_b + lam) - _log2_factorial(E_b)
+        + (Et + 1.0) * np.log2(Wt + lam) - _log2_factorial(Et)
+    )
+
+
+@st.composite
+def valid_states(draw, real):
+    """One valid (E, W, E_b, W_b) with E in [0, 40]: E_b anywhere in [0, E]
+    with both boundaries likely, W_b at either end of its range or inside."""
+    E = draw(st.integers(0, 40))
+    E_b = draw(st.one_of(st.sampled_from([0, E]), st.integers(0, E)))
+    if real:
+        W = draw(st.floats(0.01, 1e6)) if E else 0.0
+        lo, hi, inside = 0.0, W, st.floats(0.0, W)
+    else:
+        W = E + draw(st.one_of(st.integers(0, 50), st.integers(0, 10**9))) if E else 0
+        lo, hi = E_b, W - (E - E_b)
+        inside = st.integers(lo, hi)
+    if E_b == 0:
+        W_b = lo
+    elif E_b == E:
+        W_b = hi
+    else:
+        W_b = draw(st.one_of(st.sampled_from([lo, hi]), inside))
+    return E, W, E_b, W_b
+
+
+ORACLE_SPECS = [
+    (MICRO, False),
+    (GEOM, False),
+    (ObjectiveSpec("global", "canonical", "poisson", lam=0.7), False),
+    (ObjectiveSpec("global", "canonical", "exponential", lam=0.7), True),
+]
+
+
+class TestCurveMatchesMaskOracle:
+    @pytest.mark.parametrize("spec, real", ORACLE_SPECS)
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, spec, real, data):
+        states = data.draw(st.lists(valid_states(real), min_size=1, max_size=8))
+        E, W, E_b, W_b = (np.array(x) for x in zip(*states))
+        _check_global_args(E, W, E_b, W_b, integer=not real)
+        wfact = data.draw(st.floats(0.0, 1e3))
+        got = _dl_curve(E, W, E_b, W_b, spec, wfact)
+        want = oracle_curve(E, W, E_b, W_b, spec, wfact)
+        assert got.tobytes() == want.tobytes()
+        for i in range(len(states)):
+            one = _dl_curve(E[i], W[i], E_b[i], W_b[i], spec, wfact)
+            assert one == got[i]
+
+
 class TestStrengthPrior:
     def test_values(self):
         assert strength_prior_bits(1, 4, 8) == 0.0
@@ -132,6 +232,8 @@ class TestStrengthPrior:
             np.log2(9), abs=1e-9
         )
         assert strength_prior_bits(10, 5, 5) == 0.0
+        with pytest.raises(DomainError):
+            strength_prior_bits(0, 0, 0)  # no nodes to carry a strength
 
 
 class TestLocalMicro:
@@ -204,7 +306,7 @@ class TestLocalMatchesPerNodeLoop:
 
     def test_invalid_neighborhood_rejected(self):
         # node 0: k=2, s=3 and a backbone of weight 3 leaves the other edge
-        # weight 0; the per-node check raises, the bare formula gives inf
+        # weight 0; the per-node check raises, the bare formula has no check
         g = make_graph([0, 0], [1, 0], [0, 3], num_nodes=2)
         with pytest.raises(DomainError):
             dl_local_micro(g, backbone_from_flags(g, [False, True]))

@@ -332,3 +332,10 @@ class TestReporting:
         dl_g, dl_l = empty_backbone_dls(star_graph, POIS_G)
         res = greedy_global(star_graph, POIS_G)
         assert res.dl <= dl_g + 1e-9
+
+    @pytest.mark.parametrize("spec", [MICRO_G, MICRO_L, GEOM_G, POIS_G])
+    def test_empty_backbone_dls_refuses_real_weights(self, spec):
+        # W = 1 < E = 2: the microcanonical DL would take log2(0)
+        g = make_graph([0, 1], [0, 1], [0.5, 0.5], weight_kind="real")
+        with pytest.raises(DomainError, match="requires integer weights"):
+            empty_backbone_dls(g, spec)
