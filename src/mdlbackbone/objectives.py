@@ -211,8 +211,9 @@ def _local_dl(g, flags, spec):
 def _dl_curve(E, W, E_b, W_b, spec, log2_wfact=0.0):
     """Vectorized description length of ``spec``'s family; scope is up to
     the caller. ``log2_wfact`` as in :func:`dl_global_canonical`. Every
-    state must be valid (:func:`_check_global_args`): invalid ones come
-    back as garbage, not as an error."""
+    state must be valid (:func:`_check_global_args`): an invalid one comes
+    back as a finite value of nothing or as -inf, not as an error, and a
+    minimum would pick it."""
     if spec.family == "microcanonical":
         return dl_global_micro_arr(E, W, E_b, W_b)
     return _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact)

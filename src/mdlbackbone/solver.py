@@ -140,6 +140,20 @@ def _result(g, flags, dl, spec, method, **traces):
 _CURVE_BLOCK = 1 << 16
 
 
+def _dl_of_float_sums(E, W, E_b, W_b, spec, log2_wfact):
+    """``_dl_curve`` of states whose weights are float sums. Beyond 2**53
+    those sums round, and a state can come out lighter than its edge count
+    allows on one side (W_b < E_b or W - W_b < E - E_b), which no integer
+    weights reach. The families that count weight compositions,
+    microcanonical and geometric, would take a binomial outside its domain
+    there (-inf, or a finite value of nothing), so such states score +inf
+    and no minimum picks them."""
+    dl = _dl_curve(E, W, E_b, W_b, spec, log2_wfact)
+    if spec.family == "microcanonical" or spec.weight_model == "geometric":
+        dl[(W_b < E_b) | (W - W_b < E - E_b)] = np.inf
+    return dl
+
+
 def _sweep(w, starts, strength, wfact, spec):
     """The greedy sweep over every segment ``w[starts[i]:starts[i + 1]]`` of
     the weights ``w``, each segment sorted heaviest first. ``strength`` and
@@ -171,7 +185,7 @@ def _sweep(w, starts, strength, wfact, spec):
         W = strength[seg] if np.ndim(strength) else strength
         wf = wfact[seg] if np.ndim(wfact) else wfact
         w_b = cum[starts[seg] + j] - cum[starts[seg]]
-        curve[lo:lo + len(pos)] = _dl_curve(k[seg], W, j, w_b, spec, wf)
+        curve[lo:lo + len(pos)] = _dl_of_float_sums(k[seg], W, j, w_b, spec, wf)
 
     at = curve_starts[:-1]
     # the full segment has the empty backbone's DL (bit-flip symmetry); copy
@@ -282,7 +296,7 @@ def enumerate_optimal(g, spec):
         for masks, bits in _enumerate_masks(m):
             Eb = bits.sum(axis=1)
             Wb = bits @ w
-            dls = np.asarray(_dl_curve(E, W, Eb, Wb, spec, wf))
+            dls = _dl_of_float_sums(E, W, Eb, Wb, spec, wf)
             best_dl, best_Eb, best_mask_bits = _fold_best(
                 dls, Eb, bits, best_dl, best_Eb, best_mask_bits
             )
@@ -306,9 +320,7 @@ def enumerate_optimal(g, spec):
         for masks, bits in _enumerate_masks(m, chunk=1 << 12):
             Kb = bits @ onehot
             Sb = bits @ w_onehot
-            terms = np.asarray(
-                _dl_curve(k[None, :], s[None, :], Kb, Sb, spec, wf_nodes)
-            )
+            terms = _dl_of_float_sums(k[None, :], s[None, :], Kb, Sb, spec, wf_nodes)
             dls = prior + terms.sum(axis=1)
             Eb = bits.sum(axis=1)
             best_dl, best_Eb, best_mask_bits = _fold_best(

@@ -211,7 +211,7 @@ ORACLE_SPECS = [
 class TestCurveMatchesMaskOracle:
     @pytest.mark.parametrize("spec, real", ORACLE_SPECS)
     @given(data=st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_bit_identical(self, spec, real, data):
         states = data.draw(st.lists(valid_states(real), min_size=1, max_size=8))
         E, W, E_b, W_b = (np.array(x) for x in zip(*states))
@@ -220,9 +220,8 @@ class TestCurveMatchesMaskOracle:
         got = _dl_curve(E, W, E_b, W_b, spec, wfact)
         want = oracle_curve(E, W, E_b, W_b, spec, wfact)
         assert got.tobytes() == want.tobytes()
-        for i in range(len(states)):
-            one = _dl_curve(E[i], W[i], E_b[i], W_b[i], spec, wfact)
-            assert one == got[i]
+        i = data.draw(st.integers(0, len(states) - 1))
+        assert _dl_curve(E[i], W[i], E_b[i], W_b[i], spec, wfact) == got[i]
 
 
 class TestStrengthPrior:

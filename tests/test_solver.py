@@ -311,6 +311,26 @@ class TestInvariants:
             solve(g, ObjectiveSpec(scope, "canonical", "exponential"))
 
 
+class TestRoundedWeightSums:
+    """Beyond 2**53 the float weight sums round. On (2**62, 1, 1) every
+    prefix of size 1 or 2 leaves the rest lighter than its edge count, a
+    state no integer weights reach; it must never be the minimum."""
+
+    @pytest.mark.parametrize("spec", [MICRO_G, MICRO_L, GEOM_G, GEOM_L])
+    def test_unreachable_states_never_win(self, spec):
+        g = parse_edge_list("a b 4611686018427387904\na c 1\na d 1\n",
+                            directed=True)
+        solve = greedy_global if spec.scope == "global" else greedy_local
+        res = solve(g, spec)
+        curve = res.node_traces[0][:4] if res.trace is None else res.trace.values
+        assert list(curve) == [64.0, np.inf, np.inf, 64.0]
+        assert not res.backbone.member_flags.any()
+        assert (res.dl, res.eta) == (64.0, 1.0)
+        enum = enumerate_optimal(g, spec)
+        assert not enum.backbone.member_flags.any()
+        assert enum.dl == 64.0
+
+
 class TestReporting:
     def test_result_to_dict_keys(self, star_graph):
         res = greedy_global(star_graph, MICRO_G)
