@@ -170,7 +170,14 @@ def cmd_compare(args):
             "reachability": m.reachability,
         })
         edge_sets.append(bb.edge_set())
-    doc = {"input": str(args.input), "seed": args.seed, "backbones": rows}
+    doc = {
+        "input": str(args.input),
+        "seed": args.seed,
+        "directed": not args.undirected,
+        "round_weights": args.round_weights,
+        "version": __version__,
+        "backbones": rows,
+    }
     if len(edge_sets) >= 2:
         doc["jaccard_matrix"] = [
             [metrics.jaccard_similarity(a, b) for b in edge_sets]
@@ -233,12 +240,13 @@ def cmd_percolation(args):
         _backbone_from_file(g, p).subgraph() for p in args.backbones
     ]
     grid = _parse_pgrid(args.pgrid)
-    reports = percolation.backbone_percolation_study(
-        g, backbone_graphs, grid, seed=args.seed
-    )
+    reports = percolation.backbone_percolation_study(g, backbone_graphs, grid)
     doc = {
         "input": str(args.input),
-        "seed": args.seed,
+        "pgrid": args.pgrid,
+        "backbones": list(args.backbones),
+        "round_weights": args.round_weights,
+        "version": __version__,
         "p_grid": [float(p) for p in reports[0].p_grid],
         "graphs": [
             {

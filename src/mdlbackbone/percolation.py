@@ -45,7 +45,6 @@ class MessageState:
     iterations: int
     max_delta: float
     converged: bool
-    seed: object = None
 
 
 @dataclass
@@ -106,9 +105,12 @@ class HalfEdgeSystem:
 
     def leave_one_out_products(self, values):
         """For each half-edge h = (i -> j): product of values over half-edges
-        leaving j, excluding the reverse half-edge (j -> i). Zeros are counted
-        per node apart from the product of the nonzero values, so the reverse
-        value is divided out only where it is nonzero."""
+        leaving j, excluding the reverse half-edge (j -> i). Without zeros
+        this is the node product over the reverse value. Otherwise zeros are
+        counted per node apart from the product of the nonzero values, so
+        the reverse value is divided out only where it is nonzero."""
+        if values.all():
+            return self.segment_products(values)[self.dst] / values[self.rev]
         zero = values == 0.0
         nonzero_prods = self.segment_products(np.where(zero, 1.0, values))
         zeros = np.bincount(self.src[zero], minlength=self.num_nodes)
@@ -127,19 +129,28 @@ class HalfEdgeSystem:
 def message_passing_cluster(
     g, p, tolerance=1e-10, max_iters=1000000, init="random", seed=None
 ):
-    """Iterate the half-edge message equations at transmission probability p,
-    from messages drawn uniformly with ``seed``, until the largest update
-    falls below ``tolerance``. ``max_iters`` allows for the threshold
-    itself, where the updates shrink only like 1/t^2 (K4 at p = 1/2 takes
-    141,408 sweeps).
+    """Iterate the half-edge message equations u <- 1 - phi + phi * (product
+    of the messages into the head, less the reverse one) at transmission
+    probability p until the largest update falls below ``tolerance``.
+    ``init`` is "random", messages drawn uniformly with ``seed``, or an
+    array of starting messages, one per half-edge. The map is monotone in
+    u, so a start below the least fixed point (u = 0, or the solution at a
+    larger p) rises to it. ``max_iters`` allows for the threshold itself,
+    where the updates shrink only like 1/t^2 (K4 at p = 1/2 takes 141,408
+    sweeps).
 
-    Returns (S, per-node S_i, MessageState). ``init`` must be "random"."""
+    Returns (S, per-node S_i, MessageState)."""
     sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
-    if init != "random":
-        raise DomainError(f"unknown init {init!r}")
-    phi = contact_transmission(sys_.weights, p)
     m = sys_.num_half_edges
-    u = np.random.default_rng(seed).uniform(size=m)
+    if isinstance(init, str):
+        if init != "random":
+            raise DomainError(f"unknown init {init!r}")
+        u = np.random.default_rng(seed).uniform(size=m)
+    else:
+        u = np.array(init, dtype=float)
+        if u.shape != (m,):
+            raise DomainError(f"init has shape {u.shape}, expected ({m},)")
+    phi = contact_transmission(sys_.weights, p)
 
     max_delta = 0.0
     iterations = 0
@@ -157,68 +168,93 @@ def message_passing_cluster(
     s_i = 1.0 - node_prod
     S = float(np.mean(s_i))
     state = MessageState(
-        u=u, iterations=iterations, max_delta=max_delta,
-        converged=converged, seed=seed,
+        u=u, iterations=iterations, max_delta=max_delta, converged=converged,
     )
     return S, s_i, state
 
 
-def nb_leading_eigenvalue(g, p, tolerance=1e-8, max_iters=10000):
-    """Spectral radius of the weighted non-backtracking operator B at
-    transmission probability p, by matrix-free power iteration over the 2E
-    half-edges. It iterates B + cI with c the mean transmission probability:
-    B is nonnegative, so the shift leaves rho + c as the only eigenvalue of
-    largest modulus even where the spectrum also holds -rho (bipartite
-    graphs). B is nilpotent when the graph has no cycle; its radius is 0."""
-    sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
-    if sys_.acyclic:
-        return 0.0
+def _power_iteration(sys_, p, x, tolerance=1e-10, max_iters=10000):
+    """Power iteration of B + cI at transmission probability p from the
+    start vector ``x``, until the eigenvalue estimate moves less than
+    ``tolerance``. Returns (radius of B, unit eigenvector)."""
     phi = contact_transmission(sys_.weights, p)
     c = float(np.mean(phi))
-    x = np.ones(sys_.num_half_edges)
     lam, delta = 0.0, float("inf")
     for _ in range(int(max_iters)):
         sums = sys_.segment_sums(x)
         y = phi * (sums[sys_.dst] - x[sys_.rev]) + c * x
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
-            return 0.0
+            return 0.0, x
         new_lam = norm / float(np.linalg.norm(x)) - c
         x = y / norm
         delta = abs(new_lam - lam)
         if delta < tolerance:
-            return new_lam
+            return new_lam, x
         lam = new_lam
     raise DomainError(
         f"power iteration did not converge (last |delta lambda| {delta:.3e})"
     )
 
 
-def critical_probability(g, tolerance=1e-7):
-    """Binary search for the p at which the non-backtracking leading
-    eigenvalue crosses 1. Returns None when the graph never percolates
-    (eigenvalue below 1 even at p = 1)."""
+def nb_leading_eigenvalue(g, p, tolerance=1e-8, max_iters=10000):
+    """Spectral radius of the weighted non-backtracking operator B at
+    transmission probability p, by matrix-free power iteration over the 2E
+    half-edges, started from ones. It iterates B + cI with c the mean
+    transmission probability: B is nonnegative, so the shift leaves rho + c
+    as the only eigenvalue of largest modulus even where the spectrum also
+    holds -rho (bipartite graphs). B is nilpotent when the graph has no
+    cycle; its radius is 0."""
     sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
-    if nb_leading_eigenvalue(sys_, 1.0, tolerance=1e-10) < 1.0:
+    if sys_.acyclic:
+        return 0.0
+    x = np.ones(sys_.num_half_edges)
+    return _power_iteration(sys_, p, x, tolerance, max_iters)[0]
+
+
+def critical_probability(g, tolerance=1e-7):
+    """The p at which the non-backtracking radius lambda(p) crosses 1, by
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 168, 1971) on
+    lambda(p) - 1 over [0, 1]: lambda(0) = 0 and lambda rises with p. Each
+    power iteration starts from the previous step's eigenvector. Stops when
+    |lambda(p) - 1| < ``tolerance`` or the bracket is below 1e-15. Returns
+    None when the graph never percolates (radius below 1 even at p = 1)."""
+    sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
+    if sys_.acyclic:
         return None
-    lo, hi = 0.0, 1.0
+    lam, x = _power_iteration(sys_, 1.0, np.ones(sys_.num_half_edges))
+    if lam < 1.0:
+        return None
+    lo, f_lo, hi, f_hi = 0.0, -1.0, 1.0, lam - 1.0
+    side = 0  # the end that moved last: -1 lo, +1 hi
     while hi - lo >= 1e-15:
-        mid = 0.5 * (lo + hi)
-        lam = nb_leading_eigenvalue(sys_, mid, tolerance=1e-10)
-        if abs(lam - 1.0) < tolerance:
-            return mid
-        if lam < 1.0:
-            lo = mid
+        p = min(hi, lo + (hi - lo) * f_lo / (f_lo - f_hi))
+        lam, x = _power_iteration(sys_, p, x)
+        f = lam - 1.0
+        if abs(f) < tolerance:
+            return p
+        # Illinois: when one end moves twice running, halve the other end's
+        # value so the secant point leaves it
+        if f < 0.0:
+            lo, f_lo = p, f
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
         else:
-            hi = mid
+            hi, f_hi = p, f
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
     return 0.5 * (lo + hi)
 
 
 @dataclass
 class PercolationReport:
-    """Cluster curve and threshold of one graph. ``eig_seconds`` is the
-    wall time of its whole threshold search (:func:`critical_probability`);
-    ``runtime_ratio`` is that time over the full graph's."""
+    """Cluster curve and threshold of one graph. ``iterations`` holds the
+    message-passing sweeps of each grid point. ``eig_seconds`` is the wall
+    time of its whole threshold search (:func:`critical_probability`: the
+    check at p = 1 and the regula falsi); ``runtime_ratio`` is that time
+    over the full graph's."""
 
     label: str
     p_grid: np.ndarray
@@ -231,11 +267,14 @@ class PercolationReport:
     runtime_ratio: float = None
 
 
-def backbone_percolation_study(g, backbones, p_grid, seed=0):
+def backbone_percolation_study(g, backbones, p_grid):
     """Run the message-passing cluster curve and threshold estimate for the
     full graph and each backbone; report errors and runtime ratios relative
-    to the full graph. Every grid point is solved from the random start
-    drawn with ``seed``; a solve that does not converge raises."""
+    to the full graph. The grid is solved from its largest p downward: the
+    first point starts from u = 0, each later one from the previous point's
+    messages, a sub-solution at the smaller p, so every point reaches its
+    least fixed point (the physical solution). A solve that does not
+    converge raises."""
     p_grid = np.sort(np.asarray(p_grid, dtype=float))
     named = [("full", g)] + [
         (f"backbone-{i}", bb.subgraph() if hasattr(bb, "subgraph") else bb)
@@ -246,16 +285,19 @@ def backbone_percolation_study(g, backbones, p_grid, seed=0):
     for label, graph in named:
         sys_ = HalfEdgeSystem.build(graph)
         S_vals = np.zeros(len(p_grid))
-        iters = []
-        for i, p in enumerate(p_grid):
-            S, _, state = message_passing_cluster(sys_, p, seed=seed)
+        iters = [0] * len(p_grid)
+        u = np.zeros(sys_.num_half_edges)
+        for i in reversed(range(len(p_grid))):
+            p = p_grid[i]
+            S, _, state = message_passing_cluster(sys_, p, init=u)
             if not state.converged:
                 raise DomainError(
                     f"message passing on {label} did not converge at p={p:.6g} "
                     f"(last max_delta {state.max_delta:.3e})"
                 )
             S_vals[i] = S
-            iters.append(state.iterations)
+            iters[i] = state.iterations
+            u = state.u
         t0 = time.perf_counter()
         p_c = critical_probability(sys_)
         eig_sec = time.perf_counter() - t0

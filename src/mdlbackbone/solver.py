@@ -161,6 +161,11 @@ def _sweep(w, starts, strength, wfact, spec):
     segment totals: an array with one entry per segment, or a scalar that
     holds for every segment.
 
+    Integer weights come in as int64: their prefix sums are then exact,
+    since the parser keeps the directed view's total below 2**63, and only
+    each prefix weight is rounded to float. Float prefix sums would carry
+    the rounding of the running total into every later segment.
+
     A segment of k edges is scored under ``spec``'s family at its heavy
     prefixes of every size 0..k. At fixed size the DL is concave in the
     backbone weight for every supported family, so the per-size optimum
@@ -176,7 +181,7 @@ def _sweep(w, starts, strength, wfact, spec):
     """
     k = np.diff(starts)
     curve_starts = np.concatenate([[0], np.cumsum(k + 1)])
-    cum = np.concatenate([[0.0], np.cumsum(w)])
+    cum = np.concatenate([np.zeros(1, dtype=w.dtype), np.cumsum(w)])
     curve = np.empty(curve_starts[-1])
     for lo in range(0, len(curve), _CURVE_BLOCK):
         pos = np.arange(lo, min(lo + _CURVE_BLOCK, len(curve)))
@@ -184,7 +189,7 @@ def _sweep(w, starts, strength, wfact, spec):
         j = pos - curve_starts[seg]
         W = strength[seg] if np.ndim(strength) else strength
         wf = wfact[seg] if np.ndim(wfact) else wfact
-        w_b = cum[starts[seg] + j] - cum[starts[seg]]
+        w_b = (cum[starts[seg] + j] - cum[starts[seg]]).astype(float)
         curve[lo:lo + len(pos)] = _dl_of_float_sums(k[seg], W, j, w_b, spec, wf)
 
     at = curve_starts[:-1]
@@ -212,7 +217,7 @@ def greedy_global(g, spec=None):
 
     w = np.asarray(g.weights, dtype=float)
     n_keep, dl, curve, _ = _sweep(
-        np.sort(w)[::-1],
+        np.sort(g.weights)[::-1],
         np.array([0, g.num_edges]),
         float(g.total_weight),
         _poisson_wfact(spec, g.weights),
@@ -239,7 +244,7 @@ def greedy_local(g, spec=None):
 
     dg = directed_view(g)
     order, starts = neighborhoods(dg)
-    w_sorted = np.asarray(dg.weights, dtype=float)[order]
+    w_sorted = dg.weights[order]
     s = g.strengths()
     wfact = 0.0
     if spec.family == "canonical" and spec.weight_model == "poisson":

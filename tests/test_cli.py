@@ -137,6 +137,41 @@ class TestBackboneCommand:
         assert tsv and (tmp_path / "again.tsv").read_bytes() == tsv
         assert read_json(f"{again}.json") == dict(doc, input=str(path))
 
+        # compare and percolation on that backbone re-run from their JSONs
+        cmp = ["compare", str(path), "--backbones", str(tmp_path / "first.tsv"),
+               "--seed", "3", "--output", str(tmp_path / "cmp")]
+        assert main(cmp + ([] if doc["directed"] else ["--undirected"])) == 0
+        cdoc = read_json(tmp_path / "cmp.json")
+        assert cdoc["version"] == mdlbackbone.__version__
+        rerun = ["compare", cdoc["input"], "--seed", str(cdoc["seed"]),
+                 "--backbones", *[row["backbone"] for row in cdoc["backbones"]],
+                 "--output", str(tmp_path / "cmp-again")]
+        if not cdoc["directed"]:
+            rerun.append("--undirected")
+        if cdoc["round_weights"]:
+            rerun.append("--round-weights")
+        assert main(rerun) == 0
+        assert read_json(tmp_path / "cmp-again.json") == cdoc
+
+        assert main(["percolation", str(path), "--pgrid", "log:0.001:0.05:4",
+                     "--backbones", str(tmp_path / "first.tsv"),
+                     "--output", str(tmp_path / "perc")]) == 0
+        pdoc = read_json(tmp_path / "perc.json")
+        assert pdoc["version"] == mdlbackbone.__version__
+        rerun = ["percolation", pdoc["input"], "--pgrid", pdoc["pgrid"],
+                 "--backbones", *pdoc["backbones"],
+                 "--output", str(tmp_path / "perc-again")]
+        if pdoc["round_weights"]:
+            rerun.append("--round-weights")
+        assert main(rerun) == 0
+
+        def unmeasured(d):  # drop the wall times
+            measured = ("eig_seconds", "runtime_ratio")
+            return dict(d, graphs=[{k: v for k, v in g.items() if k not in measured}
+                                   for g in d["graphs"]])
+
+        assert unmeasured(read_json(tmp_path / "perc-again.json")) == unmeasured(pdoc)
+
     def test_bad_method_exit_2(self, star_file):
         with pytest.raises(SystemExit) as exc:
             main(["backbone", "--method", "bogus", str(star_file)])

@@ -53,6 +53,8 @@ def dense_nb_radius(g, p):
     reverse of h."""
     sys_ = HalfEdgeSystem.build(g)
     m = sys_.num_half_edges
+    if m == 0:
+        return 0.0
     phi = contact_transmission(sys_.weights, p)
     follows = sys_.src[None, :] == sys_.dst[:, None]
     follows[np.arange(m), sys_.rev] = False
@@ -95,6 +97,63 @@ def messages_on_graphs(draw):
     k = sys_.num_half_edges
     values = np.array(draw(st.lists(value, min_size=k, max_size=k)), dtype=float)
     return sys_, values
+
+
+@st.composite
+def random_undirected_graphs(draw, connected=False):
+    """A small undirected multigraph with weights 1..4, with or without a
+    random spanning tree that makes it connected. Bipartite in half the
+    draws: the edges inside each side are dropped (with a tree, the sides
+    are its depth parities)."""
+    n = draw(st.integers(2, 9))
+    m = draw(st.integers(1, 16))
+    node = st.integers(0, n - 1)
+    src = draw(st.lists(node, min_size=m, max_size=m))
+    dst = draw(st.lists(node, min_size=m, max_size=m))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if connected:
+        for v in range(1, n):
+            parent = draw(st.integers(0, v - 1))
+            side[v] = not side[parent]
+            src.append(parent)
+            dst.append(v)
+    edges = list(zip(src, dst))
+    if draw(st.booleans()):
+        edges = [(a, b) for a, b in edges if side[a] != side[b]]
+    w = draw(st.lists(st.integers(1, 4), min_size=len(edges), max_size=len(edges)))
+    return make_graph([a for a, _ in edges], [b for _, b in edges], w,
+                      num_nodes=n, directed=False)
+
+
+def bisection_threshold(g, tolerance=1e-7):
+    """The bisection ``critical_probability`` used before the regula falsi,
+    on the dense radius: power iteration converges slowly where the
+    spectrum crowds its circle (one cycle) or two components' radii are
+    close, and from ones it did not always converge."""
+    if dense_nb_radius(g, 1.0) < 1.0:
+        return None
+    lo, hi = 0.0, 1.0
+    while hi - lo >= 1e-15:
+        mid = 0.5 * (lo + hi)
+        lam = dense_nb_radius(g, mid)
+        if abs(lam - 1.0) < tolerance:
+            return mid
+        if lam < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def leave_one_out_with_zero_counts(sys_, values):
+    """The zero-counting path of ``leave_one_out_products``."""
+    zero = values == 0.0
+    nonzero_prods = sys_.segment_products(np.where(zero, 1.0, values))
+    zeros = np.bincount(sys_.src[zero], minlength=sys_.num_nodes)
+    rev_zero = zero[sys_.rev]
+    out = nonzero_prods[sys_.dst] / np.where(rev_zero, 1.0, values[sys_.rev])
+    out[zeros[sys_.dst] > rev_zero] = 0.0
+    return out
 
 
 class TestContactTransmission:
@@ -141,6 +200,16 @@ class TestMessagePassing:
             message_passing_cluster(complete_graph(3), 0.5, init="sideways")
         with pytest.raises(DomainError):
             message_passing_cluster(complete_graph(3), 0.5, init="warm")
+        with pytest.raises(DomainError, match="shape"):
+            message_passing_cluster(complete_graph(3), 0.5, init=np.zeros(5))
+
+    def test_array_init(self):
+        g = complete_graph(4)
+        start = np.zeros(12)
+        S, _, state = message_passing_cluster(g, 0.8, init=start)
+        assert state.converged
+        assert S == pytest.approx(0.984375, abs=1e-9)
+        assert not start.any()  # the start is copied, not updated
 
 
 class TestLeaveOneOut:
@@ -155,6 +224,21 @@ class TestLeaveOneOut:
             expected[h] = np.prod(values[others[others != sys_.rev[h]]])
         got = sys_.leave_one_out_products(values)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    @given(messages_on_graphs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_zero_free_path_is_bit_identical(self, case, seed):
+        sys_, _ = case
+        values = np.random.default_rng(seed).uniform(1e-3, 1.0, sys_.num_half_edges)
+        expected = leave_one_out_with_zero_counts(sys_, values)
+        assert sys_.leave_one_out_products(values).tobytes() == expected.tobytes()
+
+    def test_zero_free_path_on_contact_graph(self):
+        with open(CONTACT) as fh:
+            sys_ = HalfEdgeSystem.build(cli.parse_edge_list(fh, directed=False))
+        values = np.random.default_rng(3).uniform(size=sys_.num_half_edges)
+        expected = leave_one_out_with_zero_counts(sys_, values)
+        assert sys_.leave_one_out_products(values).tobytes() == expected.tobytes()
 
     def test_zero_counts(self):
         # star: node 0 sends 0.2, 0.3, 0.1 to nodes 1, 2, 3 of degree 1
@@ -232,6 +316,26 @@ class TestCriticalProbability:
         assert 0.0 < p_c < 1.0
         assert dense_nb_radius(g, p_c) == pytest.approx(1.0, abs=1e-6)
 
+    @given(random_undirected_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bisection(self, g):
+        p_c = critical_probability(g)
+        expected = bisection_threshold(g)
+        if p_c is None or expected is None:
+            # a graph critical at p = 1 itself (its 2-core one cycle) may
+            # fall on either side of "never percolates"
+            assert p_c is expected or abs(dense_nb_radius(g, 1.0) - 1.0) < 1e-9
+            return
+        assert dense_nb_radius(g, p_c) == pytest.approx(1.0, abs=1e-6)
+        # Both stop where |lambda - 1| < 1e-7. Where lambda is flat at the
+        # crossing (two parallel edges of weight 2: lambda(p) = 1 - (1-p)^2
+        # touches 1 at p = 1 with slope 0) that band is wider than 1e-6 in
+        # p; lambda is monotone, so both ends inside it means all of it is.
+        assert p_c == pytest.approx(expected, abs=1e-6) or (
+            abs(dense_nb_radius(g, expected) - 1.0) < 1e-7
+            and abs(dense_nb_radius(g, p_c) - 1.0) < 1e-7
+        )
+
 
 class TestStudy:
     def test_full_graph_reference(self):
@@ -254,24 +358,51 @@ class TestStudy:
     def test_non_convergence_raises(self, monkeypatch):
         one_sweep = message_passing_cluster
 
-        def fake(sys_, p, seed):
-            return one_sweep(sys_, p, max_iters=1, seed=seed)
+        def fake(sys_, p, init):
+            return one_sweep(sys_, p, max_iters=1, init=init)
 
         monkeypatch.setattr(percolation, "message_passing_cluster", fake)
         with pytest.raises(DomainError, match=r"full .*p=.*max_delta \d"):
             backbone_percolation_study(complete_graph(5), [], [0.3, 0.6])
 
     def test_every_point_matches_a_fresh_solve(self):
+        # the downward chain reaches the same fixed points as seeded cold
+        # starts, to within the solves' tolerance
         with open(CONTACT) as fh:
             g = cli.parse_edge_list(fh, directed=False)
         grid = cli._parse_pgrid(
             cli.build_parser().parse_args(["percolation", "x"]).pgrid
         )
-        (report,) = backbone_percolation_study(g, [], grid, seed=1)
+        (report,) = backbone_percolation_study(g, [], grid)
         sys_ = HalfEdgeSystem.build(g)
         fresh = [
             message_passing_cluster(sys_, p, init="random", seed=1)[0]
             for p in report.p_grid
         ]
-        assert report.S.tolist() == fresh
+        np.testing.assert_allclose(report.S, fresh, rtol=0, atol=1e-9)
         assert max(report.S) > 0.5
+
+    @given(random_undirected_graphs(connected=True), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cold_starts_across_threshold(self, g, seed):
+        # Grid points well below the threshold (radius <= 0.6) and at twice
+        # it or more, none near it: there the sweeps converge too slowly for
+        # either solve's stopping rule to bound its error by 1e-9 (a graph
+        # whose 2-core is one cycle is critical at p = 1). The graphs are
+        # connected, as each component has a threshold of its own.
+        p_c = critical_probability(g)
+        candidates = [0.05, 0.2, 0.6, 1.0]
+        if p_c is not None:
+            candidates += [0.25 * p_c, 0.6 * p_c, 2 * p_c]
+        grid = [
+            p for p in candidates
+            if p <= 1.0 and (nb_leading_eigenvalue(g, p) <= 0.6
+                             or p_c is not None and p >= 2 * p_c)
+        ]
+        (report,) = backbone_percolation_study(g, [], grid)
+        sys_ = HalfEdgeSystem.build(g)
+        cold = [
+            message_passing_cluster(sys_, p, init="random", seed=seed)[0]
+            for p in report.p_grid
+        ]
+        np.testing.assert_allclose(report.S, cold, rtol=0, atol=1e-9)

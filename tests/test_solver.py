@@ -330,6 +330,20 @@ class TestRoundedWeightSums:
         assert not enum.backbone.member_flags.any()
         assert enum.dl == 64.0
 
+    @pytest.mark.parametrize("spec", [
+        MICRO_L, GEOM_L, ObjectiveSpec("local", "canonical", "poisson"),
+    ])
+    def test_small_neighborhood_after_a_heavy_one(self, spec):
+        # The prefix sums of c's neighborhood are differences of a running
+        # total that has passed 2**60; summed in floats they all read 0.
+        heavy = parse_edge_list("a b 1152921504606846976\nc d 1\nc e 1\nc f 5\n",
+                                directed=True)
+        alone = parse_edge_list("c d 1\nc e 1\nc f 5\n", directed=True)
+        kept = greedy_local(heavy, spec).backbone.member_flags
+        assert kept[1:].tolist() == greedy_local(alone, spec).backbone.member_flags.tolist()
+        keeps_heaviest = spec.family == "microcanonical" or spec.weight_model == "geometric"
+        assert kept[1:].tolist() == [False, False, keeps_heaviest]
+
 
 class TestReporting:
     def test_result_to_dict_keys(self, star_graph):
