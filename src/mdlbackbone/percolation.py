@@ -176,7 +176,13 @@ def message_passing_cluster(
 def _power_iteration(sys_, p, x, tolerance=1e-10, max_iters=10000):
     """Power iteration of B + cI at transmission probability p from the
     start vector ``x``, until the eigenvalue estimate moves less than
-    ``tolerance``. Returns (radius of B, unit eigenvector)."""
+    ``tolerance``. Returns (radius of B, unit eigenvector, upper bound on
+    the radius). The bound is Collatz-Wielandt's max_h ((B + cI)x)_h / x_h
+    minus c on the last iterate, which holds for nonnegative B whatever
+    the start; the estimate does not. A half-edge with x_h = 0 that the
+    others feed makes it inf; one they do not feed is skipped, as all it
+    leads to is 0 too (on a cycle, only where underflow zeroed a whole
+    component)."""
     phi = contact_transmission(sys_.weights, p)
     c = float(np.mean(phi))
     lam, delta = 0.0, float("inf")
@@ -185,12 +191,14 @@ def _power_iteration(sys_, p, x, tolerance=1e-10, max_iters=10000):
         y = phi * (sums[sys_.dst] - x[sys_.rev]) + c * x
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
-            return 0.0, x
+            return 0.0, x, 0.0
         new_lam = norm / float(np.linalg.norm(x)) - c
-        x = y / norm
         delta = abs(new_lam - lam)
         if delta < tolerance:
-            return new_lam, x
+            live = x > 0.0
+            bound = np.inf if y[~live].any() else np.max(y[live] / x[live])
+            return new_lam, y / norm, float(bound) - c
+        x = y / norm
         lam = new_lam
     raise DomainError(
         f"power iteration did not converge (last |delta lambda| {delta:.3e})"
@@ -216,20 +224,29 @@ def critical_probability(g, tolerance=1e-7):
     """The p at which the non-backtracking radius lambda(p) crosses 1, by
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 168, 1971) on
     lambda(p) - 1 over [0, 1]: lambda(0) = 0 and lambda rises with p. Each
-    power iteration starts from the previous step's eigenvector. Stops when
+    power iteration starts from the previous step's eigenvector, which can
+    carry almost no weight on a core that leads only at the new p (in
+    another component, or at the end of a long path); the estimate then
+    settles below the radius. A step reading lambda < 1 + ``tolerance`` is
+    trusted only where the iteration's upper bound agrees, and is otherwise
+    solved again from the eigenvector plus ones / sqrt(2E), which keeps at
+    least half of a cold start's share of the leading eigenvector. A
+    reading above 1 needs no check: a hidden core only raises it. Stops when
     |lambda(p) - 1| < ``tolerance`` or the bracket is below 1e-15. Returns
     None when the graph never percolates (radius below 1 even at p = 1)."""
     sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
     if sys_.acyclic:
         return None
-    lam, x = _power_iteration(sys_, 1.0, np.ones(sys_.num_half_edges))
+    lam, x, _ = _power_iteration(sys_, 1.0, np.ones(sys_.num_half_edges))
     if lam < 1.0:
         return None
     lo, f_lo, hi, f_hi = 0.0, -1.0, 1.0, lam - 1.0
     side = 0  # the end that moved last: -1 lo, +1 hi
     while hi - lo >= 1e-15:
         p = min(hi, lo + (hi - lo) * f_lo / (f_lo - f_hi))
-        lam, x = _power_iteration(sys_, p, x)
+        lam, x, bound = _power_iteration(sys_, p, x)
+        if lam < 1.0 + tolerance <= bound:
+            lam, x, _ = _power_iteration(sys_, p, x + 1.0 / np.sqrt(len(x)))
         f = lam - 1.0
         if abs(f) < tolerance:
             return p

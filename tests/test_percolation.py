@@ -125,6 +125,20 @@ def random_undirected_graphs(draw, connected=False):
                       num_nodes=n, directed=False)
 
 
+def two_cores(n1, w1, n2, w2, path):
+    """K_n1 with weight w1 and K_n2 with weight w2, their first nodes
+    joined by a path of ``path`` unit-weight edges (none: two
+    components)."""
+    src1, dst1 = np.triu_indices(n1, k=1)
+    src2, dst2 = np.triu_indices(n2, k=1)
+    chain = [0, *range(n1 + n2, n1 + n2 + path - 1), n1] if path else []
+    src = [*src1, *(src2 + n1), *chain[:-1]]
+    dst = [*dst1, *(dst2 + n1), *chain[1:]]
+    w = [w1] * len(src1) + [w2] * len(src2) + [1] * (len(chain) - 1)
+    return make_graph(src, dst, w, num_nodes=n1 + n2 + max(path - 1, 0),
+                      directed=False)
+
+
 def bisection_threshold(g, tolerance=1e-7):
     """The bisection ``critical_probability`` used before the regula falsi,
     on the dense radius: power iteration converges slowly where the
@@ -315,6 +329,32 @@ class TestCriticalProbability:
         p_c = critical_probability(g)
         assert 0.0 < p_c < 1.0
         assert dense_nb_radius(g, p_c) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("path", [0, 10])
+    def test_core_hidden_by_the_warm_start(self, path):
+        # At p = 1 the K5 core dominates (radius 3 against 2) and holds
+        # nearly all of the eigenvector; near p_c the K4 core of weight 2
+        # dominates (at p = 1/3 the radii are 1 and 1.11). Started from
+        # that eigenvector alone, the power iteration settles on the K5
+        # radius and returns p_c = 1/3.
+        g = two_cores(5, 1, 4, 2, path)
+        p_c = critical_probability(g)
+        assert dense_nb_radius(g, p_c) == pytest.approx(1.0, abs=1e-6)
+        if not path:
+            assert p_c == pytest.approx(1 - np.sqrt(0.5), abs=1e-6)
+        assert p_c == pytest.approx(bisection_threshold(g), abs=1e-6)
+
+    @given(st.integers(4, 5), st.integers(1, 2), st.integers(1, 3),
+           st.integers(1, 4), st.sampled_from([0, *range(6, 15)]))
+    @settings(max_examples=60, deadline=None)
+    def test_two_cores_match_bisection(self, n, extra, w, extra_w, path):
+        # a larger, lighter core leads at p = 1 and a smaller, heavier one
+        # may lead at p_c, in separate components or at the ends of a path
+        # long enough to keep the second core's share small
+        g = two_cores(n + extra, w, n, w + extra_w, path)
+        p_c = critical_probability(g)
+        assert dense_nb_radius(g, p_c) == pytest.approx(1.0, abs=1e-6)
+        assert p_c == pytest.approx(bisection_threshold(g), abs=1e-6)
 
     @given(random_undirected_graphs())
     @settings(max_examples=100, deadline=None)
