@@ -435,13 +435,22 @@ def neighborhood_order(g):
     by weight descending with ties broken by destination index ascending:
     the order of (src, -weight, dst, position), weights compared as floats.
 
-    Two stable sorts of packed int64 keys: by (src, dst), then by (src,
-    weight rank). Both keys are below N * max(N, E), so below 2**63 for N
-    and E under 3e9."""
+    Two sorts of packed int64 keys. The first, by (src, dst), is unstable:
+    it leaves only the runs of equal keys, the parallel edges, out of
+    position order, and just those runs are sorted again by position. The
+    second, by (src, weight rank), is stable over that order. Both keys are
+    below N * max(N, E), so below 2**63 for N and E under 3e9."""
     if not g.directed:
         raise DomainError("neighborhoods are defined on directed graphs")
     src = np.asarray(g.src, dtype=np.int64)
-    by_dst = np.argsort(src * g.num_nodes + g.dst, kind="stable")
+    pair = src * g.num_nodes + g.dst
+    by_dst = np.argsort(pair)
+    sorted_pair = pair[by_dst]
+    same = np.flatnonzero(sorted_pair[1:] == sorted_pair[:-1])
+    if len(same):
+        # every edge of a run of equal keys, runs in key order
+        run = np.union1d(same, same + 1)
+        by_dst[run] = by_dst[run][np.lexsort((by_dst[run], sorted_pair[run]))]
     # rank 0 is the heaviest weight
     distinct, rank = np.unique(-np.asarray(g.weights, dtype=float), return_inverse=True)
     key = (src * len(distinct) + rank)[by_dst]

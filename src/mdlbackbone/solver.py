@@ -29,6 +29,7 @@ from .graph import (
 from .objectives import (
     ObjectiveSpec,
     _dl_curve,
+    _ln_factorial,
     _local_dl,
     _log2_factorial,
     _poisson_wfact,
@@ -140,7 +141,7 @@ def _result(g, flags, dl, spec, method, **traces):
 _CURVE_BLOCK = 1 << 16
 
 
-def _dl_of_float_sums(E, W, E_b, W_b, spec, log2_wfact):
+def _dl_of_float_sums(E, W, E_b, W_b, spec, log2_wfact, table=None):
     """``_dl_curve`` of states whose weights are float sums. Beyond 2**53
     those sums round, and a state can come out lighter than its edge count
     allows on one side (W_b < E_b or W - W_b < E - E_b), which no integer
@@ -148,7 +149,7 @@ def _dl_of_float_sums(E, W, E_b, W_b, spec, log2_wfact):
     microcanonical and geometric, would take a binomial outside its domain
     there (-inf, or a finite value of nothing), so such states score +inf
     and no minimum picks them."""
-    dl = _dl_curve(E, W, E_b, W_b, spec, log2_wfact)
+    dl = _dl_curve(E, W, E_b, W_b, spec, log2_wfact, table)
     if spec.family == "microcanonical" or spec.weight_model == "geometric":
         dl[(W_b < E_b) | (W - W_b < E - E_b)] = np.inf
     return dl
@@ -159,12 +160,22 @@ def _sweep(w, starts, strength, wfact, spec):
     the weights ``w``, each segment sorted heaviest first. ``strength`` and
     ``wfact`` (sum of log2 w! for the poisson model, else 0) are the
     segment totals: an array with one entry per segment, or a scalar that
-    holds for every segment.
+    holds for every segment; ``strength`` None takes each segment's total
+    from the prefix sums.
 
     Integer weights come in as int64: their prefix sums are then exact,
     since the parser keeps the directed view's total below 2**63, and only
     each prefix weight is rounded to float. Float prefix sums would carry
-    the rounding of the running total into every later segment.
+    the rounding of the running total into every later segment. Segment
+    totals from the same prefix sums round once, like the prefix weights
+    they are compared with; summed apart in floats, beyond 2**53 they could
+    fall below a prefix of their own segment.
+
+    Every log-factorial of an edge count (E, E_b, E - E_b and the clamped
+    E_b - 1 and E - E_b - 1) is read from one table of ln n! over n in
+    0..k_max, built here: no count exceeds the largest segment, so the
+    table is never longer than the curve. Weights stay on gammaln: a table
+    over them would need W + 2 entries.
 
     A segment of k edges is scored under ``spec``'s family at its heavy
     prefixes of every size 0..k. At fixed size the DL is concave in the
@@ -182,15 +193,21 @@ def _sweep(w, starts, strength, wfact, spec):
     k = np.diff(starts)
     curve_starts = np.concatenate([[0], np.cumsum(k + 1)])
     cum = np.concatenate([np.zeros(1, dtype=w.dtype), np.cumsum(w)])
+    if strength is None:
+        strength = (cum[starts[1:]] - cum[starts[:-1]]).astype(float)
+    table = _ln_factorial(np.arange(k.max() + 1))
     curve = np.empty(curve_starts[-1])
     for lo in range(0, len(curve), _CURVE_BLOCK):
-        pos = np.arange(lo, min(lo + _CURVE_BLOCK, len(curve)))
-        seg = np.searchsorted(curve_starts, pos, side="right") - 1
-        j = pos - curve_starts[seg]
+        hi = min(lo + _CURVE_BLOCK, len(curve))
+        # the segments the block overlaps, each repeated over its overlap
+        first, last = np.searchsorted(curve_starts, [lo, hi - 1], side="right") - 1
+        overlap = np.diff(np.clip(curve_starts[first:last + 2], lo, hi))
+        seg = np.repeat(np.arange(first, last + 1), overlap)
+        j = np.arange(lo, hi) - curve_starts[seg]
         W = strength[seg] if np.ndim(strength) else strength
         wf = wfact[seg] if np.ndim(wfact) else wfact
         w_b = (cum[starts[seg] + j] - cum[starts[seg]]).astype(float)
-        curve[lo:lo + len(pos)] = _dl_of_float_sums(k[seg], W, j, w_b, spec, wf)
+        curve[lo:hi] = _dl_of_float_sums(k[seg], W, j, w_b, spec, wf, table)
 
     at = curve_starts[:-1]
     # the full segment has the empty backbone's DL (bit-flip symmetry); copy
@@ -245,7 +262,8 @@ def greedy_local(g, spec=None):
     dg = directed_view(g)
     order, starts = neighborhoods(dg)
     w_sorted = dg.weights[order]
-    s = g.strengths()
+    # integer totals come from _sweep's exact prefix sums
+    s = None if g.weight_kind == "integer" else g.strengths()
     wfact = 0.0
     if spec.family == "canonical" and spec.weight_model == "poisson":
         wfact = _out_sums(g, weights=_log2_factorial(g.weights))

@@ -62,6 +62,22 @@ class TestNeighborhoodOrder:
         assert (neighborhood_order(dg).tolist()
                 == lexsort_neighborhood_order(dg).tolist())
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_long_runs_of_parallel_edges(self, seed, n_pairs, n_weights):
+        # the small graphs above hold runs of at most 12 equal keys, and
+        # numpy may sort arrays that short stably; here >= 20k edges on few
+        # (src, dst) pairs, at random positions and with tied weights, make
+        # long runs of equal keys through numpy's large-array sort
+        rng = np.random.default_rng(seed)
+        E = 20_000 + int(rng.integers(0, 5_000))
+        N = 60
+        pairs = rng.integers(0, N, size=(n_pairs, 2))
+        src, dst = pairs[rng.integers(0, n_pairs, size=E)].T
+        w = rng.integers(1, n_weights + 1, size=E)
+        g = make_graph(src, dst, w, num_nodes=N)
+        assert neighborhood_order(g).tolist() == lexsort_neighborhood_order(g).tolist()
+
 
 class TestGlobalFlags:
     @given(data=st.data())

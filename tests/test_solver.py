@@ -7,11 +7,14 @@ from mdlbackbone.errors import DomainError
 from mdlbackbone.graph import directed_view, parse_edge_list
 from mdlbackbone.objectives import (
     ObjectiveSpec,
+    _log2_factorial,
     dl_local_micro,
     strength_prior_bits,
 )
 from mdlbackbone.solver import (
     ENUMERATION_EDGE_CAP,
+    _dl_of_float_sums,
+    _sweep,
     empty_backbone_dls,
     enumerate_optimal,
     greedy_global,
@@ -343,6 +346,86 @@ class TestRoundedWeightSums:
         assert kept[1:].tolist() == greedy_local(alone, spec).backbone.member_flags.tolist()
         keeps_heaviest = spec.family == "microcanonical" or spec.weight_model == "geometric"
         assert kept[1:].tolist() == [False, False, keeps_heaviest]
+
+    @pytest.mark.parametrize("spec", [
+        MICRO_L, GEOM_L, ObjectiveSpec("local", "canonical", "poisson"),
+    ])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_node_totals_from_the_prefix_sums(self, spec, exact):
+        # Node a's strength is 2**53 + 4 with exact weights, 2**53 + 3 as
+        # parsed (the parser reads 2**53 + 1 as the double 2**53). A float
+        # sum of a's weights in edge order reads 2**53 + 2, and under it
+        # the neighborhood's prefixes were scored against a total smaller
+        # than their own weight. Every node must score its neighborhood as
+        # the global sweep scores the same edges alone.
+        if exact:
+            g = make_graph([0, 0, 0, 2], [1, 2, 3, 3], [2**53 + 1, 1, 2, 1],
+                           directed=False)
+        else:
+            g = parse_edge_list("a b 9007199254740993\na c 1\na d 2\nc d 1\n",
+                                directed=False)
+        res = greedy_local(g, spec)
+        assert np.isfinite(res.dl)
+        values, starts = res.node_traces
+        dg = directed_view(g)
+        glob_spec = ObjectiveSpec("global", spec.family, spec.weight_model)
+        for i in range(g.num_nodes):
+            out = dg.src == i
+            star = make_graph(np.zeros(out.sum()), np.arange(1, out.sum() + 1),
+                              dg.weights[out])
+            glob = greedy_global(star, glob_spec)
+            assert values[starts[i]:starts[i + 1]].tobytes() == glob.trace.values.tobytes()
+
+
+@st.composite
+def sweep_segments(draw, real):
+    """Heaviest-first segments of up to ~100 weights, some empty: integer
+    weights up to 1e10 (totals up to 1e12), small ones likely, or reals."""
+    if real:
+        weight = st.floats(0.01, 1e6)
+    else:
+        weight = st.one_of(st.integers(1, 60), st.integers(1, 10**10))
+    segs = draw(st.lists(st.lists(weight, max_size=100), min_size=1, max_size=4))
+    return [sorted(seg, reverse=True) for seg in segs]
+
+
+class TestSweepTable:
+    """The sweep reads ln n! of every edge count from a table; its curve
+    must be the bits of the closed form evaluated through gammaln, state by
+    state."""
+
+    @pytest.mark.parametrize("family, model, real", [
+        *((family, model, False) for family, model in OBJECTIVES),
+        ("canonical", "exponential", True),
+    ])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_gammaln(self, family, model, real, data):
+        spec = ObjectiveSpec("local", family, model)
+        segs = data.draw(sweep_segments(real))
+        dtype = float if real else np.int64
+        w = np.array([x for seg in segs for x in seg], dtype=dtype)
+        k = np.array([len(seg) for seg in segs])
+        starts = np.concatenate([[0], np.cumsum(k)])
+        if real:
+            strength = np.array([np.sum(seg) for seg in segs], dtype=float)
+        else:
+            # exact totals, from the sweep's own prefix sums
+            strength = None
+        wfact = np.array([np.sum(_log2_factorial(seg)) for seg in segs])
+        _, _, curve, curve_starts = _sweep(w, starts, strength, wfact, spec)
+
+        # the sweep's states: prefix weights off one running total
+        cum = np.concatenate([[0], np.cumsum(w)])
+        for i, seg in enumerate(segs):
+            W_b = (cum[starts[i]:starts[i + 1] + 1] - cum[starts[i]]).astype(float)
+            W = strength[i] if real else float(sum(seg))
+            E_b = np.arange(len(seg) + 1, dtype=float)
+            want = _dl_of_float_sums(float(len(seg)), W, E_b, W_b, spec, wfact[i])
+            # the sweep gives the full segment the empty backbone's value
+            want[-1] = want[0]
+            got = curve[curve_starts[i]:curve_starts[i + 1]]
+            assert got.tobytes() == want.tobytes()
 
 
 class TestReporting:
