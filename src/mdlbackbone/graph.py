@@ -38,8 +38,11 @@ class WeightedGraph:
     """Immutable weighted graph stored as a dense-indexed edge list.
 
     ``src``, ``dst`` and ``weights`` are parallel arrays of length E. For
-    ``weight_kind == "integer"`` the weights array has an integer dtype and
-    every weight is >= 1; for ``"real"`` weights are positive floats.
+    ``weight_kind == "integer"`` the weights array has an integer dtype,
+    every weight is >= 1 and the total weight of :func:`directed_view` (on
+    an undirected graph every non-loop weight counts twice) is below 2**53,
+    or construction raises DomainError. Below that bound every float sum of
+    the weights is exact. For ``"real"`` weights are positive floats.
     Undirected graphs store each edge once with ``src <= dst`` not enforced;
     duplication into both orientations happens in :func:`directed_view`.
     """
@@ -57,6 +60,18 @@ class WeightedGraph:
             raise DomainError(f"unknown weight_kind {self.weight_kind!r}")
         if len(self.src) != len(self.dst) or len(self.src) != len(self.weights):
             raise DomainError("edge arrays must have equal length")
+        if self.weight_kind == "integer" and len(self.weights):
+            # the directed view's float total is exact below 2**53 and, as
+            # rounding is monotone, not below 2**53 where the exact one is not
+            w = self.weights
+            if w.min() < 1:
+                raise DomainError(f"integer weights must be >= 1, got {w.min()}")
+            total = w.sum(dtype=float)
+            if not self.directed:
+                total += w.sum(dtype=float, where=self.src != self.dst)
+            if total >= 2.0**53:
+                raise DomainError("integer weights require the directed view's "
+                                  f"total weight below 2**53, got {total:.17g}")
         if self.labels is None:
             object.__setattr__(
                 self, "labels", tuple(str(i) for i in range(self.num_nodes))
@@ -304,16 +319,20 @@ def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
     occurrence, their weights summed in the order they appear.
 
     With ``weight_kind="integer"`` the merged weights must be whole, >= 1
-    and below 2**63, and so must the total weight of :func:`directed_view`
-    (on undirected input it counts every non-loop weight twice);
-    ``round_weights`` first rounds each to the nearest integer (half to
-    even), with a floor of 1. ``"real"`` keeps the merged float weights.
+    and below 2**53, the bound up to which a double holds every integer,
+    and so must the total weight of :func:`directed_view` (on undirected
+    input it counts every non-loop weight twice), which
+    :class:`WeightedGraph` checks. ``round_weights`` first rounds each to
+    the nearest integer (half to even), with a floor of 1; it raises
+    DomainError with ``"real"``, which keeps the merged float weights.
 
     A line without exactly three tokens, or with a weight ``float``
     rejects, raises ParseError; a weight that is not positive and finite
     raises DomainError. Both name the first offending line, counted from 1.
     An input without edge lines raises DomainError.
     """
+    if round_weights and weight_kind != "integer":
+        raise DomainError("rounding weights requires integer weight mode")
     if hasattr(text, "read"):
         text = text.read()
     tokens = _edge_tokens(text)
@@ -354,15 +373,11 @@ def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
     if weight_kind == "integer":
         if round_weights:
             w = np.maximum(1.0, np.round(w))
-        bad = (w != np.floor(w)) | (w < 1) | (w >= 2.0**63)
+        bad = (w != np.floor(w)) | (w < 1) | (w >= 2.0**53)
         if bad.any():
             got = float(w[bad.argmax()])
-            raise DomainError(f"integer weight mode requires whole weights >= 1, got {got}")
-        view = w if directed else np.concatenate([w, w[src != dst]])
-        # a float sum is off by far less than a factor 2: add exactly near 2**63
-        if view.sum() >= 2.0**62 and (total := sum(map(int, view.tolist()))) >= 2**63:
-            raise DomainError("integer weight mode requires the directed view's "
-                              f"total weight below 2**63, got {total}")
+            raise DomainError("integer weight mode requires whole weights >= 1 "
+                              f"and below 2**53, got {got}")
         w = w.astype(np.int64)
 
     return WeightedGraph(

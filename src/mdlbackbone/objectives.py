@@ -12,6 +12,8 @@ weights always go through gammaln. Against exact integer arithmetic the
 global microcanonical curve is off by up to about 6e-7 bits at W ~ 1e7, 8e-6
 at 1e8, 9e-5 at 1e9 and 1e-2 at 1e11 (random curves of up to 14 edges), so
 from W ~ 3e7 on, two backbone sizes whose exact DLs nearly tie can swap order.
+Integer weights total below 2**53, which WeightedGraph enforces: every float
+sum of them is exact, and at 2**53 one ulp of ln Gamma(W + 1) is 64 nats.
 """
 
 from __future__ import annotations
@@ -205,7 +207,10 @@ def _local_dl(g, flags, spec):
     """Local description length under ``spec``'s family of the backbone
     membership ``flags`` over the edges of ``g``: the sum over every
     non-empty out-neighborhood of the directed view, plus, for the
-    microcanonical family, the strength prior."""
+    microcanonical family, the strength prior. Only the exponential model
+    takes real weights."""
+    if not spec.continuous and g.weight_kind != "integer":
+        raise DomainError("real weights need the exponential model")
     k = _out_sums(g)
     nz = k > 0
     s = g.strengths()[nz]
@@ -217,12 +222,8 @@ def _local_dl(g, flags, spec):
         wfact = _out_sums(g, weights=_log2_factorial(g.weights))[nz]
     dl = np.sum(_dl_curve(k[nz], s, k_b, s_b, spec, wfact))
     if spec.family == "microcanonical":
-        # the directed view's weights: undirected non-loop edges count twice
-        w = g.weights
-        if not g.directed:
-            w = np.concatenate([w, w[g.src != g.dst]])
-        W = int(w.sum()) if g.weight_kind == "integer" else float(w.sum())
-        dl = strength_prior_bits(g.num_nodes, len(w), W) + dl
+        # the directed view's edge count and total weight, both exact
+        dl = strength_prior_bits(g.num_nodes, int(k.sum()), int(s.sum())) + dl
     return float(dl)
 
 

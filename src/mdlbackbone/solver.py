@@ -141,35 +141,16 @@ def _result(g, flags, dl, spec, method, **traces):
 _CURVE_BLOCK = 1 << 16
 
 
-def _dl_of_float_sums(E, W, E_b, W_b, spec, log2_wfact, table=None):
-    """``_dl_curve`` of states whose weights are float sums. Beyond 2**53
-    those sums round, and a state can come out lighter than its edge count
-    allows on one side (W_b < E_b or W - W_b < E - E_b), which no integer
-    weights reach. The families that count weight compositions,
-    microcanonical and geometric, would take a binomial outside its domain
-    there (-inf, or a finite value of nothing), so such states score +inf
-    and no minimum picks them."""
-    dl = _dl_curve(E, W, E_b, W_b, spec, log2_wfact, table)
-    if spec.family == "microcanonical" or spec.weight_model == "geometric":
-        dl[(W_b < E_b) | (W - W_b < E - E_b)] = np.inf
-    return dl
-
-
 def _sweep(w, starts, strength, wfact, spec):
     """The greedy sweep over every segment ``w[starts[i]:starts[i + 1]]`` of
     the weights ``w``, each segment sorted heaviest first. ``strength`` and
     ``wfact`` (sum of log2 w! for the poisson model, else 0) are the
     segment totals: an array with one entry per segment, or a scalar that
-    holds for every segment; ``strength`` None takes each segment's total
-    from the prefix sums.
+    holds for every segment.
 
-    Integer weights come in as int64: their prefix sums are then exact,
-    since the parser keeps the directed view's total below 2**63, and only
-    each prefix weight is rounded to float. Float prefix sums would carry
-    the rounding of the running total into every later segment. Segment
-    totals from the same prefix sums round once, like the prefix weights
-    they are compared with; summed apart in floats, beyond 2**53 they could
-    fall below a prefix of their own segment.
+    Prefix weights are differences of one float cumulative sum. Integer
+    weights total below 2**53 (:class:`WeightedGraph`), so every such sum
+    is exact, and every prefix state is valid.
 
     Every log-factorial of an edge count (E, E_b, E - E_b and the clamped
     E_b - 1 and E - E_b - 1) is read from one table of ln n! over n in
@@ -192,9 +173,7 @@ def _sweep(w, starts, strength, wfact, spec):
     """
     k = np.diff(starts)
     curve_starts = np.concatenate([[0], np.cumsum(k + 1)])
-    cum = np.concatenate([np.zeros(1, dtype=w.dtype), np.cumsum(w)])
-    if strength is None:
-        strength = (cum[starts[1:]] - cum[starts[:-1]]).astype(float)
+    cum = np.concatenate([[0.0], np.cumsum(w, dtype=float)])
     table = _ln_factorial(np.arange(k.max() + 1))
     curve = np.empty(curve_starts[-1])
     for lo in range(0, len(curve), _CURVE_BLOCK):
@@ -206,8 +185,8 @@ def _sweep(w, starts, strength, wfact, spec):
         j = np.arange(lo, hi) - curve_starts[seg]
         W = strength[seg] if np.ndim(strength) else strength
         wf = wfact[seg] if np.ndim(wfact) else wfact
-        w_b = (cum[starts[seg] + j] - cum[starts[seg]]).astype(float)
-        curve[lo:hi] = _dl_of_float_sums(k[seg], W, j, w_b, spec, wf, table)
+        w_b = cum[starts[seg] + j] - cum[starts[seg]]
+        curve[lo:hi] = _dl_curve(k[seg], W, j, w_b, spec, wf, table)
 
     at = curve_starts[:-1]
     # the full segment has the empty backbone's DL (bit-flip symmetry); copy
@@ -261,13 +240,11 @@ def greedy_local(g, spec=None):
 
     dg = directed_view(g)
     order, starts = neighborhoods(dg)
-    w_sorted = dg.weights[order]
-    # integer totals come from _sweep's exact prefix sums
-    s = None if g.weight_kind == "integer" else g.strengths()
     wfact = 0.0
     if spec.family == "canonical" and spec.weight_model == "poisson":
         wfact = _out_sums(g, weights=_log2_factorial(g.weights))
-    n_keep, node_dl, curve, curve_starts = _sweep(w_sorted, starts, s, wfact, spec)
+    n_keep, node_dl, curve, curve_starts = _sweep(dg.weights[order], starts,
+                                                  g.strengths(), wfact, spec)
 
     k = np.diff(starts)
     # isolated nodes contribute 0 bits
@@ -319,7 +296,7 @@ def enumerate_optimal(g, spec):
         for masks, bits in _enumerate_masks(m):
             Eb = bits.sum(axis=1)
             Wb = bits @ w
-            dls = _dl_of_float_sums(E, W, Eb, Wb, spec, wf)
+            dls = _dl_curve(E, W, Eb, Wb, spec, wf)
             best_dl, best_Eb, best_mask_bits = _fold_best(
                 dls, Eb, bits, best_dl, best_Eb, best_mask_bits
             )
@@ -343,7 +320,7 @@ def enumerate_optimal(g, spec):
         for masks, bits in _enumerate_masks(m, chunk=1 << 12):
             Kb = bits @ onehot
             Sb = bits @ w_onehot
-            terms = _dl_of_float_sums(k[None, :], s[None, :], Kb, Sb, spec, wf_nodes)
+            terms = _dl_curve(k[None, :], s[None, :], Kb, Sb, spec, wf_nodes)
             dls = prior + terms.sum(axis=1)
             Eb = bits.sum(axis=1)
             best_dl, best_Eb, best_mask_bits = _fold_best(

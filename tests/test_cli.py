@@ -91,7 +91,20 @@ class TestBackboneCommand:
                      "--output", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith(
-            "mdlbackbone: error: integer weight mode requires the directed view's total")
+            "mdlbackbone: error: integer weight mode requires whole weights >= 1 "
+            "and below 2**53")
+
+    def test_round_weights_with_real_weights_exit_1(self, tmp_path, capsys):
+        # canonical-exponential reads real weights, which are never rounded
+        path = tmp_path / "half.tsv"
+        path.write_text("a b 1.5\n")
+        out = tmp_path / "out"
+        code = main(["backbone", "--method", "mdl-global",
+                     "--objective", "canonical-exponential", "--round-weights",
+                     str(path), "--output", str(out)])
+        assert code == 1
+        assert "rounding weights requires integer weight mode" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     def test_nonpositive_empty_dl_exit_1(self, tmp_path, capsys):
         path = tmp_path / "small.tsv"

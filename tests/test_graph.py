@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from mdlbackbone.graph import (
     parse_edge_list,
     serialize_edge_list,
 )
+from mdlbackbone.synth import dirichlet_multinomial_weights
 
 from conftest import make_graph
 
@@ -71,20 +74,15 @@ class TestParse:
             parse_edge_list("a b 1.5", directed=True)
 
     def test_integer_weight_beyond_int64(self):
-        with pytest.raises(DomainError, match="whole weights"):
+        with pytest.raises(DomainError, match=r"whole weights >= 1 and below 2\*\*53"):
             parse_edge_list("a b 1e19", directed=True)
 
     def test_directed_view_total_beyond_int64(self):
-        # each weight fits int64, their total does not
+        # each weight fits int64, their total does not; each is past 2**53
         text = "a b 4611686018427387904\na c 4611686018427387904\na a 2"
         for directed in (True, False):
-            with pytest.raises(DomainError, match="total weight below 2\\*\\*63"):
+            with pytest.raises(DomainError, match=r"below 2\*\*53"):
                 parse_edge_list(text, directed=directed)
-        # undirected, the non-loop weight counts twice
-        half = "a b 4611686018427387904"
-        assert parse_edge_list(half, directed=True).total_weight == 2**62
-        with pytest.raises(DomainError, match="got 9223372036854775808"):
-            parse_edge_list(half, directed=False)
         assert parse_edge_list(text, directed=True, weight_kind="real").num_edges == 3
 
     def test_real_mode(self):
@@ -102,6 +100,52 @@ class TestParse:
         edges1 = {(g1.labels[i], g1.labels[j]) for i, j in zip(g1.src, g1.dst)}
         edges2 = {(g2.labels[i], g2.labels[j]) for i, j in zip(g2.src, g2.dst)}
         assert edges1 == edges2
+
+
+class TestIntegerWeightBound:
+    """Integer weights are whole and >= 1, and the directed view's total is
+    below 2**53, where every float sum of them is exact. The parser bounds
+    each weight, the graph type the total."""
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("weight", ["9007199254740993", "1e19"])
+    def test_weight_at_or_beyond_the_bound(self, weight, directed):
+        # 2**53 + 1 reads as the double 2**53; 1e19 is beyond int64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"below 2\*\*53, got"):
+                parse_edge_list(f"a b {weight}", directed=directed)
+
+    def test_directed_total_at_the_bound(self):
+        g = parse_edge_list("a b 9007199254740990\na c 1", directed=True)
+        assert g.total_weight == 2**53 - 1
+        assert g.strengths().tolist() == [2**53 - 1, 0, 0]
+        with pytest.raises(DomainError, match=(
+            r"directed view's total weight below 2\*\*53, got 9007199254740992"
+        )):
+            parse_edge_list("a b 9007199254740990\na c 2", directed=True)
+
+    def test_undirected_counts_non_loops_twice(self):
+        half = "a b 4503599627370496"
+        assert parse_edge_list(half, directed=True).total_weight == 2**52
+        with pytest.raises(DomainError, match=r"total weight below 2\*\*53"):
+            parse_edge_list(half, directed=False)
+        # a self-loop counts once
+        g = parse_edge_list("a a 4503599627370496\na b 1", directed=False)
+        assert g.strengths().tolist() == [2**52 + 1, 1]
+
+    def test_the_type_holds_the_bound(self):
+        with pytest.raises(DomainError, match=r"total weight below 2\*\*53"):
+            make_graph([0, 0], [1, 2], [2**52, 2**52])
+        with pytest.raises(DomainError, match=r"total weight below 2\*\*53"):
+            make_graph([0], [1], [2**52], directed=False)
+        with pytest.raises(DomainError, match=">= 1"):
+            make_graph([0, 0], [1, 2], [0, 3])
+        with pytest.raises(DomainError, match=r"total weight below 2\*\*53"):
+            dirichlet_multinomial_weights(3, 1, 2**53, 1.0, 1.0, seed=1)
+        inst = dirichlet_multinomial_weights(3, 1, 2**53 - 1, 1.0, 1.0, seed=1)
+        assert inst.graph.total_weight == 2**53 - 1
+        assert make_graph([0], [1], [2**53], weight_kind="real").total_weight == 2.0**53
 
 
 def _merge_multi_edges_reference(src, dst, weights):
@@ -123,6 +167,8 @@ def _merge_multi_edges_reference(src, dst, weights):
 
 def parse_edge_list_reference(text, directed, weight_kind="integer", round_weights=False):
     """The per-line parser that the array parser replaced, kept as its oracle."""
+    if round_weights and weight_kind != "integer":
+        raise DomainError("rounding weights requires integer weight mode")
     label_to_idx = {}
     labels = []
     src, dst, weights = [], [], []
@@ -159,9 +205,9 @@ def parse_edge_list_reference(text, directed, weight_kind="integer", round_weigh
         if round_weights:
             weights = [max(1.0, round(w)) for w in weights]
         for w in weights:
-            if w != int(w) or w < 1:
+            if w != int(w) or w < 1 or w >= 2**53:
                 raise DomainError(
-                    f"integer weight mode requires whole weights >= 1, got {w}"
+                    f"integer weight mode requires whole weights >= 1 and below 2**53, got {w}"
                 )
         warr = np.array(weights, dtype=np.int64)
     else:

@@ -305,9 +305,10 @@ class TestLocalMatchesPerNodeLoop:
 
     def test_invalid_neighborhood_rejected(self):
         # node 0: k=2, s=3 and a backbone of weight 3 leaves the other edge
-        # weight 0; the per-node check raises, the bare formula has no check
-        g = make_graph([0, 0], [1, 0], [0, 3], num_nodes=2)
-        with pytest.raises(DomainError):
+        # weight 0; the graph type refuses the zero weight, so no local DL
+        # ever sees that state
+        with pytest.raises(DomainError, match=">= 1"):
+            g = make_graph([0, 0], [1, 0], [0, 3], num_nodes=2)
             dl_local_micro(g, backbone_from_flags(g, [False, True]))
 
 

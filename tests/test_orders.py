@@ -147,8 +147,9 @@ class TestHalfEdgeOrder:
 
 
 class TestPackedKeysAt63Bits:
-    """Node ids near 2**31 and integer weights up to 2**62: the packed keys
-    reach 2**62 and weights that differ as integers tie as floats."""
+    """Node ids near 2**31 and real weights up to 2**62: the packed keys
+    reach 2**62, and 2**60 - 1 and 2**57 + 1, as doubles, tie with 2**60
+    and 2**57. (Integer weights total below 2**53.)"""
 
     N = 2**31
     SRC = [N - 1, N - 1, N - 1, N - 1, N - 2, N - 2, N - 2, 5, 5, 5, N - 1, 0]
@@ -157,12 +158,12 @@ class TestPackedKeysAt63Bits:
          7, 7, 1, 2**58, 2**58]
 
     def graph(self):
-        assert sum(self.W) < 2**63
         # labels are never read here; the default would be 2**31 strings
         return WeightedGraph(
             num_nodes=self.N, src=np.array(self.SRC, dtype=np.int64),
             dst=np.array(self.DST, dtype=np.int64),
-            weights=np.array(self.W, dtype=np.int64), directed=True, labels=(),
+            weights=np.array(self.W, dtype=float), directed=True,
+            weight_kind="real", labels=(),
         )
 
     def test_neighborhood_order(self):

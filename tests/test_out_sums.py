@@ -95,11 +95,20 @@ def local_dl(g, flags, spec):
 
 
 class TestMatchesDirectedView:
-    @given(case=either_weights(), spec=st.sampled_from(SPECS))
+    @given(data=st.data())
     @settings(max_examples=400, deadline=None)
-    def test_local_dl(self, case, spec):
-        g, flags = case
+    def test_local_dl(self, data):
+        # only the exponential model takes real weights
+        real = data.draw(st.booleans())
+        g, flags = data.draw(graphs_with_backbones(real=real))
+        spec = data.draw(st.sampled_from(SPECS[-1:] if real else SPECS))
         assert outcome(local_dl, g, flags, spec) == outcome(view_local_dl, g, flags, spec)
+
+    @given(graphs_with_backbones(real=True), st.sampled_from(SPECS[:-1]))
+    @settings(max_examples=50, deadline=None)
+    def test_local_dl_refuses_real_weights(self, case, spec):
+        g, flags = case
+        assert outcome(local_dl, g, flags, spec) is DomainError
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)

@@ -1,19 +1,23 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdlbackbone import solver
 from mdlbackbone.errors import DomainError
-from mdlbackbone.graph import directed_view, parse_edge_list
+from mdlbackbone.graph import _out_sums, directed_view, parse_edge_list
 from mdlbackbone.objectives import (
     ObjectiveSpec,
+    _dl_curve,
     _log2_factorial,
+    dl_local_canonical,
     dl_local_micro,
     strength_prior_bits,
 )
 from mdlbackbone.solver import (
     ENUMERATION_EDGE_CAP,
-    _dl_of_float_sums,
     _sweep,
     empty_backbone_dls,
     enumerate_optimal,
@@ -314,67 +318,93 @@ class TestInvariants:
             solve(g, ObjectiveSpec(scope, "canonical", "exponential"))
 
 
-class TestRoundedWeightSums:
-    """Beyond 2**53 the float weight sums round. On (2**62, 1, 1) every
-    prefix of size 1 or 2 leaves the rest lighter than its edge count, a
-    state no integer weights reach; it must never be the minimum."""
+# Graphs whose totals pass 2**53, where float sums of integer weights round:
+# the solvers would score states no integer weights reach, and the local
+# scorer would refuse a valid backbone. Each as text and as exact weights.
+BEYOND_THE_BOUND = [
+    ("a b 4611686018427387904\na c 1\na d 1\n", True,
+     [0, 0, 0], [1, 2, 3], [2**62, 1, 1]),
+    ("a b 1152921504606846976\nc d 1\nc e 1\nc f 5\n", True,
+     [0, 2, 2, 2], [1, 3, 4, 5], [2**60, 1, 1, 5]),
+    ("a b 9007199254740993\na c 1\na d 2\nc d 1\n", False,
+     [0, 0, 0, 2], [1, 2, 3, 3], [2**53 + 1, 1, 2, 1]),
+]
 
-    @pytest.mark.parametrize("spec", [MICRO_G, MICRO_L, GEOM_G, GEOM_L])
-    def test_unreachable_states_never_win(self, spec):
-        g = parse_edge_list("a b 4611686018427387904\na c 1\na d 1\n",
-                            directed=True)
-        solve = greedy_global if spec.scope == "global" else greedy_local
-        res = solve(g, spec)
-        curve = res.node_traces[0][:4] if res.trace is None else res.trace.values
-        assert list(curve) == [64.0, np.inf, np.inf, 64.0]
-        assert not res.backbone.member_flags.any()
-        assert (res.dl, res.eta) == (64.0, 1.0)
-        enum = enumerate_optimal(g, spec)
-        assert not enum.backbone.member_flags.any()
-        assert enum.dl == 64.0
 
-    @pytest.mark.parametrize("spec", [
-        MICRO_L, GEOM_L, ObjectiveSpec("local", "canonical", "poisson"),
+@st.composite
+def graphs_near_the_bound(draw):
+    """Directed integer graph on up to 5 nodes: one or two heavy weights
+    that sum to 2**52 or more, up to eight small ones, total below 2**53."""
+    n = draw(st.integers(1, 5))
+    small = draw(st.lists(st.integers(1, 9), max_size=8))
+    room = 2**53 - 1 - sum(small)
+    n_heavy = draw(st.integers(1, 2))
+    heavy = draw(st.lists(st.integers(2**52 // n_heavy, room // n_heavy),
+                          min_size=n_heavy, max_size=n_heavy))
+    w = draw(st.permutations(heavy + small))
+    node = st.integers(0, n - 1)
+    src = draw(st.lists(node, min_size=len(w), max_size=len(w)))
+    dst = draw(st.lists(node, min_size=len(w), max_size=len(w)))
+    return make_graph(src, dst, w, num_nodes=n)
+
+
+class TestIntegerWeightBound:
+    """Integer weights total below 2**53, where every float sum of them is
+    exact: strengths, prefix weights and neighborhood totals."""
+
+    @pytest.mark.parametrize("text, directed, src, dst, w", BEYOND_THE_BOUND, ids=[
+        "unreachable_states", "small_neighborhood_after_a_heavy_one", "node_totals",
     ])
-    def test_small_neighborhood_after_a_heavy_one(self, spec):
-        # The prefix sums of c's neighborhood are differences of a running
-        # total that has passed 2**60; summed in floats they all read 0.
-        heavy = parse_edge_list("a b 1152921504606846976\nc d 1\nc e 1\nc f 5\n",
-                                directed=True)
-        alone = parse_edge_list("c d 1\nc e 1\nc f 5\n", directed=True)
-        kept = greedy_local(heavy, spec).backbone.member_flags
-        assert kept[1:].tolist() == greedy_local(alone, spec).backbone.member_flags.tolist()
-        keeps_heaviest = spec.family == "microcanonical" or spec.weight_model == "geometric"
-        assert kept[1:].tolist() == [False, False, keeps_heaviest]
+    def test_graphs_beyond_the_bound_are_refused(self, text, directed, src, dst, w):
+        with pytest.raises(DomainError, match=r"below 2\*\*53"):
+            parse_edge_list(text, directed=directed)
+        with pytest.raises(DomainError, match=r"total weight below 2\*\*53"):
+            make_graph(src, dst, w, directed=directed)
 
-    @pytest.mark.parametrize("spec", [
-        MICRO_L, GEOM_L, ObjectiveSpec("local", "canonical", "poisson"),
-    ])
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_node_totals_from_the_prefix_sums(self, spec, exact):
-        # Node a's strength is 2**53 + 4 with exact weights, 2**53 + 3 as
-        # parsed (the parser reads 2**53 + 1 as the double 2**53). A float
-        # sum of a's weights in edge order reads 2**53 + 2, and under it
-        # the neighborhood's prefixes were scored against a total smaller
-        # than their own weight. Every node must score its neighborhood as
-        # the global sweep scores the same edges alone.
-        if exact:
-            g = make_graph([0, 0, 0, 2], [1, 2, 3, 3], [2**53 + 1, 1, 2, 1],
-                           directed=False)
+    @given(g=graphs_near_the_bound(), model=st.sampled_from([None, "geometric", "poisson"]))
+    @settings(max_examples=60, deadline=None)
+    def test_local_scope_is_exact_near_the_bound(self, g, model):
+        exact = [0] * g.num_nodes
+        for i, w in zip(g.src.tolist(), g.weights.tolist()):
+            exact[i] += w
+        assert g.strengths().tolist() == exact
+
+        family = "microcanonical" if model is None else "canonical"
+        spec = ObjectiveSpec("local", family, model)
+        glob_spec = ObjectiveSpec("global", family, model)
+        # Here one ulp of ln Gamma(W + 1) is 32 or 64 nats, and the two
+        # empty-backbone DLs can both round below 0, where eta is undefined
+        # and raises. Eta enters none of the values checked below.
+        with mock.patch.object(solver, "inverse_compression_ratio", lambda *dls: np.nan):
+            res = greedy_local(g, spec)
+            values, starts = res.node_traces
+            wfact = np.zeros(g.num_nodes)
+            if model == "poisson":
+                wfact = _out_sums(g, weights=_log2_factorial(g.weights))
+            for i in range(g.num_nodes):
+                w = sorted(g.weights[g.src == i].tolist(), reverse=True)
+                if not w:
+                    continue
+                # the closed form at the exact states: prefix weights and
+                # total as Python ints
+                prefix = np.array([sum(w[:j]) for j in range(len(w) + 1)], dtype=float)
+                want = _dl_curve(len(w), float(exact[i]), np.arange(len(w) + 1),
+                                 prefix, spec, wfact[i])
+                want[-1] = want[0]
+                got = values[starts[i]:starts[i + 1]]
+                assert got.tobytes() == want.tobytes()
+                # and the global sweep scores the same edges alone alike; its
+                # poisson constant sum_e log2 w_e! is added in another order
+                if model != "poisson":
+                    star = make_graph([0] * len(w), range(1, len(w) + 1), w)
+                    glob = greedy_global(star, glob_spec)
+                    assert got.tobytes() == glob.trace.values.tobytes()
+        # the scorer accepts the backbone and gives it the solver's DL
+        if model is None:
+            dl = dl_local_micro(g, res.backbone)
         else:
-            g = parse_edge_list("a b 9007199254740993\na c 1\na d 2\nc d 1\n",
-                                directed=False)
-        res = greedy_local(g, spec)
-        assert np.isfinite(res.dl)
-        values, starts = res.node_traces
-        dg = directed_view(g)
-        glob_spec = ObjectiveSpec("global", spec.family, spec.weight_model)
-        for i in range(g.num_nodes):
-            out = dg.src == i
-            star = make_graph(np.zeros(out.sum()), np.arange(1, out.sum() + 1),
-                              dg.weights[out])
-            glob = greedy_global(star, glob_spec)
-            assert values[starts[i]:starts[i + 1]].tobytes() == glob.trace.values.tobytes()
+            dl = dl_local_canonical(g, res.backbone, spec)
+        assert dl == pytest.approx(res.dl, abs=1e-9)
 
 
 @st.composite
@@ -407,11 +437,8 @@ class TestSweepTable:
         w = np.array([x for seg in segs for x in seg], dtype=dtype)
         k = np.array([len(seg) for seg in segs])
         starts = np.concatenate([[0], np.cumsum(k)])
-        if real:
-            strength = np.array([np.sum(seg) for seg in segs], dtype=float)
-        else:
-            # exact totals, from the sweep's own prefix sums
-            strength = None
+        # exact totals for integer weights
+        strength = np.array([np.sum(seg) for seg in segs], dtype=float)
         wfact = np.array([np.sum(_log2_factorial(seg)) for seg in segs])
         _, _, curve, curve_starts = _sweep(w, starts, strength, wfact, spec)
 
@@ -419,9 +446,8 @@ class TestSweepTable:
         cum = np.concatenate([[0], np.cumsum(w)])
         for i, seg in enumerate(segs):
             W_b = (cum[starts[i]:starts[i + 1] + 1] - cum[starts[i]]).astype(float)
-            W = strength[i] if real else float(sum(seg))
             E_b = np.arange(len(seg) + 1, dtype=float)
-            want = _dl_of_float_sums(float(len(seg)), W, E_b, W_b, spec, wfact[i])
+            want = _dl_curve(float(len(seg)), strength[i], E_b, W_b, spec, wfact[i])
             # the sweep gives the full segment the empty backbone's value
             want[-1] = want[0]
             got = curve[curve_starts[i]:curve_starts[i + 1]]
