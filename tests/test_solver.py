@@ -407,6 +407,74 @@ class TestIntegerWeightBound:
         assert dl == pytest.approx(res.dl, abs=1e-9)
 
 
+class TestRoundedWeightSums:
+    """The graphs on which float weight sums rounded, beyond 2**53, are
+    refused; the same shapes just below the bound, where every sum is exact,
+    are scored at the states integer weights reach."""
+
+    @pytest.mark.parametrize("spec", [MICRO_G, MICRO_L, GEOM_G, GEOM_L])
+    def test_unreachable_states_never_win(self, spec):
+        # On (2**62, 1, 1) the prefixes of size 1 and 2 left the rest lighter
+        # than its edge count, a state no integer weights reach.
+        with pytest.raises(DomainError, match=r"below 2\*\*53"):
+            parse_edge_list("a b 4611686018427387904\na c 1\na d 1\n", directed=True)
+        g = parse_edge_list(f"a b {2**53 - 3}\na c 1\na d 1\n", directed=True)
+        solve = greedy_global if spec.scope == "global" else greedy_local
+        res = solve(g, spec)
+        curve = res.node_traces[0][:4] if res.trace is None else res.trace.values
+        assert np.isfinite(curve).all()
+        assert curve[0] == curve[3]
+        assert np.isfinite(res.eta)
+        assert res.dl == enumerate_optimal(g, spec).dl
+
+    @pytest.mark.parametrize("spec", [
+        MICRO_L, GEOM_L, ObjectiveSpec("local", "canonical", "poisson"),
+    ])
+    def test_small_neighborhood_after_a_heavy_one(self, spec):
+        # The prefix sums of c's neighborhood are differences of a running
+        # total that has passed the heavy edge; they must stay exact.
+        with pytest.raises(DomainError, match=r"below 2\*\*53"):
+            parse_edge_list("a b 1152921504606846976\nc d 1\nc e 1\nc f 5\n",
+                            directed=True)
+        heavy = parse_edge_list(f"a b {2**53 - 8}\nc d 1\nc e 1\nc f 5\n",
+                                directed=True)
+        alone = parse_edge_list("c d 1\nc e 1\nc f 5\n", directed=True)
+        kept = greedy_local(heavy, spec).backbone.member_flags
+        assert kept[1:].tolist() == greedy_local(alone, spec).backbone.member_flags.tolist()
+        keeps_heaviest = spec.family == "microcanonical" or spec.weight_model == "geometric"
+        assert kept[1:].tolist() == [False, False, keeps_heaviest]
+
+    @pytest.mark.parametrize("spec", [
+        MICRO_L, GEOM_L, ObjectiveSpec("local", "canonical", "poisson"),
+    ])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_node_totals_from_the_prefix_sums(self, spec, exact):
+        # Node a's strength is 2**52 - 2 on an undirected graph whose
+        # directed view totals 2**53 - 2. Parsed or built from exact weights,
+        # every node must score its neighborhood against its exact total, as
+        # the global sweep scores the same edges alone.
+        heavy = 2**52 - 5
+        if exact:
+            g = make_graph([0, 0, 0, 2], [1, 2, 3, 3], [heavy, 1, 2, 1],
+                           directed=False)
+        else:
+            g = parse_edge_list(f"a b {heavy}\na c 1\na d 2\nc d 1\n",
+                                directed=False)
+        assert g.weights.tolist() == [heavy, 1, 2, 1]
+        assert g.strengths().tolist() == [heavy + 3, heavy, 2, 3]
+        res = greedy_local(g, spec)
+        assert np.isfinite(res.dl)
+        values, starts = res.node_traces
+        dg = directed_view(g)
+        glob_spec = ObjectiveSpec("global", spec.family, spec.weight_model)
+        for i in range(g.num_nodes):
+            out = dg.src == i
+            star = make_graph(np.zeros(out.sum()), np.arange(1, out.sum() + 1),
+                              dg.weights[out])
+            glob = greedy_global(star, glob_spec)
+            assert values[starts[i]:starts[i + 1]].tobytes() == glob.trace.values.tobytes()
+
+
 @st.composite
 def sweep_segments(draw, real):
     """Heaviest-first segments of up to ~100 weights, some empty: integer
