@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, baselines, metrics, percolation, solver, synth
 from .errors import DomainError, ParseError
 from .graph import (
-    _edge_tokens,
+    _edge_spans,
     backbone_from_edge_subset,
     backbone_from_flags,
     parse_edge_list,
@@ -133,7 +133,7 @@ def _backbone_from_file(g, path):
     try:
         bb_graph = parse_edge_list(text, directed=g.directed, weight_kind=g.weight_kind)
     except DomainError:
-        if _edge_tokens(text):
+        if len(_edge_spans(text)[1]):
             raise
         # `backbone` writes an empty backbone as a file without edge lines
         return backbone_from_flags(g, np.zeros(g.num_edges, dtype=bool))

@@ -3,14 +3,13 @@ the out-neighborhood index.
 
 Node labels are arbitrary strings mapped to dense indices 0..N-1 in order of
 first appearance; all algorithms operate on the dense indices. Multi-edges
-are merged by weight summation at parse time. Parsing and serializing work
-on whole arrays; a per-line check runs only on text with non-ASCII
-whitespace and to locate an input error.
+are merged by weight summation at parse time. Parsing works on the bytes
+of the text and serializing on whole arrays; a per-line check runs only on
+text with non-ASCII whitespace and to locate an input error.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -242,11 +241,10 @@ def backbone_from_edge_subset(parent, pairs):
 
 
 # ASCII bytes that str.split() treats as whitespace and those at which
-# str.splitlines() ends a line (\x1f is whitespace but ends no line).
-_ASCII_SPACE = np.zeros(256, dtype=bool)
-_ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-_ASCII_BREAK = np.zeros(256, dtype=bool)
-_ASCII_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
+# str.splitlines() ends a line (\x1f is whitespace but ends no line), as
+# bytes.translate tables: byte b maps to 1 if it is in the class, else to 0.
+_SPACE_TABLE = bytes(int(b in b"\t\n\v\f\r\x1c\x1d\x1e\x1f ") for b in range(256))
+_BREAK_TABLE = bytes(int(b in b"\n\v\f\r\x1c\x1d\x1e") for b in range(256))
 # The non-ASCII characters that str.isspace() accepts; they include every
 # non-ASCII line end (\x85, \u2028, \u2029).
 _UNICODE_SPACES = (
@@ -259,8 +257,8 @@ def _check_lines(text):
     """The per-line check of an edge list and the locator of its errors:
     raises ParseError or DomainError, with the line number, at the first
     line that is not a comment, blank or "src dst weight" with a positive
-    finite weight. Returns the tokens of the edge lines in order."""
-    tokens = []
+    finite weight. Returns the edge lines, their tokens one space apart."""
+    lines = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -274,34 +272,99 @@ def _check_lines(text):
             raise ParseError(f"bad weight {parts[2]!r}", line=lineno) from None
         if not np.isfinite(w) or w <= 0:
             raise DomainError(f"line {lineno}: weight must be positive, got {parts[2]}")
-        tokens += parts
-    return tokens
+        lines.append(" ".join(parts))
+    return "\n".join(lines)
 
 
-def _edge_tokens(text):
-    """Tokens of the edge lines of ``text``, src dst weight after each
-    other. The UTF-8 bytes are checked as arrays: every line must hold 0 or
-    3 tokens unless its first token starts with '#'. Every byte of a
-    multi-byte character is >= 0x80, so only text with non-ASCII
-    whitespace, and text that fails the check, goes to
-    :func:`_check_lines`."""
+def _edge_spans(text):
+    """``(buf, starts, ends)``: the UTF-8 bytes of ``text`` between 8 spaces
+    on either side, and the token ``buf[starts[i]:ends[i]]`` for each token
+    of an edge line, src dst weight after each other. The bytes are checked
+    as arrays: every line must hold 0 or 3 tokens unless its first token
+    starts with '#'. Every byte of a multi-byte character is >= 0x80, so
+    only text with non-ASCII whitespace, and text that fails the check, goes
+    to :func:`_check_lines`."""
     if not text.isascii() and any(c in text for c in _UNICODE_SPACES):
-        return _check_lines(text)
-    b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    space = _ASCII_SPACE[b]
-    starts = np.flatnonzero(~space & np.concatenate([[True], space[:-1]]))
-    # the tokens of line i start at starts[bounds[i]:bounds[i + 1]]
-    breaks = np.searchsorted(starts, np.flatnonzero(_ASCII_BREAK[b]))
-    bounds = np.concatenate([[0], breaks, [len(starts)]])
+        text = _check_lines(text)
+    buf = b"        " + text.encode("utf-8") + b"        "
+    space = np.frombuffer(buf.translate(_SPACE_TABLE), dtype=bool)
+    # tokens start and end where the flag changes; buf begins and ends in spaces
+    edges = np.flatnonzero(space[1:] != space[:-1])
+    edges += 1
+    del space
+    starts, ends = edges[0::2], edges[1::2]
+    # the tokens of line i are starts[bounds[i]:bounds[i + 1]]
+    breaks = np.flatnonzero(np.frombuffer(buf.translate(_BREAK_TABLE), dtype=bool))
+    bounds = np.concatenate([[0], np.searchsorted(starts, breaks), [len(starts)]])
+    del breaks
     counts = np.diff(bounds)
     comment = counts > 0
-    comment[comment] = b[starts[bounds[:-1][comment]]] == ord("#")
+    comment[comment] = (np.frombuffer(buf, dtype=np.uint8)[starts[bounds[:-1][comment]]]
+                        == ord("#"))
     if not np.all((counts == 0) | (counts == 3) | comment):
-        return _check_lines(text)
-    tokens = text.split()
+        return _edge_spans(_check_lines(text))  # raises at the first bad line
     if comment.any():
-        tokens = list(itertools.compress(tokens, np.repeat(~comment, counts).tolist()))
-    return tokens
+        keep = np.repeat(~comment, counts)
+        starts, ends = starts[keep], ends[keep]
+    return buf, starts, ends
+
+
+def _words(buf):
+    """Every little-endian 8-byte word of ``buf``: word i is buf[i:i + 8]."""
+    return np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+
+
+def _bytes8(b):
+    """The word whose 8 bytes are all ``b``."""
+    return np.uint64(b * 0x0101010101010101)
+
+
+def _span_floats(buf, starts, ends):
+    """``float`` of each token ``buf[starts[i]:ends[i]]``, or None if it
+    rejects one. A token of at most 8 ASCII digits is read from the 8-byte
+    word that ends at it, by Lemire's SWAR conversion: its value is below
+    1e8, so the double is exact. Every other token goes through ``float``."""
+    length = ends - starts
+    # bits of the bytes before the token in the word
+    pad = np.uint64(8) * (np.uint64(8) - np.minimum(length, 8).astype(np.uint64))
+    token = _bytes8(0xFF) << pad
+    # the token fills the high bytes; the bytes before it become b"0"
+    word = _words(buf)[ends - 8] & token | _bytes8(0x30) & ~token
+    # a byte is a digit if its high nibble is 3, also after adding 6
+    high = word & _bytes8(0xF0) | (word + _bytes8(0x06) & _bytes8(0xF0)) >> np.uint64(4)
+    digits = (length <= 8) & (high == _bytes8(0x33))
+    # the digits' values, combined into 4 pairs, 2 quads, then one number
+    for mask, mul, shift in ((0x0F0F0F0F0F0F0F0F, 2561, 8),
+                             (0x00FF00FF00FF00FF, 6553601, 16),
+                             (0x0000FFFF0000FFFF, 42949672960001, 32)):
+        word = (word & np.uint64(mask)) * np.uint64(mul) >> np.uint64(shift)
+    w = word.astype(float)
+    for i in np.flatnonzero(~digits).tolist():
+        try:
+            w[i] = float(buf[starts[i]:ends[i]].decode())
+        except ValueError:
+            return None
+    return w
+
+
+def _first_appearance(keys):
+    """``(codes, first)`` for an integer array: ``codes[i]`` numbers
+    ``keys[i]`` by the order in which the distinct keys first appear, and
+    ``first[c]`` is the position where the key of code c first appears.
+    One unstable sort: equal keys form a group whatever their order in it,
+    and a group's first position is its minimum."""
+    if len(keys) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    head = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
+    first = np.minimum.reduceat(order, np.flatnonzero(head))
+    rank = np.empty(len(first), dtype=np.int64)
+    by_first = np.argsort(first)
+    rank[by_first] = np.arange(len(first))
+    codes = np.empty(len(keys), dtype=np.int64)
+    codes[order] = rank[np.cumsum(head) - 1]
+    return codes, first[by_first]
 
 
 def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
@@ -330,45 +393,65 @@ def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
     rejects, raises ParseError; a weight that is not positive and finite
     raises DomainError. Both name the first offending line, counted from 1.
     An input without edge lines raises DomainError.
+
+    The tokens are found once on the UTF-8 bytes. A weight of at most 8
+    ASCII digits is read from those bytes, any other through ``float``.
+    Labels of at most 8 bytes are numbered as 8-byte integer keys by one
+    sort; if any label is longer, or the text holds a NUL byte, labels are
+    numbered through a dict instead. Either way the result is the same.
     """
     if round_weights and weight_kind != "integer":
         raise DomainError("rounding weights requires integer weight mode")
     if hasattr(text, "read"):
         text = text.read()
-    tokens = _edge_tokens(text)
-    n = len(tokens) // 3
-    try:
-        w = np.fromiter(map(float, tokens[2::3]), dtype=float, count=n)
-    except ValueError:
-        w = None
+    buf, starts, ends = _edge_spans(text)
+    n = len(starts) // 3
+    w = _span_floats(buf, starts[2::3], ends[2::3])
     if w is None or not np.all(np.isfinite(w) & (w > 0)):
         _check_lines(text)  # raises at the first bad line
     if n == 0:
         raise DomainError("empty edge list")
+    del text  # a file's text is freed here; only buf is read from now on
 
-    # src and dst interleaved, so labels number in order of first appearance:
-    # a label not yet seen gets the id len(ids) as it is inserted
-    del tokens[2::3]
-    ids = defaultdict()
-    ids.default_factory = ids.__len__
-    codes = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=2 * n)
-    # Free the tokens now, and keep copies of the labels, not the label
-    # tokens themselves: one kept token pins the memory of the tokens
-    # allocated next to it. The factory refers back to the dict, so that
-    # cycle is cut first.
-    ids.default_factory = None
-    num_nodes, joined = len(ids), "\n".join(ids)
-    del tokens, ids
-    labels = tuple(joined.split("\n"))
+    # src and dst interleaved, so labels number in order of first appearance
+    label_starts = starts.reshape(n, 3)[:, :2].reshape(-1)
+    label_ends = ends.reshape(n, 3)[:, :2].reshape(-1)
+    del starts, ends
+    length = label_ends - label_starts
+    if length.max() <= 8 and b"\0" not in buf:
+        # the key of a label is its bytes, zero-padded, as one word: without
+        # NUL bytes, equal keys are equal labels
+        pad = np.uint64(8) * (np.uint64(8) - length.astype(np.uint64))
+        keys = _words(buf)[label_starts] & _bytes8(0xFF) >> pad
+        del buf, label_starts, label_ends, length, pad
+        codes, first = _first_appearance(keys)
+        # S8 drops the zero padding
+        labels = b"\n".join(keys[first].view("S8").tolist()).decode().split("\n")
+        del keys, first
+    else:
+        # every byte outside the label tokens becomes a space, so that one
+        # split gives the tokens: none holds a byte bytes.split() splits at
+        inside = np.zeros(len(buf) + 1, dtype=np.int8)
+        inside[label_starts] = 1
+        inside[label_ends] = -1
+        np.cumsum(inside, out=inside)
+        tokens = np.where(inside[:-1].view(bool), np.frombuffer(buf, dtype=np.uint8),
+                          np.uint8(ord(" "))).tobytes().split()
+        del buf, label_starts, label_ends, length, inside
+        # a label not yet seen gets the id len(ids) as it is inserted
+        ids = defaultdict()
+        ids.default_factory = ids.__len__
+        codes = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=2 * n)
+        # The factory refers back to the dict, so that cycle is cut first.
+        ids.default_factory = None
+        labels = b"\n".join(ids).decode().split("\n")
+        del tokens, ids
+    num_nodes, labels = len(labels), tuple(labels)
     src, dst = codes[0::2], codes[1::2]
 
-    # bincount adds each pair's weights in order of appearance
-    _, first, pair = np.unique(
-        src * num_nodes + dst, return_index=True, return_inverse=True
-    )
-    merged = np.bincount(pair, weights=w)
-    order = np.argsort(first, kind="stable")
-    src, dst, w = src[first[order]], dst[first[order]], merged[order]
+    # merged into the first occurrence; bincount adds in order of appearance
+    pair, first = _first_appearance(src * num_nodes + dst)
+    src, dst, w = src[first], dst[first], np.bincount(pair, weights=w)
 
     if weight_kind == "integer":
         if round_weights:

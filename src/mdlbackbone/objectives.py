@@ -240,9 +240,11 @@ def _dl_curve(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
 
 
 def _poisson_wfact(spec, weights):
-    """sum_e log2(w_e!) for the poisson model, else 0."""
+    """sum_e log2(w_e!) for the poisson model, else 0. Added in edge order,
+    as :func:`graph._out_sums` adds each node's share for the local scope."""
     if spec.family == "canonical" and spec.weight_model == "poisson":
-        return float(_log2_factorial(weights).sum())
+        terms = _log2_factorial(weights)
+        return float(np.bincount(np.zeros(len(terms), dtype=np.intp), terms, 1)[0])
     return 0.0
 
 

@@ -9,6 +9,7 @@ from mdlbackbone.errors import DomainError, ParseError
 from mdlbackbone.graph import (
     _UNICODE_SPACES,
     WeightedGraph,
+    _first_appearance,
     backbone_from_edge_subset,
     backbone_from_flags,
     collapse_to_undirected,
@@ -203,7 +204,8 @@ def parse_edge_list_reference(text, directed, weight_kind="integer", round_weigh
 
     if weight_kind == "integer":
         if round_weights:
-            weights = [max(1.0, round(w)) for w in weights]
+            # a float, as the parser's np.round leaves it
+            weights = [max(1.0, float(round(w))) for w in weights]
         for w in weights:
             if w != int(w) or w < 1 or w >= 2**53:
                 raise DomainError(
@@ -224,8 +226,13 @@ def parse_edge_list_reference(text, directed, weight_kind="integer", round_weigh
     )
 
 
-GOOD_WEIGHTS = ["1", "2", "3", "1_0", "1.5", "0.5", "2e0", "\u0663"]
-BAD_WEIGHTS = ["x", "nan", "inf", "0", "-1"]
+# "0007" to "123456789" sit at the 8-digit edge of the word conversion; the
+# 16-digit ones are 2**53 - 1, 2**53, 2**53 + 1 and 10**16 - 1
+GOOD_WEIGHTS = ["1", "2", "3", "1_0", "1.5", "0.5", "2e0", "\u0663", "0007",
+                "99999999", "123456789", "9007199254740991", "9007199254740992",
+                "9007199254740993", "9999999999999999"]
+# "/" and ":" are the bytes either side of the digits
+BAD_WEIGHTS = ["x", "nan", "inf", "0", "-1", "1/", "1:"]
 LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
 SEPARATORS = [" ", "\t", "\x1f", " \t ", "\t\t"]
 MARGINS = ["", " ", "\t", "\x1f"]
@@ -246,10 +253,15 @@ def edge_texts(draw):
     (repeated pairs are likely), blank and comment lines, every line end
     and whitespace byte that ends or splits a line, and in half of them one
     or two non-ASCII whitespace characters too; half of them also with
-    malformed lines and bad weights."""
+    malformed lines and bad weights. Half of them may also use labels the
+    word keys cannot hold: over 8 bytes, or with a NUL byte."""
     valid = draw(st.booleans())
-    labels = ["a", "b", "c", "0", "x#y", "#z", "\xe9", "\xfc1", "\u65e5\u672c",
-              "\U0001f600"]
+    # "abcdefgh" and "\U0001f600\U0001f600" are 8 bytes long
+    labels = ["a", "b", "c", "0", "00", "x#y", "#z", "\xe9", "\xfc1", "\u65e5\u672c",
+              "\U0001f600", "abcdefgh", "\U0001f600\U0001f600"]
+    if draw(st.booleans()):
+        # "\u65e5\u672c\u8a9e" is 9 bytes long
+        labels += ["abcdefghi", "a\x00", "\x00", "\u65e5\u672c\u8a9e"]
     weights = GOOD_WEIGHTS + ([] if valid else BAD_WEIGHTS)
     kinds = ["edge"] * 6 + ["blank", "comment", "indented comment"]
     if not valid:
@@ -296,12 +308,50 @@ class TestParseOracle:
            round_weights=st.booleans())
     @example(text="1 2\n3 4 5 6", directed=True, weight_kind="integer",
              round_weights=False)
+    @example(text="a\ta 9007199254740993", directed=True, weight_kind="integer",
+             round_weights=True)
+    @example(text="a b 1:", directed=True, weight_kind="real", round_weights=False)
+    @example(text="a b 1/", directed=True, weight_kind="real", round_weights=False)
     @settings(max_examples=400, deadline=None)
     def test_matches_per_line_reference(self, text, directed, weight_kind, round_weights):
         args = (text, directed, weight_kind, round_weights)
         assert _parse_outcome(parse_edge_list, *args) == _parse_outcome(
             parse_edge_list_reference, *args
         )
+
+
+def _first_appearance_reference(keys):
+    ids = {}
+    codes = [ids.setdefault(k, len(ids)) for k in keys]
+    first = {}
+    for i, c in enumerate(codes):
+        first.setdefault(c, i)
+    return codes, list(first.values())
+
+
+INT64 = np.iinfo(np.int64)
+EXTREMES = [INT64.min, INT64.min + 1, -1, 0, 1, INT64.max - 1, INT64.max]
+
+
+class TestFirstAppearance:
+    @given(keys=st.one_of(
+        st.lists(st.integers(INT64.min, INT64.max), max_size=50),
+        # heavy repeats, of the extremes among others
+        st.lists(st.sampled_from(EXTREMES), max_size=200),
+        # all keys equal
+        st.builds(lambda k, n: [k] * n, st.sampled_from(EXTREMES), st.integers(1, 50)),
+    ))
+    @example(keys=[])
+    @example(keys=[7])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dict_loop(self, keys):
+        expected = _first_appearance_reference(keys)
+        signed = np.array(keys, dtype=np.int64)
+        # the parser's keys are unsigned words; the view keeps which are equal
+        for arr in (signed, signed.view(np.uint64)):
+            codes, first = _first_appearance(arr)
+            assert codes.dtype == first.dtype == np.int64
+            assert (codes.tolist(), first.tolist()) == expected
 
 
 class TestGraph:

@@ -393,18 +393,28 @@ class TestIntegerWeightBound:
                 want[-1] = want[0]
                 got = values[starts[i]:starts[i + 1]]
                 assert got.tobytes() == want.tobytes()
-                # and the global sweep scores the same edges alone alike; its
-                # poisson constant sum_e log2 w_e! is added in another order
-                if model != "poisson":
-                    star = make_graph([0] * len(w), range(1, len(w) + 1), w)
-                    glob = greedy_global(star, glob_spec)
-                    assert got.tobytes() == glob.trace.values.tobytes()
+                # and the global sweep scores the same edges alone alike, in
+                # edge order, the order its poisson constant is added in
+                star_w = g.weights[g.src == i]
+                star = make_graph([0] * len(w), range(1, len(w) + 1), star_w)
+                glob = greedy_global(star, glob_spec)
+                assert got.tobytes() == glob.trace.values.tobytes()
         # the scorer accepts the backbone and gives it the solver's DL
         if model is None:
             dl = dl_local_micro(g, res.backbone)
         else:
             dl = dl_local_canonical(g, res.backbone, spec)
         assert dl == pytest.approx(res.dl, abs=1e-9)
+
+    def test_poisson_star_global_curve_is_its_local_curve(self):
+        # From 8 terms on a pairwise sum adds sum_e log2 w_e! in another
+        # order than the node's edge order; here that shows in the first byte.
+        star = make_graph([0] * 8, range(1, 9), [2**52, 1, 1, 1, 1, 1, 2, 8])
+        with mock.patch.object(solver, "inverse_compression_ratio", lambda *dls: np.nan):
+            loc = greedy_local(star, ObjectiveSpec("local", "canonical", "poisson"))
+            glob = greedy_global(star, ObjectiveSpec("global", "canonical", "poisson"))
+        values, starts = loc.node_traces
+        assert values[starts[0]:starts[1]].tobytes() == glob.trace.values.tobytes()
 
 
 class TestRoundedWeightSums:
