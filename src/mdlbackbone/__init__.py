@@ -22,8 +22,6 @@ from .objectives import (
     dl_global_micro,
     dl_local_canonical,
     dl_local_micro,
-    dl_neigh_canonical,
-    dl_neigh_micro,
     log2_binomial,
     strength_prior_bits,
 )
@@ -35,7 +33,6 @@ from .solver import (
     greedy_global,
     greedy_local,
     inverse_compression_ratio,
-    mean_weight_ordering_holds,
     result_to_dict,
 )
 from .baselines import (

@@ -92,8 +92,18 @@ class WeightedGraph:
     def strengths(self):
         """Per-node strength: sum of incident weights (both endpoints for
         undirected graphs, out-edges only for directed ones; self-loops
-        counted once)."""
-        return _out_sums(self, weights=self.weights)
+        counted once). Computed once per graph; the array is read-only."""
+        return self._node_sums[1]
+
+    @cached_property
+    def _node_sums(self):
+        """``(out_degrees, strengths)``: :func:`_out_sums` over every edge,
+        without and with the weights. Built on first use, kept with the
+        graph and read-only, like ``src``."""
+        sums = _view_sums(self, None, None), _view_sums(self, None, self.weights)
+        for arr in sums:
+            arr.setflags(write=False)
+        return sums
 
     @cached_property
     def _key_index(self):
@@ -191,7 +201,16 @@ def _out_sums(g, flags=None, weights=None):
     ``g``; without them, integer counts) over the out-neighborhoods of
     :func:`directed_view`, restricted to the edges ``flags`` marks. The view
     is not built: every src, then, for an undirected graph, every dst of a
-    non-loop edge, is added in that order, the order of the view's edges."""
+    non-loop edge, is added in that order, the order of the view's edges.
+    The out-degrees, without flags or weights, are the graph's own
+    read-only array."""
+    if flags is None and weights is None:
+        return g._node_sums[0]
+    return _view_sums(g, flags, weights)
+
+
+def _view_sums(g, flags, weights):
+    """:func:`_out_sums` without the graph's cache: the bincount itself."""
     src, dst = g.src, g.dst
     if flags is not None:
         src, dst = src[flags], dst[flags]
@@ -550,7 +569,9 @@ def neighborhood_order(g):
         run = np.union1d(same, same + 1)
         by_dst[run] = by_dst[run][np.lexsort((by_dst[run], sorted_pair[run]))]
     # rank 0 is the heaviest weight
-    distinct, rank = np.unique(-np.asarray(g.weights, dtype=float), return_inverse=True)
+    w = np.asarray(g.weights, dtype=float)
+    distinct = np.unique(w)
+    rank = len(distinct) - 1 - np.searchsorted(distinct, w)
     key = (src * len(distinct) + rank)[by_dst]
     return by_dst[np.argsort(key, kind="stable")]
 

@@ -6,12 +6,14 @@ objectives take a weight model (geometric, poisson or exponential); the
 poisson and exponential models carry a rate hyperparameter ``lam`` for their
 maximum-entropy exponential prior. All values are in bits (base-2 logs), and
 all combinatorics go through ln n! = gammaln(n + 1). Where the greedy sweep
-scores many states, ln n! of an edge count n is read from a table of
-gammaln over the counts 0..k_max instead, which holds the same doubles;
-weights always go through gammaln. Against exact integer arithmetic the
-global microcanonical curve is off by up to about 6e-7 bits at W ~ 1e7, 8e-6
-at 1e8, 9e-5 at 1e9 and 1e-2 at 1e11 (random curves of up to 14 edges), so
-from W ~ 3e7 on, two backbone sizes whose exact DLs nearly tie can swap order.
+scores many states, ln n! of every integer argument is read from one table
+of gammaln over 0..m instead, which holds the same doubles: m covers every
+edge count, and also every weight where the largest segment strength is
+below the curve's length; other weights are floats and go through gammaln.
+Against exact integer arithmetic the global microcanonical curve is off by
+up to about 6e-7 bits at W ~ 1e7, 8e-6 at 1e8, 9e-5 at 1e9 and 1e-2 at 1e11
+(random curves of up to 14 edges), so from W ~ 3e7 on, two backbone sizes
+whose exact DLs nearly tie can swap order.
 Integer weights total below 2**53, which WeightedGraph enforces: every float
 sum of them is exact, and at 2**53 one ulp of ln Gamma(W + 1) is 64 nats.
 """
@@ -30,10 +32,8 @@ __all__ = [
     "ObjectiveSpec",
     "log2_binomial",
     "dl_global_micro",
-    "dl_neigh_micro",
     "dl_local_micro",
     "dl_global_canonical",
-    "dl_neigh_canonical",
     "dl_local_canonical",
     "delta_dl_weight_increment",
     "strength_prior_bits",
@@ -78,22 +78,21 @@ class ObjectiveSpec:
         return self.family == "canonical" and self.weight_model == "exponential"
 
 
-def _ln_factorial(n):
+def _ln_factorial(n, table=None):
+    """ln n! = gammaln(n + 1). With a ``table``, ``_ln_factorial(arange(m +
+    1))``, an integer array n, every entry at most m, is read as
+    ``table[n]`` instead: gammaln of an integer-valued double is one double,
+    so both give the same bits. Float n always goes through gammaln."""
+    n = np.asarray(n)
+    if table is not None and n.dtype.kind in "iu":
+        return table[n]
     return gammaln(np.asarray(n, dtype=float) + 1.0)
 
 
-def _count_ln_factorial(table):
-    """ln n! of edge counts n: :func:`_ln_factorial`, or, without calling
-    gammaln, ``table[n]`` for integer n, where ``table`` is
-    ``_ln_factorial(arange(m))`` for some m > every n. gammaln of an
-    integer-valued double is one double, so both give the same bits."""
-    return _ln_factorial if table is None else table.__getitem__
-
-
-def _log2_binom_raw(n, k, ln_fact_k=_ln_factorial, ln_fact_n=_ln_factorial):
-    """The bare log2 C(n, k): ``ln_fact_k`` gives ln k!, ``ln_fact_n`` ln n!
-    and ln (n - k)!."""
-    return (ln_fact_n(n) - ln_fact_k(k) - ln_fact_n(n - k)) / _LN2
+def _log2_binom_raw(n, k, table=None):
+    """The bare log2 C(n, k), ``table`` as in :func:`_ln_factorial`."""
+    return (_ln_factorial(n, table) - _ln_factorial(k, table)
+            - _ln_factorial(n - k, table)) / _LN2
 
 
 def log2_binomial(n, k):
@@ -105,8 +104,8 @@ def log2_binomial(n, k):
     return float(_log2_binom_raw(float(max(n, 0)), float(max(k, 0))))
 
 
-def _log2_factorial(n, ln_factorial=_ln_factorial):
-    return ln_factorial(n) / _LN2
+def _log2_factorial(n, table=None):
+    return _ln_factorial(n, table) / _LN2
 
 
 def _check_global_args(E, W, E_b, W_b, integer=True):
@@ -142,26 +141,21 @@ def _check_global_args(E, W, E_b, W_b, integer=True):
 
 
 def dl_global_micro_arr(E, W, E_b, W_b, table=None):
-    """Vectorized microcanonical global description length in bits. With a
-    log-factorial ``table`` (:func:`_count_ln_factorial`) the edge counts E
-    and E_b must be integer arrays."""
-    count = _count_ln_factorial(table)
-    E = np.asarray(E)
-    W = np.asarray(W, dtype=float)
-    E_b = np.asarray(E_b)
-    W_b = np.asarray(W_b, dtype=float)
+    """Vectorized microcanonical global description length in bits. The
+    edge counts E and E_b are integers; the weights W and W_b are integers
+    below 2**53 or floats. The log-factorial ``table``, as in
+    :func:`_ln_factorial`, serves the integer arguments."""
+    E, W, E_b, W_b = map(np.asarray, (E, W, E_b, W_b))
     # the compositions of the backbone and of the rest: at sizes 0 and E one
     # side is empty, (W_x, E_x) = (0, 0), and the clamp turns C(-1, -1) into
     # C(0, 0) = 1; on every other valid state both arguments are >= 0
     return (
         np.log2(E + 1.0)
         + np.log2(W - E + 1.0)
-        + _log2_binom_raw(E, E_b, count, count)
+        + _log2_binom_raw(E, E_b, table)
+        + _log2_binom_raw(np.maximum(W_b - 1, 0), np.maximum(E_b - 1, 0), table)
         + _log2_binom_raw(
-            np.maximum(W_b - 1.0, 0.0), np.maximum(E_b - 1, 0), count
-        )
-        + _log2_binom_raw(
-            np.maximum(W - W_b - 1.0, 0.0), np.maximum(E - E_b - 1, 0), count
+            np.maximum(W - W_b - 1, 0), np.maximum(E - E_b - 1, 0), table
         )
     )
 
@@ -175,20 +169,16 @@ def dl_global_micro(E, W, E_b, W_b):
     where the uniform code for W_b still spends log2(W - E + 1) bits; each
     interior size carries mass exactly 1/(E + 1). Acceptance criterion 03
     and ``TestMicroGlobal.test_normalization_small_cases`` check this.
+
+    With (E, W, E_b, W_b) -> (k, s, k_b, s_b) it is the term of one
+    out-neighborhood in the local DL, so its sum 2^-L over one
+    neighborhood's states is 1 - 2(s - k)/((k + 1)(s - k + 1)), short of 1
+    only through the forced boundary sizes k_b = 0 and k_b = k.
     """
     _check_global_args(E, W, E_b, W_b)
     if E == 0:
         return 0.0
-    return float(dl_global_micro_arr(E, W, E_b, W_b))
-
-
-def dl_neigh_micro(k, s, k_b, s_b):
-    """Microcanonical neighborhood description length; same formula as the
-    global objective with (E, W, E_b, W_b) -> (k, s, k_b, s_b). So its sum
-    2^-L over one neighborhood's states is 1 - 2(s - k)/((k + 1)(s - k + 1)),
-    short of 1 only through the forced boundary sizes k_b = 0 and k_b = k
-    (see ``dl_global_micro``)."""
-    return dl_global_micro(k, s, k_b, s_b)
+    return float(dl_global_micro_arr(E, float(W), E_b, float(W_b)))
 
 
 def strength_prior_bits(N, E, W):
@@ -252,22 +242,18 @@ def _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
     """Vectorized canonical description length. ``log2_wfact`` is the
     poisson constant sum_e log2(w_e!) over all edges in scope, ``table`` as
     in :func:`dl_global_micro_arr`."""
-    count = _count_ln_factorial(table)
-    E = np.asarray(E)
-    W = np.asarray(W, dtype=float)
-    E_b = np.asarray(E_b)
-    W_b = np.asarray(W_b, dtype=float)
+    E, W, E_b, W_b = map(np.asarray, (E, W, E_b, W_b))
     Et = E - E_b
     Wt = W - W_b
-    base = np.log2(E + 1.0) + _log2_binom_raw(E, E_b, count, count)
+    base = np.log2(E + 1.0) + _log2_binom_raw(E, E_b, table)
     model = spec.weight_model
     if model == "geometric":
         return (
             base
             + np.log2(W_b + 1.0)
             + np.log2(Wt + 1.0)
-            + _log2_binom_raw(W_b, E_b, count)
-            + _log2_binom_raw(Wt, Et, count)
+            + _log2_binom_raw(W_b, E_b, table)
+            + _log2_binom_raw(Wt, Et, table)
         )
     lam = spec.lam
     if model == "poisson":
@@ -275,9 +261,9 @@ def _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
             base
             - 2.0 * np.log2(lam)
             + (W_b + 1.0) * np.log2(E_b + lam)
-            - _log2_factorial(W_b)
+            - _log2_factorial(W_b, table)
             + (Wt + 1.0) * np.log2(Et + lam)
-            - _log2_factorial(Wt)
+            - _log2_factorial(Wt, table)
             + log2_wfact
         )
     if model == "exponential":
@@ -285,9 +271,9 @@ def _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
             base
             - 2.0 * np.log2(lam)
             + (E_b + 1.0) * np.log2(W_b + lam)
-            - _log2_factorial(E_b, count)
+            - _log2_factorial(E_b, table)
             + (Et + 1.0) * np.log2(Wt + lam)
-            - _log2_factorial(Et, count)
+            - _log2_factorial(Et, table)
         )
     raise DomainError(f"unknown weight model {model!r}")
 
@@ -302,13 +288,7 @@ def dl_global_canonical(E, W, E_b, W_b, spec, log2_wfact=0.0):
     _check_global_args(E, W, E_b, W_b, integer=not spec.continuous)
     if E == 0:
         return 0.0
-    return float(_dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact))
-
-
-def dl_neigh_canonical(k, s, k_b, s_b, spec, log2_wfact=0.0):
-    """Canonical neighborhood description length (the global formula with
-    neighborhood symbols)."""
-    return dl_global_canonical(k, s, k_b, s_b, spec, log2_wfact)
+    return float(_dl_canonical_arr(E, float(W), E_b, float(W_b), spec, log2_wfact))
 
 
 def dl_local_canonical(g, bb, spec):

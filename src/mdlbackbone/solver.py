@@ -44,7 +44,6 @@ __all__ = [
     "enumerate_optimal",
     "inverse_compression_ratio",
     "empty_backbone_dls",
-    "mean_weight_ordering_holds",
     "backbone_to_dict",
     "result_to_dict",
 ]
@@ -152,11 +151,14 @@ def _sweep(w, starts, strength, wfact, spec):
     weights total below 2**53 (:class:`WeightedGraph`), so every such sum
     is exact, and every prefix state is valid.
 
-    Every log-factorial of an edge count (E, E_b, E - E_b and the clamped
-    E_b - 1 and E - E_b - 1) is read from one table of ln n! over n in
-    0..k_max, built here: no count exceeds the largest segment, so the
-    table is never longer than the curve. Weights stay on gammaln: a table
-    over them would need W + 2 entries.
+    Log-factorials are read from one table of ln n! over n in 0..m, built
+    here and never longer than the curve. With integer weights and every
+    segment strength below the curve's length, m is the largest strength
+    and the prefix weights stay integers, so every count and weight
+    log-factorial reads the table (no count exceeds its segment's
+    strength). Otherwise, and for the exponential model, m is the largest
+    segment size: only the counts read the table, and the float prefix
+    weights go through gammaln.
 
     A segment of k edges is scored under ``spec``'s family at its heavy
     prefixes of every size 0..k. At fixed size the DL is concave in the
@@ -173,8 +175,14 @@ def _sweep(w, starts, strength, wfact, spec):
     """
     k = np.diff(starts)
     curve_starts = np.concatenate([[0], np.cumsum(k + 1)])
-    cum = np.concatenate([[0.0], np.cumsum(w, dtype=float)])
-    table = _ln_factorial(np.arange(k.max() + 1))
+    if (not spec.continuous and w.dtype.kind in "iu"
+            and np.max(strength) < curve_starts[-1]):
+        strength = np.asarray(strength, dtype=np.int64)
+        m, cum = np.max(strength), np.cumsum(w, dtype=np.int64)
+    else:
+        m, cum = k.max(), np.cumsum(w, dtype=float)
+    cum = np.concatenate([[0], cum])
+    table = _ln_factorial(np.arange(m + 1))
     curve = np.empty(curve_starts[-1])
     for lo in range(0, len(curve), _CURVE_BLOCK):
         hi = min(lo + _CURVE_BLOCK, len(curve))
@@ -336,23 +344,6 @@ def _fold_best(dls, Eb, bits, best_dl, best_Eb, best_bits):
     if dls[i] < best_dl or (dls[i] == best_dl and Eb[i] < best_Eb):
         return float(dls[i]), float(Eb[i]), bits[i].copy()
     return best_dl, best_Eb, best_bits
-
-
-def mean_weight_ordering_holds(weights):
-    """Check W_b/E_b >= W/E >= (W - W_b)/(E - E_b) at every greedy prefix,
-    in exact integer arithmetic. ``weights`` are the integer edge weights in
-    the order the greedy adds them."""
-    w = [int(x) for x in weights]
-    E = len(w)
-    W = sum(w)
-    Wb = 0
-    for Eb in range(1, E):
-        Wb += w[Eb - 1]
-        if Wb * E < W * Eb:
-            return False
-        if (W - Wb) * E > W * (E - Eb):
-            return False
-    return True
 
 
 def backbone_to_dict(bb):

@@ -21,6 +21,23 @@ def make_graph(src, dst, weights, num_nodes=None, directed=True,
     )
 
 
+def mean_weight_ordering_holds(weights):
+    """Check W_b/E_b >= W/E >= (W - W_b)/(E - E_b) at every greedy prefix,
+    in exact integer arithmetic. ``weights`` are the integer edge weights in
+    the order the greedy adds them."""
+    w = [int(x) for x in weights]
+    E = len(w)
+    W = sum(w)
+    Wb = 0
+    for Eb in range(1, E):
+        Wb += w[Eb - 1]
+        if Wb * E < W * Eb:
+            return False
+        if (W - Wb) * E > W * (E - Eb):
+            return False
+    return True
+
+
 @st.composite
 def small_graphs(draw, directed=True, real=False, one_neighborhood=False):
     """Graph on up to 5 nodes, self-loops and parallel edges allowed; with

@@ -31,19 +31,14 @@ from mdlbackbone.percolation import (
     message_passing_cluster,
     nb_leading_eigenvalue,
 )
-from mdlbackbone.solver import (
-    enumerate_optimal,
-    greedy_global,
-    greedy_local,
-    mean_weight_ordering_holds,
-)
+from mdlbackbone.solver import enumerate_optimal, greedy_global, greedy_local
 from mdlbackbone.synth import (
     dirichlet_multinomial_weights,
     plant_weights_canonical,
     random_regular_directed,
 )
 
-from conftest import make_graph, random_multigraph_free
+from conftest import make_graph, mean_weight_ordering_holds, random_multigraph_free
 
 MICRO_G = ObjectiveSpec("global", "microcanonical")
 MICRO_L = ObjectiveSpec("local", "microcanonical")

@@ -18,8 +18,6 @@ from mdlbackbone.objectives import (
     dl_global_micro,
     dl_local_canonical,
     dl_local_micro,
-    dl_neigh_canonical,
-    dl_neigh_micro,
     log2_binomial,
     strength_prior_bits,
 )
@@ -99,10 +97,12 @@ class TestMicroGlobal:
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_neigh_is_same_formula(self):
-        assert dl_neigh_micro(2, 4, 1, 3) == pytest.approx(4.1699, abs=1e-4)
-        assert dl_neigh_micro(0, 0, 0, 0) == 0.0
-        assert dl_neigh_micro(2, 4, 1, 1) == pytest.approx(
-            dl_neigh_micro(2, 4, 1, 3), abs=1e-12
+        # one out-neighborhood: k edges of strength s, k_b of them kept with s_b
+        k, s = 2, 4
+        assert dl_global_micro(k, s, 1, 3) == pytest.approx(4.1699, abs=1e-4)
+        assert dl_global_micro(0, 0, 0, 0) == 0.0
+        assert dl_global_micro(k, s, 1, 1) == pytest.approx(
+            dl_global_micro(k, s, 1, 3), abs=1e-12
         )
 
     def test_normalization_small_cases(self):
@@ -256,8 +256,9 @@ class TestLocalMicro:
 
 
 def local_dl_reference(g, flags, spec=None):
-    """Per-node sum of dl_neigh_* over the out-neighborhoods of the directed
-    view (microcanonical with the strength prior when ``spec`` is None)."""
+    """Per-node sum of the global formulas, with neighborhood symbols, over
+    the out-neighborhoods of the directed view (microcanonical with the
+    strength prior when ``spec`` is None)."""
     edges = [
         (int(i), int(j), w.item(), bool(f))
         for i, j, w, f in zip(g.src, g.dst, g.weights, flags)
@@ -271,10 +272,10 @@ def local_dl_reference(g, flags, spec=None):
         ws = [w for i, _, w, _ in edges if i == node]
         bs = [w for i, _, w, f in edges if i == node and f]
         if spec is None:
-            total += dl_neigh_micro(len(ws), sum(ws), len(bs), sum(bs))
+            total += dl_global_micro(len(ws), sum(ws), len(bs), sum(bs))
         else:
             wfact = sum(math.lgamma(w + 1) for w in ws) / math.log(2)
-            total += dl_neigh_canonical(len(ws), sum(ws), len(bs), sum(bs), spec, wfact)
+            total += dl_global_canonical(len(ws), sum(ws), len(bs), sum(bs), spec, wfact)
     return total
 
 
@@ -332,11 +333,12 @@ class TestCanonical:
         assert got == pytest.approx(6.585, abs=1e-3)
 
     def test_neigh_geometric(self):
-        assert dl_neigh_canonical(4, 8, 1, 5, GEOM) == pytest.approx(
+        # (k, s, k_b, s_b) of one out-neighborhood in the global formula
+        assert dl_global_canonical(4, 8, 1, 5, GEOM) == pytest.approx(
             11.2288, abs=1e-4
         )
-        assert dl_neigh_canonical(0, 0, 0, 0, GEOM) == 0.0
-        assert dl_neigh_canonical(2, 2, 0, 0, GEOM) == pytest.approx(
+        assert dl_global_canonical(0, 0, 0, 0, GEOM) == 0.0
+        assert dl_global_canonical(2, 2, 0, 0, GEOM) == pytest.approx(
             2 * np.log2(3), abs=1e-9
         )
 

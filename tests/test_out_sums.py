@@ -10,12 +10,14 @@ as the oracles, and compared bit for bit.
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdlbackbone.baselines import edge_disparity_pvalues
 from mdlbackbone.errors import DomainError
 from mdlbackbone.graph import (
+    _out_sums,
     backbone_from_flags,
     directed_parents,
     directed_view,
@@ -134,6 +136,35 @@ class TestMatchesDirectedView:
         g, flags = case
         bb = backbone_from_flags(g, flags)
         assert bb.retained_strengths().tobytes() == bb.subgraph().strengths().tobytes()
+
+
+class TestCachedNodeSums:
+    """The graph computes its out-degrees and strengths once; the arrays it
+    keeps must be the directed view's bincounts and read-only."""
+
+    @given(either_weights())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_directed_view(self, case):
+        g, _ = case
+        dg = directed_view(g)
+        degrees = np.bincount(dg.src, minlength=g.num_nodes)
+        strengths = np.bincount(dg.src, weights=np.asarray(dg.weights, dtype=float),
+                                minlength=g.num_nodes)
+        for _ in range(2):  # computed, then cached
+            assert _out_sums(g).dtype == degrees.dtype
+            assert _out_sums(g).tobytes() == degrees.tobytes()
+            assert g.strengths().dtype == strengths.dtype
+            assert g.strengths().tobytes() == strengths.tobytes()
+        assert _out_sums(g) is _out_sums(g)
+        assert g.strengths() is g.strengths()
+
+    @given(either_weights())
+    @settings(max_examples=50, deadline=None)
+    def test_read_only(self, case):
+        g, _ = case
+        for sums in (_out_sums(g), g.strengths()):
+            with pytest.raises(ValueError):
+                sums[0] = 1
 
 
 def test_sums_build_no_directed_view(monkeypatch):

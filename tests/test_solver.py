@@ -24,11 +24,15 @@ from mdlbackbone.solver import (
     greedy_global,
     greedy_local,
     inverse_compression_ratio,
-    mean_weight_ordering_holds,
     result_to_dict,
 )
 
-from conftest import make_graph, random_multigraph_free, small_graphs
+from conftest import (
+    make_graph,
+    mean_weight_ordering_holds,
+    random_multigraph_free,
+    small_graphs,
+)
 
 MICRO_G = ObjectiveSpec("global", "microcanonical")
 MICRO_L = ObjectiveSpec("local", "microcanonical")
@@ -486,21 +490,35 @@ class TestRoundedWeightSums:
 
 
 @st.composite
-def sweep_segments(draw, real):
-    """Heaviest-first segments of up to ~100 weights, some empty: integer
-    weights up to 1e10 (totals up to 1e12), small ones likely, or reals."""
+def sweep_segments(draw, real, fits):
+    """Heaviest-first segments of up to ~100 weights, some empty, reals or
+    integers. ``fits`` picks the side of the sweep's table rule for integer
+    weights: True draws weights up to 60 and pads with a segment of ones
+    until every segment strength is below the curve's length; False draws
+    weights up to 1e10, small ones likely, and adds one of 10**10, far
+    beyond it."""
     if real:
         weight = st.floats(0.01, 1e6)
+    elif fits:
+        weight = st.integers(1, 60)
     else:
         weight = st.one_of(st.integers(1, 60), st.integers(1, 10**10))
     segs = draw(st.lists(st.lists(weight, max_size=100), min_size=1, max_size=4))
+    if not real and fits:
+        # a segment of n ones has strength n and adds n + 1 sizes
+        short = max(sum(seg) for seg in segs) - sum(len(seg) + 1 for seg in segs)
+        if short >= 0:
+            segs.append([1] * (short + 1))
+    elif not real:
+        segs[draw(st.integers(0, len(segs) - 1))].append(10**10)
     return [sorted(seg, reverse=True) for seg in segs]
 
 
 class TestSweepTable:
-    """The sweep reads ln n! of every edge count from a table; its curve
-    must be the bits of the closed form evaluated through gammaln, state by
-    state."""
+    """The sweep reads ln n! from a table: of every edge count, and of every
+    weight where the segment strengths are below the curve's length. Its
+    curve must be the bits of the closed form evaluated through gammaln,
+    state by state, on both sides of that rule."""
 
     @pytest.mark.parametrize("family, model, real", [
         *((family, model, False) for family, model in OBJECTIVES),
@@ -510,7 +528,11 @@ class TestSweepTable:
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_to_gammaln(self, family, model, real, data):
         spec = ObjectiveSpec("local", family, model)
-        segs = data.draw(sweep_segments(real))
+        for fits in (True,) if real else (True, False):
+            self.check_curve(data.draw(sweep_segments(real, fits)), spec, real, fits)
+
+    @staticmethod
+    def check_curve(segs, spec, real, fits):
         dtype = float if real else np.int64
         w = np.array([x for seg in segs for x in seg], dtype=dtype)
         k = np.array([len(seg) for seg in segs])
@@ -519,6 +541,8 @@ class TestSweepTable:
         strength = np.array([np.sum(seg) for seg in segs], dtype=float)
         wfact = np.array([np.sum(_log2_factorial(seg)) for seg in segs])
         _, _, curve, curve_starts = _sweep(w, starts, strength, wfact, spec)
+        if not real:
+            assert (strength.max() < len(curve)) == fits
 
         # the sweep's states: prefix weights off one running total
         cum = np.concatenate([[0], np.cumsum(w)])

@@ -1,8 +1,10 @@
 """The benchmark's tracer (perfbench/tracing.py) rebinds functions by name;
-every name it lists must exist in the package, or a traced run breaks."""
+every name it lists must exist in the package, or a traced run breaks. It
+also reads the evaluator's value count from its first four arguments."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -28,3 +30,12 @@ def test_traced_name_resolves(layer, attr):
         assert callable(getattr(raw, "__func__", raw))  # a classmethod too
     else:
         assert callable(getattr(module, attr))
+
+
+def test_evaluator_value_count_parameters():
+    # the tracer counts objectives.dl_global_micro_arr's values as the
+    # broadcast size of its first four positional arguments
+    from mdlbackbone.objectives import dl_global_micro_arr
+
+    params = list(inspect.signature(dl_global_micro_arr).parameters)
+    assert params[:4] == ["E", "W", "E_b", "W_b"]
