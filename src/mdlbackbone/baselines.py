@@ -5,8 +5,6 @@ backbone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra, minimum_spanning_tree
@@ -21,7 +19,6 @@ from .graph import (
 )
 
 __all__ = [
-    "SalienceTable",
     "disparity_pvalue",
     "disparity_filter",
     "disparity_filter_top_e",
@@ -30,14 +27,6 @@ __all__ = [
     "salience_table",
     "percolation_backbone",
 ]
-
-
-@dataclass(frozen=True)
-class SalienceTable:
-    """Per-edge shortest-path-tree occurrence frequencies."""
-
-    saliency: np.ndarray
-    trees_sampled: int
 
 
 def disparity_pvalue(w, s, k):
@@ -95,9 +84,10 @@ def _pair_matrix(n, a, b, values):
 
 
 def salience_table(g, sample_cap=10000, seed=0):
-    """Edge saliency: occurrence frequency in shortest-path trees rooted at
-    each of up to ``sample_cap`` nodes, with distances d = 1/w. Parent choice
-    on equal-length paths is the smallest predecessor index."""
+    """Saliency of every parent edge, as an array: its occurrence frequency
+    in shortest-path trees rooted at each of up to ``sample_cap`` nodes,
+    with distances d = 1/w. Parent choice on equal-length paths is the
+    smallest predecessor index."""
     dg = directed_view(g)
     n = g.num_nodes
     d_edge = 1.0 / np.asarray(dg.weights, dtype=float)
@@ -135,13 +125,13 @@ def salience_table(g, sample_cap=10000, seed=0):
             first = np.minimum.reduceat(fpos, starts_nz) if len(starts_nz) else fpos[:0]
             valid = (first < M) & (nodes_nz != r) & np.isfinite(drow[nodes_nz])
             np.add.at(counts, to_parent_edge[first[valid]], 1.0)
-    return SalienceTable(saliency=counts / len(roots), trees_sampled=len(roots))
+    return counts / len(roots)
 
 
 def high_salience_skeleton(g, sample_cap=10000, threshold=0.5, seed=0):
     """Backbone of edges whose saliency is at least ``threshold``."""
-    table = salience_table(g, sample_cap=sample_cap, seed=seed)
-    return backbone_from_flags(g, table.saliency >= threshold)
+    saliency = salience_table(g, sample_cap=sample_cap, seed=seed)
+    return backbone_from_flags(g, saliency >= threshold)
 
 
 def percolation_backbone(g):

@@ -154,10 +154,9 @@ def cmd_compare(args):
         args.input, directed=not args.undirected,
         weight_kind="integer", round_weights=args.round_weights,
     )
+    backbones = [_backbone_from_file(g, path) for path in args.backbones]
     rows = []
-    edge_sets = []
-    for path in args.backbones:
-        bb = _backbone_from_file(g, path)
+    for path, bb in zip(args.backbones, backbones):
         m = metrics.summarize(g, bb, seed=args.seed)
         rows.append({
             "backbone": str(path),
@@ -169,7 +168,6 @@ def cmd_compare(args):
             "hellinger": m.hellinger,
             "reachability": m.reachability,
         })
-        edge_sets.append(bb.edge_set())
     doc = {
         "input": str(args.input),
         "seed": args.seed,
@@ -178,10 +176,10 @@ def cmd_compare(args):
         "version": __version__,
         "backbones": rows,
     }
-    if len(edge_sets) >= 2:
+    if len(backbones) >= 2:
         doc["jaccard_matrix"] = [
-            [metrics.jaccard_similarity(a, b) for b in edge_sets]
-            for a in edge_sets
+            [metrics.jaccard_similarity(a, b) for b in backbones]
+            for a in backbones
         ]
     prefix = _output_prefix(args, Path(args.input).stem + ".compare")
     _write_json(str(prefix) + ".json", doc)
@@ -236,11 +234,9 @@ def cmd_percolation(args):
         args.input, directed=False,
         weight_kind="integer", round_weights=args.round_weights,
     )
-    backbone_graphs = [
-        _backbone_from_file(g, p).subgraph() for p in args.backbones
-    ]
+    backbones = [_backbone_from_file(g, p) for p in args.backbones]
     grid = _parse_pgrid(args.pgrid)
-    reports = percolation.backbone_percolation_study(g, backbone_graphs, grid)
+    reports = percolation.backbone_percolation_study(g, backbones, grid)
     doc = {
         "input": str(args.input),
         "pgrid": args.pgrid,

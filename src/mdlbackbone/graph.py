@@ -139,28 +139,21 @@ class WeightedGraph:
             raise DomainError(f"edge {(int(src[i]), int(dst[i]))} not in parent graph")
         return order[pos]
 
-    def edge_set(self):
-        """Set of (src, dst) index pairs; undirected edges normalized to
-        (min, max)."""
-        if self.directed:
-            return {(int(i), int(j)) for i, j in zip(self.src, self.dst)}
-        return {
-            (min(int(i), int(j)), max(int(i), int(j)))
-            for i, j in zip(self.src, self.dst)
-        }
-
 
 @dataclass(frozen=True)
 class Backbone:
-    """Subset of a parent graph's edges plus summary counts."""
+    """Subset of a parent graph's edges: one bool flag per parent edge."""
 
     parent: WeightedGraph
     member_flags: np.ndarray
 
     def __post_init__(self):
-        if len(self.member_flags) != self.parent.num_edges:
-            raise DomainError("member_flags length must equal parent edge count")
-        self.member_flags.setflags(write=False)
+        flags = self.member_flags
+        if not (isinstance(flags, np.ndarray) and flags.dtype == bool
+                and flags.shape == (self.parent.num_edges,)):
+            raise DomainError("member_flags must be a bool array with one "
+                              "flag per parent edge")
+        flags.setflags(write=False)
 
     @property
     def num_edges(self):
@@ -181,7 +174,13 @@ class Backbone:
         return _out_sums(self.parent, self.member_flags, self.parent.weights)
 
     def edge_set(self):
-        return self.subgraph().edge_set()
+        """Set of the members' (src, dst) index pairs; undirected edges
+        normalized to (min, max)."""
+        src = self.parent.src[self.member_flags]
+        dst = self.parent.dst[self.member_flags]
+        if not self.parent.directed:
+            src, dst = np.minimum(src, dst), np.maximum(src, dst)
+        return set(zip(src.tolist(), dst.tolist()))
 
     def subgraph(self):
         """The backbone as a standalone WeightedGraph over the parent's nodes."""

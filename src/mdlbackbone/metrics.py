@@ -28,17 +28,18 @@ class BackboneMetrics:
     nonisolated_fraction: float
     hellinger: float  # None when the backbone is empty
     reachability: float
-    eta: float = None
 
 
-def jaccard_similarity(edges1, edges2):
-    """|G1 ∩ G2| / |G1 ∪ G2| over (src, dst) pairs; two empty sets are
-    identical, so the similarity is 1."""
-    s1, s2 = set(edges1), set(edges2)
-    union = s1 | s2
+def jaccard_similarity(bb1, bb2):
+    """|B1 ∩ B2| / |B1 ∪ B2| over the member edges of two backbones of one
+    graph; two empty backbones are identical, so the similarity is 1."""
+    if bb1.parent is not bb2.parent:
+        raise DomainError("jaccard similarity needs backbones of one graph")
+    a, b = bb1.member_flags, bb2.member_flags
+    union = np.count_nonzero(a | b)
     if not union:
         return 1.0
-    return len(s1 & s2) / len(union)
+    return np.count_nonzero(a & b) / union
 
 
 def hellinger_strength_distance(g, bb):
@@ -96,7 +97,7 @@ def reachability_ratio(g, bb, sample_cap=10000, seed=0):
     return num / denom
 
 
-def summarize(g, bb, eta=None, sample_cap=10000, seed=0):
+def summarize(g, bb, sample_cap=10000, seed=0):
     """Bundle of all backbone metrics; fields that are undefined for an
     empty backbone come back as None."""
     E, W = g.num_edges, g.total_weight
@@ -122,5 +123,4 @@ def summarize(g, bb, eta=None, sample_cap=10000, seed=0):
         nonisolated_fraction=int(retained.sum()) / n_ref if n_ref else 0.0,
         hellinger=hell,
         reachability=reach,
-        eta=eta,
     )

@@ -286,16 +286,15 @@ class PercolationReport:
 
 def backbone_percolation_study(g, backbones, p_grid):
     """Run the message-passing cluster curve and threshold estimate for the
-    full graph and each backbone; report errors and runtime ratios relative
-    to the full graph. The grid is solved from its largest p downward: the
-    first point starts from u = 0, each later one from the previous point's
-    messages, a sub-solution at the smaller p, so every point reaches its
-    least fixed point (the physical solution). A solve that does not
-    converge raises."""
+    full graph ``g`` and each of its ``backbones`` (``Backbone`` objects of
+    ``g``); report errors and runtime ratios relative to the full graph.
+    The grid is solved from its largest p downward: the first point starts
+    from u = 0, each later one from the previous point's messages, a
+    sub-solution at the smaller p, so every point reaches its least fixed
+    point (the physical solution). A solve that does not converge raises."""
     p_grid = np.sort(np.asarray(p_grid, dtype=float))
     named = [("full", g)] + [
-        (f"backbone-{i}", bb.subgraph() if hasattr(bb, "subgraph") else bb)
-        for i, bb in enumerate(backbones)
+        (f"backbone-{i}", bb.subgraph()) for i, bb in enumerate(backbones)
     ]
     reports = []
     S_full = None

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mdlbackbone.errors import DomainError, ParseError
 from mdlbackbone.graph import (
     _UNICODE_SPACES,
+    Backbone,
     WeightedGraph,
     _first_appearance,
     backbone_from_edge_subset,
@@ -405,6 +406,19 @@ class TestGraph:
         sub = bb.subgraph()
         assert sub.num_edges == 2
         assert sub.num_nodes == g.num_nodes
+
+    def test_backbone_rejects_flags_not_one_bool_per_edge(self):
+        # integer flags would index the parent's arrays as positions
+        g = make_graph([0, 0, 1], [1, 2, 2], [5, 7, 11], directed=True)
+        for flags in (
+            np.array([1, 0, 0]),
+            np.array([1.0, 0.0, 0.0]),
+            [True, False, False],
+            np.array([True, False]),
+            np.ones((3, 1), dtype=bool),
+        ):
+            with pytest.raises(DomainError):
+                Backbone(parent=g, member_flags=flags)
 
 
 class TestNeighborhoods:

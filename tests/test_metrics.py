@@ -1,8 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mdlbackbone.cli import _backbone_from_file
 from mdlbackbone.errors import DomainError
-from mdlbackbone.graph import backbone_from_flags
+from mdlbackbone.graph import backbone_from_flags, parse_edge_list
 from mdlbackbone.metrics import (
     hellinger_strength_distance,
     jaccard_similarity,
@@ -14,20 +20,82 @@ from mdlbackbone.solver import greedy_global
 from conftest import make_graph
 
 
+PATH_GRAPH = make_graph([0, 1, 2], [1, 2, 3], [1, 1, 1])
+
+
+def path_backbone(*members):
+    """Backbone of PATH_GRAPH whose members are the edges (i, i + 1)."""
+    flags = np.zeros(PATH_GRAPH.num_edges, dtype=bool)
+    flags[list(members)] = True
+    return backbone_from_flags(PATH_GRAPH, flags)
+
+
+@st.composite
+def graphs_with_backbone_files(draw):
+    """Edge-list text read either way, always with a reciprocal pair and a
+    self-loop, and two backbone files as lists of (a, b) label pairs of the
+    graph's edges; undirected files list either orientation."""
+    directed = draw(st.booleans())
+    node = st.sampled_from("abcde")
+    extra = draw(st.lists(st.tuples(node, node, st.integers(1, 9)), max_size=10))
+    lines = [("a", "b", 3), ("b", "a", 2), ("c", "c", 1)] + extra
+    g = parse_edge_list(
+        "".join(f"{a} {b} {w}\n" for a, b, w in lines), directed=directed
+    )
+    pairs = sorted({(a, b) for a, b, _ in lines})
+    files = []
+    for _ in range(2):
+        chosen = draw(st.lists(st.sampled_from(pairs), max_size=8))
+        if not directed:
+            chosen = [(b, a) if draw(st.booleans()) else (a, b) for a, b in chosen]
+        files.append(chosen)
+    return g, files
+
+
 class TestJaccard:
     def test_identity(self):
-        s = {(0, 1), (1, 2)}
-        assert jaccard_similarity(s, s) == 1.0
+        bb = path_backbone(0, 1)
+        assert jaccard_similarity(bb, bb) == 1.0
 
     def test_disjoint(self):
-        assert jaccard_similarity({(0, 1)}, {(1, 2)}) == 0.0
+        assert jaccard_similarity(path_backbone(0), path_backbone(1)) == 0.0
 
     def test_partial(self):
-        assert jaccard_similarity({(0, 1), (1, 2)}, {(1, 2), (2, 3)}) \
+        assert jaccard_similarity(path_backbone(0, 1), path_backbone(1, 2)) \
             == pytest.approx(1 / 3)
 
     def test_both_empty(self):
-        assert jaccard_similarity(set(), set()) == 1.0
+        assert jaccard_similarity(path_backbone(), path_backbone()) == 1.0
+
+    def test_different_parents_rejected(self):
+        other = make_graph([0, 1, 2], [1, 2, 3], [1, 1, 1])
+        bb = backbone_from_flags(other, [True, False, False])
+        with pytest.raises(DomainError):
+            jaccard_similarity(path_backbone(0), bb)
+
+    @given(graphs_with_backbone_files())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pair_set_oracle(self, case):
+        # pair sets of the files' (src, dst) indices, (min, max) when
+        # undirected: flag Jaccard on the loaded backbones must equal theirs
+        g, files = case
+        index = {lab: i for i, lab in enumerate(g.labels)}
+        backbones, pair_sets = [], []
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, chosen in enumerate(files):
+                path = Path(tmp) / f"bb{k}.tsv"
+                path.write_text("".join(f"{a}\t{b}\t1\n" for a, b in chosen))
+                backbones.append(_backbone_from_file(g, path))
+                pairs = {(index[a], index[b]) for a, b in chosen}
+                if not g.directed:
+                    pairs = {(min(i, j), max(i, j)) for i, j in pairs}
+                pair_sets.append(pairs)
+        s1, s2 = pair_sets
+        union = s1 | s2
+        expect = len(s1 & s2) / len(union) if union else 1.0
+        assert jaccard_similarity(*backbones) == expect
+        assert [bb.edge_set() for bb in backbones] == pair_sets
+        assert [bb.num_edges for bb in backbones] == [len(s) for s in pair_sets]
 
 
 class TestHellinger:
@@ -116,7 +184,6 @@ class TestSummarize:
 
     def test_star_mdl_backbone(self, star_graph):
         res = greedy_global(star_graph)
-        m = summarize(star_graph, res.backbone, eta=res.eta)
+        m = summarize(star_graph, res.backbone)
         assert m.edge_fraction == pytest.approx(0.25)
         assert m.weight_fraction == pytest.approx(0.625)
-        assert m.eta == res.eta
