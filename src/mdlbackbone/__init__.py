@@ -27,7 +27,6 @@ from .objectives import (
 )
 from .solver import (
     BackboneResult,
-    DlTrace,
     empty_backbone_dls,
     enumerate_optimal,
     greedy_global,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -155,19 +156,11 @@ def cmd_compare(args):
         weight_kind="integer", round_weights=args.round_weights,
     )
     backbones = [_backbone_from_file(g, path) for path in args.backbones]
-    rows = []
-    for path, bb in zip(args.backbones, backbones):
-        m = metrics.summarize(g, bb, seed=args.seed)
-        rows.append({
-            "backbone": str(path),
-            "E_b": bb.num_edges,
-            "W_b": bb.total_weight,
-            "edge_fraction": m.edge_fraction,
-            "weight_fraction": m.weight_fraction,
-            "nonisolated_fraction": m.nonisolated_fraction,
-            "hellinger": m.hellinger,
-            "reachability": m.reachability,
-        })
+    rows = [
+        dict(asdict(metrics.summarize(g, bb, seed=args.seed)),
+             backbone=str(path), E_b=bb.num_edges, W_b=bb.total_weight)
+        for path, bb in zip(args.backbones, backbones)
+    ]
     doc = {
         "input": str(args.input),
         "seed": args.seed,
@@ -243,21 +236,11 @@ def cmd_percolation(args):
         "backbones": list(args.backbones),
         "round_weights": args.round_weights,
         "version": __version__,
-        "p_grid": [float(p) for p in reports[0].p_grid],
-        "graphs": [
-            {
-                "label": r.label,
-                "S": [float(s) for s in r.S],
-                "p_crit": r.p_crit,
-                "iterations": list(r.iterations),
-                "eig_seconds": r.eig_seconds,
-                "mean_abs_error": r.mean_abs_error,
-                "p_crit_error": r.p_crit_error,
-                "runtime_ratio": r.runtime_ratio,
-            }
-            for r in reports
-        ],
+        "p_grid": reports[0].p_grid.tolist(),
+        "graphs": [dict(asdict(r), S=r.S.tolist()) for r in reports],
     }
+    for entry in doc["graphs"]:
+        del entry["p_grid"]  # the grid is written once, at the top
     prefix = _output_prefix(args, Path(args.input).stem + ".percolation")
     _write_json(str(prefix) + ".json", doc)
     return 0

@@ -107,33 +107,38 @@ class WeightedGraph:
 
     @cached_property
     def _key_index(self):
-        """``(order, sorted_keys)``: the packed (src, dst) key of every edge,
-        (min, max) for undirected graphs, sorted with ties by position, so
-        the last edge of a pair sits rightmost. Built on the first
+        """``(order, sorted_keys)``: the packed (src, dst) key of every edge
+        in its stored orientation, sorted with ties by position, so the last
+        edge of a pair sits rightmost. Built on the first
         :meth:`edge_index` call and kept with the graph."""
-        a = np.asarray(self.src, dtype=np.int64)
-        b = np.asarray(self.dst, dtype=np.int64)
-        if not self.directed:
-            a, b = np.minimum(a, b), np.maximum(a, b)
-        keys = a * self.num_nodes + b
+        keys = np.asarray(self.src, dtype=np.int64) * self.num_nodes + self.dst
         order = np.argsort(keys, kind="stable")
         return order, keys[order]
 
     def edge_index(self, src, dst):
-        """Positions of the edges (src[i], dst[i]). For undirected graphs
-        either orientation matches; where several edges match a pair, the
-        last one wins. Raises DomainError for a pair not in the graph."""
+        """Positions of the edges (src[i], dst[i]), matched in their stored
+        orientation; where several edges match a pair, the last one wins.
+        For undirected graphs a pair with no stored match then matches the
+        reverse orientation. Raises DomainError for a pair not in the
+        graph."""
         src = np.asarray(src, dtype=np.int64).reshape(-1)
         dst = np.asarray(dst, dtype=np.int64).reshape(-1)
         n = self.num_nodes
-        qa, qb = src, dst
-        if not self.directed:
-            qa, qb = np.minimum(src, dst), np.maximum(src, dst)
         order, sorted_keys = self._key_index
-        query = qa * n + qb
-        pos = np.searchsorted(sorted_keys, query, side="right") - 1
-        hit = (src >= 0) & (src < n) & (dst >= 0) & (dst < n) & (pos >= 0)
-        hit[hit] = sorted_keys[pos[hit]] == query[hit]
+        inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+
+        def lookup(a, b):
+            query = a * n + b
+            at = np.searchsorted(sorted_keys, query, side="right") - 1
+            hit = inside & (at >= 0)
+            hit[hit] = sorted_keys[at[hit]] == query[hit]
+            return at, hit
+
+        pos, hit = lookup(src, dst)
+        if not self.directed and not hit.all():
+            rev, rev_hit = lookup(dst, src)
+            pos = np.where(hit, pos, rev)
+            hit |= rev_hit
         if not hit.all():
             i = int(np.argmin(hit))
             raise DomainError(f"edge {(int(src[i]), int(dst[i]))} not in parent graph")
@@ -166,9 +171,6 @@ class Backbone:
             return 0
         total = w.sum()
         return int(total) if self.parent.weight_kind == "integer" else float(total)
-
-    def retained_degrees(self):
-        return _out_sums(self.parent, self.member_flags)
 
     def retained_strengths(self):
         return _out_sums(self.parent, self.member_flags, self.parent.weights)
@@ -538,9 +540,9 @@ def directed_parents(g):
 
 
 def collapse_to_undirected(pairs, parent):
-    """Backbone of an undirected ``parent`` whose member edges are those with
-    at least one orientation present in ``pairs`` (an iterable of directed
-    (src, dst) index pairs)."""
+    """Backbone of an undirected ``parent`` whose member edges are the ones
+    :meth:`WeightedGraph.edge_index` matches to ``pairs`` (an iterable of
+    directed (src, dst) index pairs), either orientation."""
     if parent.directed:
         raise DomainError("parent graph must be undirected")
     return backbone_from_edge_subset(parent, pairs)

@@ -37,7 +37,6 @@ from .objectives import (
 )
 
 __all__ = [
-    "DlTrace",
     "BackboneResult",
     "greedy_global",
     "greedy_local",
@@ -51,18 +50,6 @@ __all__ = [
 ENUMERATION_EDGE_CAP = 24
 
 
-@dataclass(frozen=True)
-class DlTrace:
-    """Description length of the heavy prefix of every size 0..E, the curve
-    the greedy minimizes. ``argmin`` is the smallest minimizing size, so it
-    is the backbone's edge count and ``values[argmin]`` its DL;
-    ``tie_count`` is the number of sizes that reach the minimum."""
-
-    values: np.ndarray
-    argmin: int
-    tie_count: int
-
-
 @dataclass
 class BackboneResult:
     backbone: Backbone
@@ -72,10 +59,10 @@ class BackboneResult:
     dl_empty_local: float
     method: str
     objective: str
-    trace: DlTrace = None
-    # mdl-local only: (values, starts), node i's DL curve over sizes 0..k_i
-    # of its out-neighborhood at values[starts[i]:starts[i + 1]]
-    node_traces: tuple = field(default=None, repr=False)
+    # (values, starts): the DL curves the greedy minimized, segment i's over
+    # sizes 0..k_i at values[starts[i]:starts[i + 1]]; one segment over the
+    # edge list for mdl-global, one per out-neighborhood for mdl-local
+    curves: tuple = field(default=None, repr=False)
 
 
 def _objective_name(spec):
@@ -120,7 +107,7 @@ def inverse_compression_ratio(dl_opt, dl_empty_global, dl_empty_local):
     return float(dl_opt / denom)
 
 
-def _result(g, flags, dl, spec, method, **traces):
+def _result(g, flags, dl, spec, method, curves=None):
     """BackboneResult of the parent-edge membership ``flags`` with DL ``dl``."""
     dl_eg, dl_el = empty_backbone_dls(g, spec)
     return BackboneResult(
@@ -131,7 +118,7 @@ def _result(g, flags, dl, spec, method, **traces):
         dl_empty_local=dl_el,
         method=method,
         objective=_objective_name(spec),
-        **traces,
+        curves=curves,
     )
 
 
@@ -210,7 +197,7 @@ def greedy_global(g, spec=None):
     """MDL-optimal global backbone: the greedy sweep over the whole edge
     list, heaviest first. The backbone of size E_b is the first E_b edges
     in the order of (-weight, src, dst, position), weights compared as
-    floats."""
+    floats. ``curves`` holds the one DL curve, over sizes 0..E."""
     if spec is None:
         spec = ObjectiveSpec("global", "microcanonical")
     if spec.scope != "global":
@@ -220,7 +207,7 @@ def greedy_global(g, spec=None):
     _require_weights(g, spec)
 
     w = np.asarray(g.weights, dtype=float)
-    n_keep, dl, curve, _ = _sweep(
+    n_keep, dl, curve, curve_starts = _sweep(
         np.sort(g.weights)[::-1],
         np.array([0, g.num_edges]),
         float(g.total_weight),
@@ -228,16 +215,14 @@ def greedy_global(g, spec=None):
         spec,
     )
     flags = _first_in_order(int(n_keep[0]), (-w, g.src, g.dst))
-    dl = float(dl[0])
-    trace = DlTrace(curve, int(n_keep[0]), int(np.count_nonzero(curve == dl)))
-    return _result(g, flags, dl, spec, "mdl-global", trace=trace)
+    return _result(g, flags, float(dl[0]), spec, "mdl-global", (curve, curve_starts))
 
 
 def greedy_local(g, spec=None):
     """MDL-optimal local backbone: the greedy sweep applied independently to
     every out-neighborhood of the directed view, union of the neighborhood
     backbones, deduplicated back to undirected form when the input is
-    undirected. ``node_traces`` holds every node's DL curve."""
+    undirected. ``curves`` holds every node's DL curve."""
     if spec is None:
         spec = ObjectiveSpec("local", "microcanonical")
     if spec.scope != "local":
@@ -264,7 +249,7 @@ def greedy_local(g, spec=None):
     selected = pos < np.repeat(n_keep, k)
     flags = np.zeros(g.num_edges, dtype=bool)
     flags[directed_parents(g)[order[selected]]] = True
-    return _result(g, flags, dl, spec, "mdl-local", node_traces=(curve, curve_starts))
+    return _result(g, flags, dl, spec, "mdl-local", (curve, curve_starts))
 
 
 def _enumerate_masks(n_edges, chunk=1 << 16):
@@ -360,8 +345,9 @@ def backbone_to_dict(bb):
 
 
 def result_to_dict(result):
-    """JSON-ready summary of a BackboneResult; a global trace is summarized
-    by its length, argmin, minimum and tie count."""
+    """JSON-ready summary of a BackboneResult; the curve of an mdl-global
+    result is summarized as ``trace``: its length, argmin (E_b), minimum
+    (the DL) and the number of sizes that reach the minimum."""
     doc = backbone_to_dict(result.backbone)
     doc.update({
         "method": result.method,
@@ -371,8 +357,8 @@ def result_to_dict(result):
         "dl_empty_local_bits": result.dl_empty_local,
         "eta": result.eta,
     })
-    t = result.trace
-    if t is not None:
-        doc["trace"] = {"length": len(t.values), "argmin": t.argmin,
-                        "min_bits": float(t.values[t.argmin]), "tie_count": t.tie_count}
+    if result.method == "mdl-global":
+        values = result.curves[0]
+        doc["trace"] = {"length": len(values), "argmin": doc["E_b"], "min_bits": result.dl,
+                        "tie_count": int(np.count_nonzero(values == result.dl))}
     return doc

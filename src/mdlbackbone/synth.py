@@ -67,11 +67,6 @@ def random_regular_directed(N, k, seed=None):
     )
 
 
-def _geometric(rng, theta, size):
-    # support {1, 2, ...}, success probability theta, mean 1/theta
-    return rng.geometric(theta, size=size)
-
-
 def plant_weights_canonical(g, gamma, scope="global", seed=None):
     """Plant a backbone and geometric weights on a unit-weight directed graph.
 
@@ -92,8 +87,8 @@ def plant_weights_canonical(g, gamma, scope="global", seed=None):
         theta0 = rng.uniform()
         theta1 = gamma * theta0
         member[:] = rng.uniform(size=E) < pi_b
-        weights[member] = _geometric(rng, theta1, int(member.sum()))
-        weights[~member] = _geometric(rng, theta0, int((~member).sum()))
+        weights[member] = rng.geometric(theta1, size=int(member.sum()))
+        weights[~member] = rng.geometric(theta0, size=int((~member).sum()))
     elif scope == "local":
         pi_b = rng.uniform(size=g.num_nodes)
         theta0 = rng.uniform(size=g.num_nodes)
@@ -134,12 +129,6 @@ def _dirichlet_rows(rng, concentration, n_rows, n_cells):
     return raw / sums[:, None]
 
 
-def _dirichlet_multinomial(rng, total, concentration, n_cells):
-    """One draw from a symmetric Dirichlet-multinomial."""
-    p = _dirichlet_rows(rng, concentration, 1, n_cells)[0]
-    return rng.multinomial(total, p)
-
-
 def _rowwise_multinomial(rng, totals, probs):
     """Multinomial draws with per-row totals and probabilities, via the chain
     of binomials over columns."""
@@ -168,7 +157,7 @@ def dirichlet_multinomial_weights(N, k, W, h_str, h_neig, seed=None):
     excess = int(W - N * k)
     weights = np.ones(N * k, dtype=np.int64)
     if excess > 0:
-        node_excess = _dirichlet_multinomial(rng, excess, h_str, N)
+        node_excess = rng.multinomial(excess, _dirichlet_rows(rng, h_str, 1, N)[0])
         probs = _dirichlet_rows(rng, h_neig, N, k)
         per_edge = _rowwise_multinomial(rng, node_excess, probs)
         weights += per_edge.reshape(-1)

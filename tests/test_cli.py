@@ -3,7 +3,11 @@ import json
 import pytest
 
 import mdlbackbone
-from mdlbackbone.cli import main
+from mdlbackbone.baselines import high_salience_skeleton, percolation_backbone
+from mdlbackbone.cli import METHODS, main
+from mdlbackbone.graph import parse_edge_list, serialize_edge_list
+from mdlbackbone.objectives import ObjectiveSpec
+from mdlbackbone.solver import greedy_global
 
 STAR = "a\tb\t5\na\tc\t1\na\td\t1\na\te\t1\n"
 TRIANGLE = "a\tb\t3\nb\tc\t3\na\tc\t1\n"
@@ -14,6 +18,8 @@ MIXED = "".join(f"{a}\t{b}\t{w}\n" for a, b, w in [
     ("f", "b", 15), ("d", "a", 12), ("e", "f", 2), ("a", "f", 21),
     ("b", "a", 30), ("d", "f", 1),
 ])
+# read undirected, "a b 3" and "b a 2" are two parallel edges
+RECIPROCAL = "a\tb\t3\nb\ta\t2\nb\tc\t1\nc\td\t1\n"
 
 
 @pytest.fixture
@@ -185,6 +191,62 @@ class TestBackboneCommand:
 
         assert unmeasured(read_json(tmp_path / "perc-again.json")) == unmeasured(pdoc)
 
+    @pytest.mark.parametrize("method", ["hss", "percolation"])
+    def test_baseline_tsv_is_the_library_backbone(self, tmp_path, method):
+        path = tmp_path / "mixed.tsv"
+        path.write_text(MIXED)
+        out = tmp_path / "out"
+        assert main(["backbone", str(path), "--method", method, "--undirected",
+                     "--seed", "3", "--output", str(out)]) == 0
+        g = parse_edge_list(MIXED, directed=False)
+        if method == "hss":
+            bb = high_salience_skeleton(g, seed=3)
+        else:
+            bb = percolation_backbone(g)
+        assert bb.num_edges
+        assert (tmp_path / "out.tsv").read_text() == serialize_edge_list(bb.subgraph())
+
+    def test_disparity_tope_without_etarget_exit_1(self, star_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["backbone", str(star_file), "--method", "disparity-tope",
+                     "--output", str(out)])
+        assert code == 1
+        assert "disparity-tope requires --etarget" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_real_weights_round_trip(self, tmp_path):
+        # repr of each float is read back as the same float
+        weights = [1 / 3, 0.1, 1e-7, 123456.789, 2.5, 7.000000000000001]
+        path = tmp_path / "real.tsv"
+        path.write_text("".join(f"a\t{c}\t{w!r}\n" for c, w in zip("bcdefg", weights)))
+        out = tmp_path / "out"
+        assert main(["backbone", str(path), "--method", "mdl-global",
+                     "--objective", "canonical-exponential", "--output", str(out)]) == 0
+        with open(path) as fh:
+            g = parse_edge_list(fh, directed=True, weight_kind="real")
+        bb = greedy_global(g, ObjectiveSpec("global", "canonical", "exponential")).backbone
+        assert bb.num_edges
+        with open(tmp_path / "out.tsv") as fh:
+            back = parse_edge_list(fh, directed=True, weight_kind="real")
+        assert back.weights.tobytes() == g.weights[bb.member_flags].tobytes()
+        assert [back.labels[i] for i in back.dst] == [
+            g.labels[i] for i in g.dst[bb.member_flags]]
+
+    def test_default_output_prefix(self, star_file, tmp_path, monkeypatch):
+        # without --output every command writes into the working directory
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main(["backbone", str(star_file), "--method", "mdl-global"]) == 0
+        assert main(["compare", str(star_file), "--backbones",
+                     "star.mdl-global.tsv"]) == 0
+        assert main(["percolation", str(star_file), "--pgrid", "lin:0.5:0.9:3"]) == 0
+        assert main(["synth", "regular", "--N", "4", "--k", "2"]) == 0
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "star.compare.json", "star.mdl-global.json", "star.mdl-global.tsv",
+            "star.percolation.json", "synth-regular.params.json", "synth-regular.tsv",
+        ]
+
     def test_bad_method_exit_2(self, star_file):
         with pytest.raises(SystemExit) as exc:
             main(["backbone", "--method", "bogus", str(star_file)])
@@ -239,6 +301,51 @@ class TestCompareCommand:
             "--output", str(tmp_path / "c"),
         ])
         assert code == 1
+
+
+class TestBackboneFilesRoundTrip:
+    """``compare`` reads every backbone file back as the backbone that
+    ``backbone`` wrote: the same edge count and weight as its JSON, also
+    where the graph lists both orientations of a pair."""
+
+    @pytest.mark.parametrize("text", [MIXED, RECIPROCAL], ids=["mixed", "reciprocal"])
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_compare_matches_backbone_json(self, tmp_path, method, directed, text):
+        path = tmp_path / "graph.tsv"
+        path.write_text(text)
+        way = [] if directed else ["--undirected"]
+        extra = ["--etarget", "4"] if method == "disparity-tope" else []
+        out = tmp_path / "bb"
+        assert main(["backbone", str(path), "--method", method, "--output", str(out),
+                     *way, *extra]) == 0
+        doc = read_json(f"{out}.json")
+        assert main(["compare", str(path), "--backbones", f"{out}.tsv",
+                     "--output", str(tmp_path / "cmp"), *way]) == 0
+        row = read_json(tmp_path / "cmp.json")["backbones"][0]
+        assert (row["E_b"], row["W_b"]) == (doc["E_b"], doc["W_b"])
+
+    def test_stored_orientation_of_a_reciprocal_pair(self, tmp_path):
+        path = tmp_path / "reciprocal.tsv"
+        path.write_text(RECIPROCAL)
+        out = tmp_path / "bb"
+        assert main(["backbone", str(path), "--method", "mdl-global", "--undirected",
+                     "--output", str(out)]) == 0
+        assert (tmp_path / "bb.tsv").read_text() == "a\tb\t3\n"
+        assert main(["compare", str(path), "--backbones", f"{out}.tsv", "--undirected",
+                     "--output", str(tmp_path / "cmp")]) == 0
+        row = read_json(tmp_path / "cmp.json")["backbones"][0]
+        assert (row["E_b"], row["W_b"]) == (1, 3)
+
+    def test_unparsable_backbone_file_exit_1(self, star_file, tmp_path, capsys):
+        # a file with edge lines that does not parse is an error, not the
+        # empty backbone
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("a\tb\t0\n")
+        code = main(["compare", str(star_file), "--backbones", str(bad),
+                     "--output", str(tmp_path / "c")])
+        assert code == 1
+        assert "weight must be positive" in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -300,3 +407,16 @@ class TestPercolationCommand:
         code = main(["percolation", str(path), "--pgrid", "log:0:1:5"])
         assert code == 1
 
+    @pytest.mark.parametrize("grid, message", [
+        ("log:1e-3:1", "use log:a:b:n or lin:a:b:n"),
+        ("cube:0:1:5", "use log:a:b:n or lin:a:b:n"),
+        ("lin:a:1:5", "bad p-grid spec 'lin:a:1:5'"),
+        ("lin:0:1:2.5", "bad p-grid spec 'lin:0:1:2.5'"),
+    ])
+    def test_malformed_grid_exit_1(self, tmp_path, capsys, grid, message):
+        path = tmp_path / "g.tsv"
+        path.write_text("a\tb\t1\n")
+        code = main(["percolation", str(path), "--pgrid", grid,
+                     "--output", str(tmp_path / "perc")])
+        assert code == 1
+        assert message in capsys.readouterr().err

@@ -447,8 +447,12 @@ class TestNeighborhoods:
 
 class TestEdgeIndex:
     def test_undirected_either_orientation_last_wins(self):
+        # a pair matches its stored orientation first: (0, 1) is edge 1 and
+        # (1, 0) edge 0; the reverse is tried only where nothing is stored
         g = make_graph([1, 0], [0, 1], [3, 2], directed=False)
-        assert list(g.edge_index([0, 1], [1, 0])) == [1, 1]
+        assert list(g.edge_index([0, 1], [1, 0])) == [1, 0]
+        g = make_graph([1, 1, 0], [0, 0, 2], [3, 2, 1], directed=False)
+        assert list(g.edge_index([0, 2], [1, 0])) == [1, 2]
 
     def test_directed_positions(self):
         g = make_graph([0, 1, 1], [1, 0, 2], [3, 2, 1], directed=True)

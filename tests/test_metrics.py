@@ -76,26 +76,28 @@ class TestJaccard:
     @given(graphs_with_backbone_files())
     @settings(max_examples=200, deadline=None)
     def test_matches_pair_set_oracle(self, case):
-        # pair sets of the files' (src, dst) indices, (min, max) when
-        # undirected: flag Jaccard on the loaded backbones must equal theirs
+        # each file line names the graph's (src, dst) edge if it is stored,
+        # else, undirected, the stored (dst, src) one: flag Jaccard on the
+        # loaded backbones must equal that of the sets of named edges
         g, files = case
         index = {lab: i for i, lab in enumerate(g.labels)}
-        backbones, pair_sets = [], []
+        stored = set(zip(g.src.tolist(), g.dst.tolist()))
+        backbones, edge_sets = [], []
         with tempfile.TemporaryDirectory() as tmp:
             for k, chosen in enumerate(files):
                 path = Path(tmp) / f"bb{k}.tsv"
                 path.write_text("".join(f"{a}\t{b}\t1\n" for a, b in chosen))
                 backbones.append(_backbone_from_file(g, path))
-                pairs = {(index[a], index[b]) for a, b in chosen}
-                if not g.directed:
-                    pairs = {(min(i, j), max(i, j)) for i, j in pairs}
-                pair_sets.append(pairs)
-        s1, s2 = pair_sets
+                edges = {(index[a], index[b]) for a, b in chosen}
+                edge_sets.append({e if e in stored else e[::-1] for e in edges})
+        s1, s2 = edge_sets
         union = s1 | s2
         expect = len(s1 & s2) / len(union) if union else 1.0
         assert jaccard_similarity(*backbones) == expect
-        assert [bb.edge_set() for bb in backbones] == pair_sets
-        assert [bb.num_edges for bb in backbones] == [len(s) for s in pair_sets]
+        assert [bb.num_edges for bb in backbones] == [len(s) for s in edge_sets]
+        if not g.directed:
+            edge_sets = [{(min(e), max(e)) for e in s} for s in edge_sets]
+        assert [bb.edge_set() for bb in backbones] == edge_sets
 
 
 class TestHellinger:

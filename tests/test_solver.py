@@ -87,12 +87,13 @@ class TestGreedyGlobal:
     def test_trace_covers_full_range(self):
         g = make_graph([0, 0, 0, 0], [1, 2, 3, 4], [9, 5, 2, 1], num_nodes=5)
         res = greedy_global(g, MICRO_G)
-        values = res.trace.values
+        values, starts = res.curves
+        assert list(starts) == [0, g.num_edges + 1]
         assert len(values) == g.num_edges + 1
         # the empty and the full backbone are one bit-flip apart
         assert values[0] == values[g.num_edges]
-        assert res.trace.argmin == res.backbone.num_edges == 1
-        assert values[res.trace.argmin] == res.dl
+        assert np.argmin(values) == res.backbone.num_edges == 1
+        assert values[res.backbone.num_edges] == res.dl
 
 
 class TestGreedyLocal:
@@ -125,7 +126,7 @@ class TestGreedyLocal:
 
     def test_node_traces(self, star_selfloops):
         res = greedy_local(star_selfloops, MICRO_L)
-        values, starts = res.node_traces
+        values, starts = res.curves
         assert list(starts) == [0, 5]
         assert np.argmin(values) == res.backbone.num_edges == 1
         prior = strength_prior_bits(1, 4, 8)
@@ -135,7 +136,7 @@ class TestGreedyLocal:
 class TestGlobalMatchesLocalOnOneNeighborhood:
     """One out-neighborhood is one sweep segment for both scopes: the same
     backbone, the same DL up to the local strength prior, and the same
-    trace."""
+    curve."""
 
     def check(self, g, family, model=None):
         glob = greedy_global(g, ObjectiveSpec("global", family, model))
@@ -146,9 +147,9 @@ class TestGlobalMatchesLocalOnOneNeighborhood:
         if family == "microcanonical":
             prior = strength_prior_bits(g.num_nodes, g.num_edges, g.total_weight)
         assert loc.dl - prior == pytest.approx(glob.dl, abs=1e-9)
-        values, starts = loc.node_traces
+        values, starts = loc.curves
         np.testing.assert_allclose(values[starts[0]:starts[1]],
-                                   glob.trace.values, rtol=0, atol=1e-9)
+                                   glob.curves[0], rtol=0, atol=1e-9)
 
     @given(small_graphs(one_neighborhood=True))
     @settings(max_examples=60, deadline=None)
@@ -172,8 +173,8 @@ OBJECTIVES = [("microcanonical", None), ("canonical", "geometric"),
 
 
 class TestTraceIsTheCurve:
-    """The trace is the curve the greedy minimizes: its first minimum is the
-    returned backbone size and DL, in every segment of both scopes."""
+    """``curves`` holds the curves the greedy minimizes: in every segment of
+    both scopes the first minimum is the returned backbone size and DL."""
 
     @pytest.mark.parametrize("directed", [True, False])
     @pytest.mark.parametrize("family, model", OBJECTIVES)
@@ -182,10 +183,10 @@ class TestTraceIsTheCurve:
     def test_global(self, family, model, directed, data):
         g = data.draw(small_graphs(directed, real=model == "exponential"))
         res = greedy_global(g, ObjectiveSpec("global", family, model))
-        values = res.trace.values
-        assert len(values) == g.num_edges + 1
-        assert res.trace.argmin == res.backbone.num_edges
-        assert values[res.trace.argmin] == res.dl
+        values, starts = res.curves
+        assert list(starts) == [0, g.num_edges + 1]
+        assert np.argmin(values) == res.backbone.num_edges
+        assert values[res.backbone.num_edges] == res.dl
 
     @pytest.mark.parametrize("directed", [True, False])
     @pytest.mark.parametrize("family, model", OBJECTIVES)
@@ -194,7 +195,7 @@ class TestTraceIsTheCurve:
     def test_local(self, family, model, directed, data):
         g = data.draw(small_graphs(directed, real=model == "exponential"))
         res = greedy_local(g, ObjectiveSpec("local", family, model))
-        values, starts = res.node_traces
+        values, starts = res.curves
         N = g.num_nodes
         assert len(starts) == N + 1
         slices = [values[starts[i]:starts[i + 1]] for i in range(N)]
@@ -225,7 +226,7 @@ class TestNonDyadicRealWeights:
                        weight_kind="real")
         res = greedy_local(g, self.EXP_L)
         assert res.backbone.num_edges == 0
-        values, starts = res.node_traces
+        values, starts = res.curves
         head = starts[:-1][np.diff(starts) == 2]
         assert np.array_equal(values[head], values[head + 1])
 
@@ -236,8 +237,9 @@ class TestNonDyadicRealWeights:
         g = make_graph([0] * m, range(1, m + 1), [tenths / 10] * m,
                        directed=directed, weight_kind="real")
         res = greedy_global(g, self.EXP_G)
-        assert res.backbone.num_edges == res.trace.argmin == 0
-        assert res.trace.values[0] == res.trace.values[m]
+        values = res.curves[0]
+        assert res.backbone.num_edges == np.argmin(values) == 0
+        assert values[0] == values[m]
         assert greedy_local(g, self.EXP_L).backbone.num_edges == 0
 
 
@@ -261,6 +263,46 @@ class TestAgainstEnumeration:
             greedy = greedy_local(g, spec)
             exact = enumerate_optimal(g, spec)
             assert greedy.dl == pytest.approx(exact.dl, abs=1e-9)
+
+    @staticmethod
+    def heavy_first(rng, m):
+        """A third of the weights heavy, the rest light, heaviest first: the
+        heavy prefixes lie in the first chunk of masks the oracle scores,
+        and the later chunks fold without improving."""
+        w = np.concatenate([rng.integers(100, 1000, m // 3),
+                            rng.integers(1, 20, m - m // 3)])
+        return np.sort(w)[::-1]
+
+    @pytest.mark.parametrize("m", [17, 18])
+    @pytest.mark.parametrize("spec", [MICRO_G, GEOM_G, POIS_G])
+    def test_global_across_mask_chunks(self, spec, m):
+        # 2**16 masks per chunk: 2 or 4 chunks
+        rng = np.random.default_rng(m)
+        w = self.heavy_first(rng, m)
+        g = make_graph(rng.integers(0, 6, m), rng.integers(0, 6, m), w, num_nodes=6)
+        greedy = greedy_global(g, spec)
+        exact = enumerate_optimal(g, spec)
+        assert greedy.dl == pytest.approx(exact.dl, abs=1e-9)
+        assert greedy.backbone.num_edges == exact.backbone.num_edges
+
+    @pytest.mark.parametrize("m", [13, 14])
+    @pytest.mark.parametrize(
+        "spec", [MICRO_L, GEOM_L, ObjectiveSpec("local", "canonical", "poisson")]
+    )
+    def test_local_across_mask_chunks(self, spec, m):
+        # 2**12 masks per chunk: 2 or 4 chunks
+        rng = np.random.default_rng(m)
+        w = self.heavy_first(rng, m)
+        g = make_graph(rng.integers(0, 4, m), rng.integers(0, 4, m), w, num_nodes=4)
+        greedy = greedy_local(g, spec)
+        exact = enumerate_optimal(g, spec)
+        assert greedy.dl == pytest.approx(exact.dl, abs=1e-9)
+        # a neighborhood's heavy prefix and its light complement have one DL
+        # (bit-flip symmetry); the two solvers may keep either
+        k = np.bincount(g.src, minlength=4)
+        kept = np.bincount(g.src[greedy.backbone.member_flags], minlength=4)
+        kept_exact = np.bincount(g.src[exact.backbone.member_flags], minlength=4)
+        assert ((kept_exact == kept) | (kept_exact == k - kept)).all()
 
     def test_undirected_parallel_orientations(self):
         # "a b 3" and "b a 2" are parallel edges. b's neighborhood keeps its
@@ -381,7 +423,7 @@ class TestIntegerWeightBound:
         # and raises. Eta enters none of the values checked below.
         with mock.patch.object(solver, "inverse_compression_ratio", lambda *dls: np.nan):
             res = greedy_local(g, spec)
-            values, starts = res.node_traces
+            values, starts = res.curves
             wfact = np.zeros(g.num_nodes)
             if model == "poisson":
                 wfact = _out_sums(g, weights=_log2_factorial(g.weights))
@@ -402,7 +444,7 @@ class TestIntegerWeightBound:
                 star_w = g.weights[g.src == i]
                 star = make_graph([0] * len(w), range(1, len(w) + 1), star_w)
                 glob = greedy_global(star, glob_spec)
-                assert got.tobytes() == glob.trace.values.tobytes()
+                assert got.tobytes() == glob.curves[0].tobytes()
         # the scorer accepts the backbone and gives it the solver's DL
         if model is None:
             dl = dl_local_micro(g, res.backbone)
@@ -417,8 +459,8 @@ class TestIntegerWeightBound:
         with mock.patch.object(solver, "inverse_compression_ratio", lambda *dls: np.nan):
             loc = greedy_local(star, ObjectiveSpec("local", "canonical", "poisson"))
             glob = greedy_global(star, ObjectiveSpec("global", "canonical", "poisson"))
-        values, starts = loc.node_traces
-        assert values[starts[0]:starts[1]].tobytes() == glob.trace.values.tobytes()
+        values, starts = loc.curves
+        assert values[starts[0]:starts[1]].tobytes() == glob.curves[0].tobytes()
 
 
 class TestRoundedWeightSums:
@@ -435,7 +477,8 @@ class TestRoundedWeightSums:
         g = parse_edge_list(f"a b {2**53 - 3}\na c 1\na d 1\n", directed=True)
         solve = greedy_global if spec.scope == "global" else greedy_local
         res = solve(g, spec)
-        curve = res.node_traces[0][:4] if res.trace is None else res.trace.values
+        # node a's curve, the first segment in both scopes
+        curve = res.curves[0][:4]
         assert np.isfinite(curve).all()
         assert curve[0] == curve[3]
         assert np.isfinite(res.eta)
@@ -478,7 +521,7 @@ class TestRoundedWeightSums:
         assert g.strengths().tolist() == [heavy + 3, heavy, 2, 3]
         res = greedy_local(g, spec)
         assert np.isfinite(res.dl)
-        values, starts = res.node_traces
+        values, starts = res.curves
         dg = directed_view(g)
         glob_spec = ObjectiveSpec("global", spec.family, spec.weight_model)
         for i in range(g.num_nodes):
@@ -486,7 +529,7 @@ class TestRoundedWeightSums:
             star = make_graph(np.zeros(out.sum()), np.arange(1, out.sum() + 1),
                               dg.weights[out])
             glob = greedy_global(star, glob_spec)
-            assert values[starts[i]:starts[i + 1]].tobytes() == glob.trace.values.tobytes()
+            assert values[starts[i]:starts[i + 1]].tobytes() == glob.curves[0].tobytes()
 
 
 @st.composite
