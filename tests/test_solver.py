@@ -185,6 +185,7 @@ class TestTraceIsTheCurve:
         res = greedy_global(g, ObjectiveSpec("global", family, model))
         values, starts = res.curves
         assert list(starts) == [0, g.num_edges + 1]
+        assert len(values) == g.num_edges + 1
         assert np.argmin(values) == res.backbone.num_edges
         assert values[res.backbone.num_edges] == res.dl
 
