@@ -469,9 +469,14 @@ def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
     num_nodes, labels = len(labels), tuple(labels)
     src, dst = codes[0::2], codes[1::2]
 
-    # merged into the first occurrence; bincount adds in order of appearance
-    pair, first = _first_appearance(src * num_nodes + dst)
-    src, dst, w = src[first], dst[first], np.bincount(pair, weights=w)
+    pair = src * num_nodes + dst
+    sorted_pair = np.sort(pair)
+    if np.any(sorted_pair[1:] == sorted_pair[:-1]):
+        # merged into the first occurrence; bincount adds in order of appearance
+        pair, first = _first_appearance(pair)
+        src, dst, w = src[first], dst[first], np.bincount(pair, weights=w)
+    else:
+        src, dst = np.ascontiguousarray(src), np.ascontiguousarray(dst)
 
     if weight_kind == "integer":
         if round_weights:

@@ -24,7 +24,6 @@ from .graph import (
     backbone_from_flags,
     directed_parents,
     directed_view,
-    neighborhoods,
 )
 from .objectives import (
     ObjectiveSpec,
@@ -165,10 +164,10 @@ def _sweep(w, starts, strength, wfact, spec):
     if (not spec.continuous and w.dtype.kind in "iu"
             and np.max(strength) < curve_starts[-1]):
         strength = np.asarray(strength, dtype=np.int64)
-        m, cum = np.max(strength), np.cumsum(w, dtype=np.int64)
+        m, cum = np.max(strength), np.zeros(len(w) + 1, dtype=np.int64)
     else:
-        m, cum = k.max(), np.cumsum(w, dtype=float)
-    cum = np.concatenate([[0], cum])
+        m, cum = k.max(), np.zeros(len(w) + 1)
+    np.cumsum(w, dtype=cum.dtype, out=cum[1:])
     table = _ln_factorial(np.arange(m + 1))
     curve = np.empty(curve_starts[-1])
     for lo in range(0, len(curve), _CURVE_BLOCK):
@@ -222,7 +221,17 @@ def greedy_local(g, spec=None):
     """MDL-optimal local backbone: the greedy sweep applied independently to
     every out-neighborhood of the directed view, union of the neighborhood
     backbones, deduplicated back to undirected form when the input is
-    undirected. ``curves`` holds every node's DL curve."""
+    undirected. Node i keeps the first n_i of its out-edges in the order of
+    (-weight, dst, position in the directed view), weights compared as
+    floats. ``curves`` holds every node's DL curve.
+
+    The view is not built. Its edges are keyed node * R + class, with R
+    weight classes, class 0 the heaviest, and the keys sorted as values:
+    each node's weights, heaviest first. The keys are below N * R <= N * E,
+    the bound of ``graph.neighborhood_order``. Every edge of a class
+    heavier than node i's n_i-th is kept; only the edges of that boundary
+    class are sorted by (node, other endpoint), stably, which leaves the
+    ties in directed-view order."""
     if spec is None:
         spec = ObjectiveSpec("local", "microcanonical")
     if spec.scope != "local":
@@ -231,24 +240,55 @@ def greedy_local(g, spec=None):
         raise DomainError("cannot backbone an empty graph")
     _require_weights(g, spec)
 
-    dg = directed_view(g)
-    order, starts = neighborhoods(dg)
+    distinct, cls = np.unique(g.weights, return_inverse=True)
+    R = len(distinct)
+    distinct, cls = distinct[::-1], R - 1 - cls
+    # the view's edges: every src, then every dst of a non-loop undirected edge
+    rev = np.zeros(0, dtype=int) if g.directed else np.flatnonzero(g.src != g.dst)
+    keys = np.empty(g.num_edges + len(rev), dtype=np.int64)
+    keys[:g.num_edges], keys[g.num_edges:] = g.src, g.dst[rev]
+    keys *= R
+    keys[:g.num_edges] += cls
+    keys[g.num_edges:] += cls[rev]
+    keys.sort()
+
+    k = _out_sums(g)
+    starts = np.concatenate([[0], np.cumsum(k)])
     wfact = 0.0
     if spec.family == "canonical" and spec.weight_model == "poisson":
         wfact = _out_sums(g, weights=_log2_factorial(g.weights))
-    n_keep, node_dl, curve, curve_starts = _sweep(dg.weights[order], starts,
-                                                  g.strengths(), wfact, spec)
+    strength = g.strengths()
+    n_keep, node_dl, curve, curve_starts = _sweep(distinct[keys % R], starts,
+                                                  strength, wfact, spec)
 
-    k = np.diff(starts)
     # isolated nodes contribute 0 bits
     dl = float(np.sum(node_dl[k > 0]))
     if spec.family == "microcanonical":
-        dl += strength_prior_bits(g.num_nodes, dg.num_edges, dg.total_weight)
+        dl += strength_prior_bits(g.num_nodes, int(k.sum()), int(strength.sum()))
 
-    pos = np.arange(dg.num_edges) - np.repeat(starts[:-1], k)
-    selected = pos < np.repeat(n_keep, k)
-    flags = np.zeros(g.num_edges, dtype=bool)
-    flags[directed_parents(g)[order[selected]]] = True
+    # per node: the boundary class (-1 keeps nothing) and how many of its
+    # edges are kept, after every edge of a heavier class
+    node = np.flatnonzero(n_keep)
+    bound = np.full(g.num_nodes, -1, dtype=np.int64)
+    bound[node] = keys[starts[node] + n_keep[node] - 1] % R
+    need = np.zeros(g.num_nodes, dtype=np.int64)
+    need[node] = n_keep[node] - (np.searchsorted(keys, node * R + bound[node])
+                                 - starts[node])
+    del keys
+
+    # below 0: a heavier class than the node's boundary, kept; 0: a tie
+    fwd, back = cls - bound[g.src], cls[rev] - bound[g.dst[rev]]
+    flags = fwd < 0
+    flags[rev[back < 0]] = True
+    tie, rev_tie = np.flatnonzero(fwd == 0), rev[back == 0]
+    parent = np.concatenate([tie, rev_tie])
+    at = np.concatenate([g.src[tie], g.dst[rev_tie]])
+    other = np.concatenate([g.dst[tie], g.src[rev_tie]])
+    # lexsort is stable: ties stay in directed-view order
+    ranked = np.lexsort((other, at))
+    at, parent = at[ranked], parent[ranked]
+    rank = np.arange(len(at)) - np.searchsorted(at, at)
+    flags[parent[rank < need[at]]] = True
     return _result(g, flags, dl, spec, "mdl-local", (curve, curve_starts))
 
 

@@ -2,10 +2,13 @@
 
 The package sorts only what each answer depends on: packed int64 keys for
 the neighborhood order, and the boundary class alone for the first n edges
-of the global sweep and the disparity ranking. The multi-key lexsorts over
-the whole edge array and the ``np.add.at`` loops they replaced are kept
-here as the oracles.
+of the global and local sweeps and the disparity ranking. The multi-key
+lexsorts over the whole edge array (for the local sweep, over the directed
+view) and the ``np.add.at`` loops they replaced are kept here as the
+oracles.
 """
+
+import sys
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,12 +21,14 @@ from mdlbackbone.graph import (
     _first_in_order,
     _out_sums,
     backbone_from_flags,
+    directed_parents,
     directed_view,
     neighborhood_order,
+    neighborhoods,
 )
 from mdlbackbone.objectives import ObjectiveSpec
 from mdlbackbone.percolation import HalfEdgeSystem
-from mdlbackbone.solver import greedy_global
+from mdlbackbone.solver import greedy_global, greedy_local
 
 from conftest import make_graph, small_graphs
 
@@ -45,6 +50,23 @@ def lexsort_neighborhood_order(g):
 def lexsort_global_flags(g, n_keep):
     w = np.asarray(g.weights, dtype=float)
     return first_of_lexsort(n_keep, (g.dst, g.src, -w))
+
+
+def lexsort_local_flags(g, curves):
+    """Flags of each node's first n_i out-edges in the lexsort order of the
+    directed view, mapped to their parent edges; n_i is the first minimum
+    of the node's segment of ``curves``."""
+    dg = directed_view(g)
+    parents = directed_parents(g)[lexsort_neighborhood_order(dg)]
+    values, starts = curves
+    degrees = np.bincount(dg.src, minlength=g.num_nodes)
+    assert np.diff(starts).tolist() == (degrees + 1).tolist()
+    edge_starts = np.concatenate([[0], np.cumsum(degrees)])
+    flags = np.zeros(g.num_edges, dtype=bool)
+    for i in range(g.num_nodes):
+        n = int(np.argmin(values[starts[i]:starts[i + 1]]))
+        flags[parents[edge_starts[i]:edge_starts[i] + n]] = True
+    return flags
 
 
 def graphs(directed=None, real=None):
@@ -90,6 +112,54 @@ class TestGlobalFlags:
         flags = res.backbone.member_flags
         oracle = lexsort_global_flags(g, int(np.argmin(res.curves[0])))
         assert flags.tolist() == oracle.tolist()
+
+
+class TestLocalFlags:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_first_n_keep_of_lexsort(self, data):
+        family, model = data.draw(st.sampled_from(SPECS))
+        real = model == "exponential" and data.draw(st.booleans())
+        g = data.draw(graphs(real=real))
+        res = greedy_local(g, ObjectiveSpec("local", family, model))
+        flags = res.backbone.member_flags
+        assert flags.tolist() == lexsort_local_flags(g, res.curves).tolist()
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_many_small_components(self, seed, directed):
+        # 400 disjoint graphs on 5 nodes with 12 edges each, weights 1-9:
+        # under the microcanonical objective over 200 nodes cut inside a
+        # class of tied weights, and read undirected, dozens of them between
+        # the two orientations of a reciprocal pair
+        rng = np.random.default_rng(seed)
+        blocks, n, m = 400, 5, 12
+        base = n * np.arange(blocks)[:, None]
+        src, dst = (rng.integers(0, n, size=(2, blocks, m)) + base).reshape(2, -1)
+        w = rng.integers(1, 10, size=blocks * m)
+        g = make_graph(src, dst, w, num_nodes=blocks * n, directed=directed)
+        for family, model in SPECS:
+            res = greedy_local(g, ObjectiveSpec("local", family, model))
+            flags = res.backbone.member_flags
+            assert flags.tolist() == lexsort_local_flags(g, res.curves).tolist()
+
+
+def test_greedy_local_builds_no_directed_view(monkeypatch):
+    refused = (directed_view, directed_parents, neighborhood_order, neighborhoods)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the directed view or its neighborhood order was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mdlbackbone"):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in refused):
+                    monkeypatch.setattr(module, attr, refuse)
+    for directed in (True, False):
+        g = make_graph([0, 1, 1, 0, 2, 2], [1, 0, 2, 2, 2, 0], [3, 2, 1, 4, 2, 3],
+                       num_nodes=3, directed=directed)
+        for family, model in SPECS:
+            greedy_local(g, ObjectiveSpec("local", family, model))
 
 
 class TestDisparityTopE:

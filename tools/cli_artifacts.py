@@ -15,8 +15,8 @@ Artifacts, each input read directed (``dir``) and undirected (``und``):
 
 - ``backbone`` TSV and JSON: on contact-1000 mdl-global and mdl-local under
   all four objectives, and disparity-alpha, disparity-tope (at the
-  micro mdl-global size), hss and percolation; on the DM file mdl-global,
-  mdl-local and percolation;
+  micro mdl-global size), hss and percolation; on the DM file mdl-local
+  under all four objectives, and mdl-global and percolation;
 - ``compare`` JSON: the five contact-study backbones (micro mdl-global,
   mdl-local, hss, percolation, disparity-tope) on contact-1000, and the
   three backbones on the DM file;
@@ -105,6 +105,8 @@ def write_artifacts():
 
         for method in DM_METHODS:
             backbone(DM, method, way)
+        for objective in OBJECTIVES[1:]:
+            backbone(DM, "mdl-local", way, objective)
         run("compare", DM, "--output", f"dm-seed1.{way}.compare", *flags,
             "--backbones", *[f"dm-seed1.{way}.{m}.tsv" for m in DM_METHODS])
 
