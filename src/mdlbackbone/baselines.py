@@ -83,11 +83,55 @@ def _pair_matrix(n, a, b, values):
     return csr_matrix((values[keep], (a[keep], b[keep])), shape=(n, n))
 
 
+# Roots that also serve as landmarks of salience_table's arc pruning, taken
+# evenly spaced from the sorted roots.
+_LANDMARKS = 8
+
+
+def _arcs_on_shortest_paths(dist_mat, src, dst, d, landmarks, symmetric):
+    """Flags of the arcs (src, dst) of length d that no landmark bound
+    proves longer than their endpoints' distance.
+
+    The bound is ub = min over landmarks L of dist(u, L) + dist(L, v), from
+    one Dijkstra call on ``dist_mat`` and one on its transpose (the same rows
+    when ``symmetric``). An arc is dropped when ub + slack < d, with slack =
+    4(n + 1)·eps·(ub + (n - 1)·max d). Exact ties, ub == d, are kept.
+
+    Why a dropped arc changes nothing, in float arithmetic. Dijkstra's
+    distance to a node is the least left-to-right float sum over paths to
+    it, attained on a simple path of at most n - 1 arcs, so it lies within a
+    factor 1 ± g, g = γ_n ≈ n·eps/2, of the exact distance δ, and a finite
+    one is at most (1 + g)(n - 1)·max d. At a root with drow[u] = a finite,
+    drow[v] <= (1 + g)(δ(r, u) + δ(u, L) + δ(L, v)) <= (1 + g)/(1 - g)·(a +
+    ub/(1 - eps/2)), while fl(a + d) >= (a + d)(1 - eps/2). So fl(a + d) >
+    drow[v] once d > ub + h·(ub + (n - 1)·max d), h ≈ (n + 1)·eps; the
+    slack is twice that and also covers the rounding of ``ub + slack``.
+    A dropped arc therefore yields no Dijkstra minimum, removing it moves
+    no distance, and ``drow[u] + d == drow[v]`` is false for it at every
+    root. Where drow[u] is inf, the arc can tie only at an unreachable head,
+    which never counts.
+    """
+    n = dist_mat.shape[0]
+    from_l = np.atleast_2d(dijkstra(dist_mat, directed=True, indices=landmarks))
+    to_l = from_l if symmetric else np.atleast_2d(
+        dijkstra(dist_mat.T, directed=True, indices=landmarks))
+    ub = np.full(len(d), np.inf)
+    for to_row, from_row in zip(to_l, from_l):
+        np.minimum(ub, to_row[src] + from_row[dst], out=ub)
+    slack = 4 * (n + 1) * np.finfo(float).eps * (ub + (n - 1) * d.max())
+    return ~(ub + slack < d)
+
+
 def salience_table(g, sample_cap=10000, seed=0):
     """Saliency of every parent edge, as an array: its occurrence frequency
-    in shortest-path trees rooted at each of up to ``sample_cap`` nodes,
-    with distances d = 1/w. Parent choice on equal-length paths is the
-    smallest predecessor index."""
+    in shortest-path trees rooted at each of up to ``sample_cap`` (at least
+    1) nodes, with distances d = 1/w. Parent choice on equal-length paths is
+    the smallest predecessor index. The search skips the arcs that a
+    landmark path bound proves longer than their endpoints' distance (see
+    :func:`_arcs_on_shortest_paths`); they lie on no shortest-path tree, so
+    the saliencies are those of the full search."""
+    if sample_cap < 1:
+        raise DomainError(f"sample_cap must be at least 1, got {sample_cap}")
     dg = directed_view(g)
     n = g.num_nodes
     d_edge = 1.0 / np.asarray(dg.weights, dtype=float)
@@ -100,16 +144,24 @@ def salience_table(g, sample_cap=10000, seed=0):
         rng = np.random.default_rng(seed)
         roots = np.sort(rng.choice(n, size=sample_cap, replace=False))
 
-    # in-edges of each node in the directed view, sorted by (dst, src) so the
-    # first feasible predecessor within a segment is the smallest-index one
-    in_key = np.asarray(dg.dst, dtype=np.int64) * n + dg.src
-    in_order = np.argsort(in_key, kind="stable")
-    in_dst = dg.dst[in_order]
+    arcs = np.arange(dg.num_edges)
+    if dg.num_edges:
+        landmarks = roots[::-(-len(roots) // _LANDMARKS)]
+        arcs = np.flatnonzero(_arcs_on_shortest_paths(
+            dist_mat, dg.src, dg.dst, d_edge, landmarks, not g.directed))
+        if len(arcs) < dg.num_edges:
+            dist_mat = _pair_matrix(n, dg.src[arcs], dg.dst[arcs], d_edge[arcs])
+    arc_src, arc_dst, arc_d = dg.src[arcs], dg.dst[arcs], d_edge[arcs]
+
+    # in-arcs of each node, sorted by (dst, src) so the first feasible
+    # predecessor within a segment is the smallest-index one
+    in_order = np.argsort(arc_dst.astype(np.int64) * n + arc_src, kind="stable")
+    in_dst = arc_dst[in_order]
     in_starts = np.searchsorted(in_dst, np.arange(n + 1))
-    in_src = dg.src[in_order]
-    in_d = d_edge[in_order]
-    M = dg.num_edges
-    to_parent_edge = directed_parents(g)[in_order]
+    in_src = arc_src[in_order]
+    in_d = arc_d[in_order]
+    M = len(arcs)
+    to_parent_edge = directed_parents(g)[arcs[in_order]]
     has_in = in_starts[1:] > in_starts[:-1]
     starts_nz = in_starts[:-1][has_in]
     nodes_nz = np.nonzero(has_in)[0]

@@ -79,15 +79,31 @@ def reachable_pair_count(num_nodes, src, dst, directed, nodes=None):
     return total
 
 
+def _sampled_reach(g, sample_cap, seed):
+    """The nodes :func:`reachability_ratio` samples (None for all of them)
+    and the full graph's reachable-pair count on them. The graph is
+    immutable, so the pair is kept on it per (sample_cap, seed), the way
+    ``cached_property`` keeps values: scoring several backbones of one
+    graph counts the full graph once."""
+    if sample_cap < 1:
+        raise DomainError(f"sample_cap must be at least 1, got {sample_cap}")
+    memo = vars(g).setdefault("_sampled_reach", {})
+    if (sample_cap, seed) not in memo:
+        nodes = None
+        if g.num_nodes > sample_cap:
+            rng = np.random.default_rng(seed)
+            nodes = np.sort(rng.choice(g.num_nodes, size=sample_cap, replace=False))
+            nodes.setflags(write=False)
+        memo[sample_cap, seed] = nodes, reachable_pair_count(
+            g.num_nodes, g.src, g.dst, g.directed, nodes)
+    return memo[sample_cap, seed]
+
+
 def reachability_ratio(g, bb, sample_cap=10000, seed=0):
     """Ratio of ordered reachable pairs in the backbone to those in the full
     graph; computed on a seeded random induced subgraph of ``sample_cap``
-    nodes when the graph is larger than that."""
-    nodes = None
-    if g.num_nodes > sample_cap:
-        rng = np.random.default_rng(seed)
-        nodes = np.sort(rng.choice(g.num_nodes, size=sample_cap, replace=False))
-    denom = reachable_pair_count(g.num_nodes, g.src, g.dst, g.directed, nodes)
+    (at least 1) nodes when the graph is larger than that."""
+    nodes, denom = _sampled_reach(g, sample_cap, seed)
     if denom == 0:
         raise DomainError("graph has no reachable pairs")
     flags = bb.member_flags
@@ -98,8 +114,9 @@ def reachability_ratio(g, bb, sample_cap=10000, seed=0):
 
 
 def summarize(g, bb, sample_cap=10000, seed=0):
-    """Bundle of all backbone metrics; fields that are undefined for an
-    empty backbone come back as None."""
+    """Bundle of all backbone metrics; fields that are undefined come back
+    as None: ``hellinger`` for an empty backbone, ``reachability`` for a
+    graph without reachable pairs."""
     E, W = g.num_edges, g.total_weight
     E_b, W_b = bb.num_edges, bb.total_weight
     nonisolated = np.zeros(g.num_nodes, dtype=bool)
@@ -113,10 +130,10 @@ def summarize(g, bb, sample_cap=10000, seed=0):
         hell = hellinger_strength_distance(g, bb)
     except DomainError:
         hell = None
-    try:
+    # None when the graph has no reachable pairs; a bad sample_cap raises
+    reach = None
+    if _sampled_reach(g, sample_cap, seed)[1]:
         reach = reachability_ratio(g, bb, sample_cap=sample_cap, seed=seed)
-    except DomainError:
-        reach = None
     return BackboneMetrics(
         edge_fraction=E_b / E if E else 0.0,
         weight_fraction=W_b / W if W else 0.0,

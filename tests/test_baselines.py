@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from mdlbackbone.baselines import (
+    _arcs_on_shortest_paths,
+    _pair_matrix,
     disparity_filter,
     disparity_filter_top_e,
     disparity_pvalue,
@@ -18,7 +20,12 @@ from mdlbackbone.baselines import (
     salience_table,
 )
 from mdlbackbone.errors import DomainError
-from mdlbackbone.graph import _out_sums, parse_edge_list
+from mdlbackbone.graph import (
+    _out_sums,
+    directed_parents,
+    directed_view,
+    parse_edge_list,
+)
 
 from conftest import make_graph
 
@@ -146,6 +153,142 @@ class TestSalience:
         t1 = salience_table(g, sample_cap=10, seed=3)
         t2 = salience_table(g, sample_cap=10, seed=3)
         assert np.array_equal(t1, t2)
+
+    @pytest.mark.parametrize("sample_cap", [0, -1])
+    def test_sample_cap_below_one_rejected(self, star_graph, sample_cap):
+        with pytest.raises(DomainError, match="sample_cap"):
+            salience_table(star_graph, sample_cap=sample_cap)
+
+
+def salience_reference(g, sample_cap=10000, seed=0):
+    """The per-root loop of ``salience_table`` over every arc of the
+    directed view, without the landmark pruning, kept as its reference."""
+    dg = directed_view(g)
+    n = g.num_nodes
+    d_edge = 1.0 / np.asarray(dg.weights, dtype=float)
+    dist_mat = _pair_matrix(n, dg.src, dg.dst, d_edge)
+    if n <= sample_cap:
+        roots = np.arange(n)
+    else:
+        rng = np.random.default_rng(seed)
+        roots = np.sort(rng.choice(n, size=sample_cap, replace=False))
+    # in-edges of each node in the directed view, sorted by (dst, src) so the
+    # first feasible predecessor within a segment is the smallest-index one
+    in_key = np.asarray(dg.dst, dtype=np.int64) * n + dg.src
+    in_order = np.argsort(in_key, kind="stable")
+    in_dst = dg.dst[in_order]
+    in_starts = np.searchsorted(in_dst, np.arange(n + 1))
+    in_src = dg.src[in_order]
+    in_d = d_edge[in_order]
+    M = dg.num_edges
+    to_parent_edge = directed_parents(g)[in_order]
+    has_in = in_starts[1:] > in_starts[:-1]
+    starts_nz = in_starts[:-1][has_in]
+    nodes_nz = np.nonzero(has_in)[0]
+    positions = np.arange(M)
+
+    counts = np.zeros(g.num_edges)
+    for lo in range(0, len(roots), 256):
+        chunk = roots[lo:lo + 256]
+        dist = np.atleast_2d(dijkstra(dist_mat, directed=True, indices=chunk))
+        for r, drow in zip(chunk, dist):
+            feas = (drow[in_src] + in_d) == drow[in_dst]
+            fpos = np.where(feas, positions, M)
+            first = np.minimum.reduceat(fpos, starts_nz) if len(starts_nz) else fpos[:0]
+            valid = (first < M) & (nodes_nz != r) & np.isfinite(drow[nodes_nz])
+            np.add.at(counts, to_parent_edge[first[valid]], 1.0)
+    return counts / len(roots)
+
+
+@st.composite
+def salience_graphs(draw):
+    """Graphs for the salience oracle: exact ties (weights 1, 2 and 4), or
+    real weights up to 1e15 whose distances 1/w vanish in float sums with
+    longer ones; several parts, parallel edges, self-loops, and a root
+    sample that may leave nodes out."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(0, 80))
+    # node i lies in part i % parts, and each edge stays in its src's part
+    parts = draw(st.integers(1, 3))
+    src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    hop = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    dst = []
+    for s, h in zip(src, hop):
+        part = range(s % parts, n, parts)
+        dst.append(part[h % len(part)])
+    if draw(st.booleans()):
+        w = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=m, max_size=m))
+        kind = "integer"
+    else:
+        weight = st.one_of(st.sampled_from([1.0, 3.0, 1e15]), st.floats(1.0, 1e15))
+        w = draw(st.lists(weight, min_size=m, max_size=m))
+        kind = "real"
+    g = make_graph(src, dst, w, num_nodes=n, directed=draw(st.booleans()),
+                   weight_kind=kind)
+    return g, draw(st.integers(1, n + 1)), draw(st.integers(0, 3))
+
+
+def floyd_warshall(g):
+    """Dense all-pairs distances of the directed view, d = 1/w."""
+    dg = directed_view(g)
+    n = g.num_nodes
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    np.minimum.at(dist, (dg.src, dg.dst), 1.0 / np.asarray(dg.weights, dtype=float))
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    return dist
+
+
+class TestSalienceMatchesUnprunedLoop:
+    @given(salience_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, case):
+        g, sample_cap, seed = case
+        assert np.array_equal(salience_table(g, sample_cap=sample_cap, seed=seed),
+                              salience_reference(g, sample_cap=sample_cap, seed=seed))
+
+    @given(salience_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_salient_edges_are_shortest_paths(self, case):
+        g, sample_cap, seed = case
+        saliency = salience_table(g, sample_cap=sample_cap, seed=seed)
+        dist = floyd_warshall(g)
+        on_tree = saliency > 0
+        d = 1.0 / np.asarray(g.weights, dtype=float)
+        # weights 1, 2 and 4 sum exactly; otherwise Dijkstra's float sums can
+        # tie a path longer by their rounding, n eps times the longest path
+        n = g.num_nodes
+        slack = 0.0 if g.weight_kind == "integer" else (
+            4 * n * np.finfo(float).eps * n * d.max(initial=0.0))
+        assert np.all(d[on_tree] <= dist[g.src[on_tree], g.dst[on_tree]] + slack)
+
+    def test_arc_shorter_in_float_sums_kept(self):
+        # 1 -> 2 is longer than 1 -> 3 -> 2 (1/4.9e14 against 2e-15), but
+        # behind root 0's unit arc the float sums round it shorter
+        g = make_graph([0, 1, 1, 3], [1, 2, 3, 2], [1, 4.9e14, 1e15, 1e15],
+                       weight_kind="real")
+        saliency = salience_table(g)
+        assert saliency[1] > 0
+        assert np.array_equal(saliency, salience_reference(g))
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_contact_graph(self, directed):
+        path = Path(__file__).resolve().parents[1] / "datasets" / "contact-1000.tsv"
+        with open(path) as fh:
+            g = parse_edge_list(fh, directed=directed)
+        assert np.array_equal(salience_table(g, seed=1), salience_reference(g, seed=1))
+
+    def test_contact_graph_pruned(self):
+        # the light contacts are longer than a detour through heavy ones:
+        # the undirected search keeps 3,000 of the 15,000 arcs
+        path = Path(__file__).resolve().parents[1] / "datasets" / "contact-1000.tsv"
+        with open(path) as fh:
+            dg = directed_view(parse_edge_list(fh, directed=False))
+        d = 1.0 / np.asarray(dg.weights, dtype=float)
+        dist_mat = _pair_matrix(dg.num_nodes, dg.src, dg.dst, d)
+        keep = _arcs_on_shortest_paths(dist_mat, dg.src, dg.dst, d, [0], True)
+        assert keep.sum() == 3000
 
 
 class TestPercolationBackbone:

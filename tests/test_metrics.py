@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdlbackbone import metrics
 from mdlbackbone.cli import _backbone_from_file
 from mdlbackbone.errors import DomainError
 from mdlbackbone.graph import backbone_from_flags, parse_edge_list
@@ -164,6 +165,27 @@ class TestReachability:
         a = reachability_ratio(g, bb, sample_cap=50, seed=9)
         b = reachability_ratio(g, bb, sample_cap=50, seed=9)
         assert a == b
+
+
+    @pytest.mark.parametrize("sample_cap", [0, -1])
+    def test_sample_cap_below_one_rejected(self, star_graph, sample_cap):
+        bb = backbone_from_flags(star_graph, [True] * 4)
+        with pytest.raises(DomainError, match="sample_cap"):
+            reachability_ratio(star_graph, bb, sample_cap=sample_cap)
+        with pytest.raises(DomainError, match="sample_cap"):
+            summarize(star_graph, bb, sample_cap=sample_cap)
+
+    def test_full_graph_counted_once(self, monkeypatch):
+        g = make_graph([0, 1, 2, 3], [1, 2, 0, 2], [1, 1, 1, 1])
+        calls = []
+        count = metrics.reachable_pair_count
+        monkeypatch.setattr(metrics, "reachable_pair_count",
+                            lambda *a: calls.append(a) or count(*a))
+        ratios = [summarize(g, backbone_from_flags(g, flags)).reachability
+                  for flags in ([True] * 4, [True, True, False, False], [False] * 4)]
+        assert ratios == [1.0, 3 / 9, 0.0]
+        # one count of the full graph, one per backbone
+        assert len(calls) == 4
 
 
 class TestSummarize:

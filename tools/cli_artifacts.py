@@ -2,21 +2,22 @@
 
 Usage: python tools/cli_artifacts.py OUT   (OUT must not exist yet)
 
-Runs the command-line front end of the checkout this file sits in on two
+Runs the command-line front end of the checkout this file sits in on three
 inputs, written into the new directory OUT so that every path recorded in
 the JSON artifacts is relative to OUT:
 
 - ``contact-1000.tsv``, the bundled dataset;
 - ``dm-seed1.tsv``, the 1M-edge Dirichlet-multinomial file of the
-  benchmark, generated by ``perfbench/inputs.py`` and checked against its
-  pinned sha256.
+  benchmark, and ``dm-canary.tsv``, its 20k-edge canary, both generated by
+  ``perfbench/inputs.py`` and checked against their pinned sha256.
 
 Artifacts, each input read directed (``dir``) and undirected (``und``):
 
 - ``backbone`` TSV and JSON: on contact-1000 mdl-global and mdl-local under
   all four objectives, and disparity-alpha, disparity-tope (at the
   micro mdl-global size), hss and percolation; on the DM file mdl-local
-  under all four objectives, and mdl-global and percolation;
+  under all four objectives, and mdl-global and percolation; on the
+  canary hss;
 - ``compare`` JSON: the five contact-study backbones (micro mdl-global,
   mdl-local, hss, percolation, disparity-tope) on contact-1000, and the
   three backbones on the DM file;
@@ -49,6 +50,7 @@ from mdlbackbone import cli  # noqa: E402
 
 CONTACT = "contact-1000.tsv"
 DM = "dm-seed1.tsv"
+CANARY = "dm-canary.tsv"
 OBJECTIVES = ("micro", "canonical-geometric", "canonical-poisson", "canonical-exponential")
 STUDY_METHODS = ("mdl-global", "mdl-local", "hss", "percolation", "disparity-tope")
 DM_METHODS = ("mdl-global", "mdl-local", "percolation")
@@ -62,15 +64,19 @@ TIMING_LINE = re.compile(rb'^ *"(?:eig_seconds|runtime_ratio)": [^\n]*\n', re.M)
 SEED = "1"
 
 
-def write_dm_file(path):
+def write_dm_files(out):
     spec = importlib.util.spec_from_file_location("bench_inputs",
                                                   ROOT / "perfbench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    data = inputs.edge_list_bytes(*inputs.dm_edges(1, **inputs.DM_PARAMS))
-    if inputs.sha256(data) != inputs.PINNED_SHA256["dm-seed1"]:
-        sys.exit("cli_artifacts: the generated DM file does not match its pinned sha256")
-    path.write_bytes(data)
+    for name, pin, seed, params in (
+        (DM, "dm-seed1", 1, inputs.DM_PARAMS),
+        (CANARY, "dm-canary", inputs.CANARY_SEED, inputs.CANARY_PARAMS),
+    ):
+        data = inputs.edge_list_bytes(*inputs.dm_edges(seed, **params))
+        if inputs.sha256(data) != inputs.PINNED_SHA256[pin]:
+            sys.exit(f"cli_artifacts: the generated {name} does not match its pinned sha256")
+        (out / name).write_bytes(data)
 
 
 def run(*argv):
@@ -109,6 +115,7 @@ def write_artifacts():
             backbone(DM, "mdl-local", way, objective)
         run("compare", DM, "--output", f"dm-seed1.{way}.compare", *flags,
             "--backbones", *[f"dm-seed1.{way}.{m}.tsv" for m in DM_METHODS])
+        backbone(CANARY, "hss", way)
 
     for i, (grid, methods) in enumerate(PERCOLATION_STUDIES.items()):
         run("percolation", CONTACT, "--pgrid", grid,
@@ -129,10 +136,10 @@ def main(argv):
     out = Path(argv[0])
     out.mkdir(parents=True)
     shutil.copyfile(ROOT / "datasets" / CONTACT, out / CONTACT)
-    write_dm_file(out / DM)
+    write_dm_files(out)
     os.chdir(out)
     write_artifacts()
-    inputs = {CONTACT, DM}
+    inputs = {CONTACT, DM, CANARY}
     for path in sorted(Path(".").iterdir()):
         if path.name not in inputs:
             print(f"{digest(path)}  {path.name}")
