@@ -17,7 +17,6 @@ from .graph import (
 )
 from .objectives import (
     ObjectiveSpec,
-    delta_dl_weight_increment,
     dl_global_canonical,
     dl_global_micro,
     dl_local_canonical,
@@ -37,7 +36,6 @@ from .solver import (
 from .baselines import (
     disparity_filter,
     disparity_filter_top_e,
-    disparity_pvalue,
     high_salience_skeleton,
     percolation_backbone,
     salience_table,

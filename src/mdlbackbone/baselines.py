@@ -19,7 +19,6 @@ from .graph import (
 )
 
 __all__ = [
-    "disparity_pvalue",
     "disparity_filter",
     "disparity_filter_top_e",
     "edge_disparity_pvalues",
@@ -27,16 +26,6 @@ __all__ = [
     "salience_table",
     "percolation_backbone",
 ]
-
-
-def disparity_pvalue(w, s, k):
-    """Probability that a uniform split of strength s over k edges puts at
-    least w on one edge: (1 - w/s)^(k-1); degree-one edges get p = 1."""
-    if k < 1 or w <= 0 or w > s:
-        raise DomainError(f"invalid disparity arguments w={w}, s={s}, k={k}")
-    if k == 1:
-        return 1.0
-    return float((1.0 - w / s) ** (k - 1))
 
 
 def edge_disparity_pvalues(g):
@@ -180,10 +169,10 @@ def salience_table(g, sample_cap=10000, seed=0):
     return counts / len(roots)
 
 
-def high_salience_skeleton(g, sample_cap=10000, threshold=0.5, seed=0):
-    """Backbone of edges whose saliency is at least ``threshold``."""
-    saliency = salience_table(g, sample_cap=sample_cap, seed=seed)
-    return backbone_from_flags(g, saliency >= threshold)
+def high_salience_skeleton(g, seed=0):
+    """Backbone of edges whose saliency (:func:`salience_table`, over up to
+    10,000 roots sampled with ``seed``) is at least 1/2."""
+    return backbone_from_flags(g, salience_table(g, seed=seed) >= 0.5)
 
 
 def percolation_backbone(g):

@@ -246,6 +246,13 @@ def cmd_percolation(args):
     return 0
 
 
+def _seed(text):
+    """The type of --seed: numpy's generators take non-negative integers."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mdlbackbone",
@@ -255,7 +262,7 @@ def build_parser():
 
     def common(p):
         p.add_argument("--output", default=None, help="output path prefix")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("backbone", help="extract a backbone from an edge list")
     p.add_argument("input")

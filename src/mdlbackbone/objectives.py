@@ -35,7 +35,6 @@ __all__ = [
     "dl_local_micro",
     "dl_global_canonical",
     "dl_local_canonical",
-    "delta_dl_weight_increment",
     "strength_prior_bits",
 ]
 
@@ -68,14 +67,28 @@ class ObjectiveSpec:
                 raise DomainError(
                     f"canonical family needs weight_model in {WEIGHT_MODELS}"
                 )
-            if self.lam <= 0:
-                raise DomainError("lam must be positive")
+            if not 0 < self.lam < np.inf:
+                raise DomainError(f"lam must be finite and positive, got {self.lam}")
         elif self.weight_model is not None:
             raise DomainError("weight_model only applies to the canonical family")
 
     @property
     def continuous(self):
         return self.family == "canonical" and self.weight_model == "exponential"
+
+
+def _objective_name(spec):
+    if spec.family == "microcanonical":
+        return f"micro-{spec.scope}"
+    return f"canonical-{spec.weight_model}-{spec.scope}"
+
+
+def _require_weights(g, spec):
+    """Raise DomainError unless ``spec`` takes the weights of ``g``: only
+    the exponential model takes real weights."""
+    if not spec.continuous and g.weight_kind != "integer":
+        raise DomainError(f"{_objective_name(spec)} requires integer weights; "
+                          "use the exponential model for real weights")
 
 
 def _ln_factorial(n, table=None):
@@ -197,10 +210,8 @@ def _local_dl(g, flags, spec):
     """Local description length under ``spec``'s family of the backbone
     membership ``flags`` over the edges of ``g``: the sum over every
     non-empty out-neighborhood of the directed view, plus, for the
-    microcanonical family, the strength prior. Only the exponential model
-    takes real weights."""
-    if not spec.continuous and g.weight_kind != "integer":
-        raise DomainError("real weights need the exponential model")
+    microcanonical family, the strength prior."""
+    _require_weights(g, spec)
     k = _out_sums(g)
     nz = k > 0
     s = g.strengths()[nz]
@@ -297,37 +308,3 @@ def dl_local_canonical(g, bb, spec):
     if spec.family != "canonical":
         raise DomainError("spec must be canonical")
     return _local_dl(g, bb.member_flags, spec)
-
-
-def delta_dl_weight_increment(E, W, E_b, W_b, spec):
-    """Exact change in description length, L(W_b + 1) - L(W_b), at fixed
-    backbone size E_b >= 1. For the exponential model this is the closed-form
-    difference of the continuous objective at a unit weight shift."""
-    if E_b < 1:
-        raise DomainError("delta requires E_b >= 1")
-    integer = not spec.continuous
-    _check_global_args(E, W, E_b, W_b, integer=integer)
-    _check_global_args(E, W, E_b, W_b + 1, integer=integer)
-    Et = E - E_b
-    Wt = W - W_b
-    if spec.family == "microcanonical":
-        return float(
-            np.log2(W_b / (W_b - E_b + 1.0)) + np.log2((Wt - Et) / (Wt - 1.0))
-        )
-    model = spec.weight_model
-    if model == "geometric":
-        return float(
-            np.log2((W_b + 2.0) / (W_b - E_b + 1.0))
-            + np.log2((Wt - Et) / (Wt + 1.0))
-        )
-    lam = spec.lam
-    if model == "poisson":
-        return float(
-            np.log2((E_b + lam) / (W_b + 1.0)) + np.log2(Wt / (Et + lam))
-        )
-    if model == "exponential":
-        return float(
-            (E_b + 1.0) * np.log2((W_b + 1.0 + lam) / (W_b + lam))
-            + (Et + 1.0) * np.log2((Wt - 1.0 + lam) / (Wt + lam))
-        )
-    raise DomainError(f"unknown weight model {model!r}")

@@ -31,7 +31,9 @@ from .objectives import (
     _ln_factorial,
     _local_dl,
     _log2_factorial,
+    _objective_name,
     _poisson_wfact,
+    _require_weights,
     strength_prior_bits,
 )
 
@@ -64,20 +66,17 @@ class BackboneResult:
     curves: tuple = field(default=None, repr=False)
 
 
-def _objective_name(spec):
-    if spec.family == "microcanonical":
-        return f"micro-{spec.scope}"
-    return f"canonical-{spec.weight_model}-{spec.scope}"
-
-
-def _require_weights(g, spec):
-    if spec.continuous:
-        return
-    if g.weight_kind != "integer":
-        raise DomainError(
-            f"{_objective_name(spec)} requires integer weights; "
-            "use the exponential model for real weights"
-        )
+def _checked_spec(g, spec, scope):
+    """``spec``, by default the microcanonical objective, checked to be of
+    ``scope`` and to take the weights of ``g``, which must have edges."""
+    if spec is None:
+        spec = ObjectiveSpec(scope, "microcanonical")
+    if spec.scope != scope:
+        raise DomainError(f"needs a {scope}-scope spec, got scope {spec.scope!r}")
+    if g.num_edges == 0:
+        raise DomainError("cannot backbone an empty graph")
+    _require_weights(g, spec)
+    return spec
 
 
 def empty_backbone_dls(g, spec):
@@ -197,13 +196,7 @@ def greedy_global(g, spec=None):
     list, heaviest first. The backbone of size E_b is the first E_b edges
     in the order of (-weight, src, dst, position), weights compared as
     floats. ``curves`` holds the one DL curve, over sizes 0..E."""
-    if spec is None:
-        spec = ObjectiveSpec("global", "microcanonical")
-    if spec.scope != "global":
-        raise DomainError("greedy_global needs a global-scope spec")
-    if g.num_edges == 0:
-        raise DomainError("cannot backbone an empty graph")
-    _require_weights(g, spec)
+    spec = _checked_spec(g, spec, "global")
 
     w = np.asarray(g.weights, dtype=float)
     n_keep, dl, curve, curve_starts = _sweep(
@@ -232,13 +225,7 @@ def greedy_local(g, spec=None):
     heavier than node i's n_i-th is kept; only the edges of that boundary
     class are sorted by (node, other endpoint), stably, which leaves the
     ties in directed-view order."""
-    if spec is None:
-        spec = ObjectiveSpec("local", "microcanonical")
-    if spec.scope != "local":
-        raise DomainError("greedy_local needs a local-scope spec")
-    if g.num_edges == 0:
-        raise DomainError("cannot backbone an empty graph")
-    _require_weights(g, spec)
+    spec = _checked_spec(g, spec, "local")
 
     distinct, cls = np.unique(g.weights, return_inverse=True)
     R = len(distinct)
@@ -304,14 +291,8 @@ def _enumerate_masks(n_edges, chunk=1 << 16):
 def enumerate_optimal(g, spec):
     """Exhaustive minimization over all 2^E backbones; the test oracle for
     the greedy solvers. Refuses graphs beyond 24 (directed-view) edges."""
-    if g.num_edges == 0:
-        raise DomainError("cannot backbone an empty graph")
-    _require_weights(g, spec)
-
-    if spec.scope == "global":
-        scope_g = g
-    else:
-        scope_g = directed_view(g)
+    spec = _checked_spec(g, spec, spec.scope)
+    scope_g = g if spec.scope == "global" else directed_view(g)
     m = scope_g.num_edges
     if m > ENUMERATION_EDGE_CAP:
         raise DomainError(

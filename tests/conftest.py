@@ -21,6 +21,13 @@ def make_graph(src, dst, weights, num_nodes=None, directed=True,
     )
 
 
+def real_star(weights):
+    """Node 0 with one out-edge of each real weight."""
+    k = len(weights)
+    return make_graph([0] * k, range(1, k + 1), weights, num_nodes=k + 1,
+                      weight_kind="real")
+
+
 def mean_weight_ordering_holds(weights):
     """Check W_b/E_b >= W/E >= (W - W_b)/(E - E_b) at every greedy prefix,
     in exact integer arithmetic. ``weights`` are the integer edge weights in

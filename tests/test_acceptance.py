@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import connected_components
 
 from mdlbackbone.baselines import (
     disparity_filter_top_e,
-    disparity_pvalue,
+    edge_disparity_pvalues,
     high_salience_skeleton,
     percolation_backbone,
 )
@@ -38,7 +38,12 @@ from mdlbackbone.synth import (
     random_regular_directed,
 )
 
-from conftest import make_graph, mean_weight_ordering_holds, random_multigraph_free
+from conftest import (
+    make_graph,
+    mean_weight_ordering_holds,
+    random_multigraph_free,
+    real_star,
+)
 
 MICRO_G = ObjectiveSpec("global", "microcanonical")
 MICRO_L = ObjectiveSpec("local", "microcanonical")
@@ -344,7 +349,10 @@ def test_criterion_11_baseline_sanity():
         k = int(rng.integers(2, 30))
         s = float(rng.uniform(1.0, 100.0))
         w = float(rng.uniform(1e-6, s * 0.999))
-        closed = disparity_pvalue(w, s, k)
+        # a star whose other k - 1 edges share the rest of the strength
+        star = real_star([w] + [(s - w) / (k - 1)] * (k - 1))
+        s = star.strengths()[0]
+        closed = edge_disparity_pvalues(star)[0]
         brute, _ = quad(lambda x: (k - 1) * (1 - x) ** (k - 2), w / s, 1.0)
         worst = max(worst, abs(closed - brute))
     disp_ok = worst <= 1e-8
@@ -353,4 +361,4 @@ def test_criterion_11_baseline_sanity():
     report(11, "baseline sanity", ok,
            f"percolation backbone connected on 50 graphs: {perc_ok}; "
            f"HSS drops weight-1 triangle edge: {hss_ok}; "
-           f"disparity closed form max deviation {worst:.1e}")
+           f"disparity p-value max deviation from the integral {worst:.1e}")

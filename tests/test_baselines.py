@@ -13,7 +13,6 @@ from mdlbackbone.baselines import (
     _pair_matrix,
     disparity_filter,
     disparity_filter_top_e,
-    disparity_pvalue,
     edge_disparity_pvalues,
     high_salience_skeleton,
     percolation_backbone,
@@ -27,20 +26,17 @@ from mdlbackbone.graph import (
     parse_edge_list,
 )
 
-from conftest import make_graph
+from conftest import make_graph, real_star
 
 
 class TestDisparity:
     def test_reference_values(self):
-        assert disparity_pvalue(3, 4, 2) == pytest.approx(0.25, abs=1e-12)
-        assert disparity_pvalue(2, 4, 2) == pytest.approx(0.5, abs=1e-12)
-        assert disparity_pvalue(3, 3, 1) == 1.0
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            disparity_pvalue(5, 4, 2)
-        with pytest.raises(DomainError):
-            disparity_pvalue(1, 4, 0)
+        assert edge_disparity_pvalues(real_star([3.0, 1.0])) == pytest.approx(
+            [0.25, 0.75], abs=1e-12)
+        assert edge_disparity_pvalues(real_star([2.0, 2.0])) == pytest.approx(
+            [0.5, 0.5], abs=1e-12)
+        # degree-one edges get p = 1
+        assert edge_disparity_pvalues(real_star([3.0])).tolist() == [1.0]
 
     def test_matches_integral(self):
         # p-value = 1 - (k-1) * Int_0^{w/s} (1-x)^(k-2) dx
@@ -49,8 +45,10 @@ class TestDisparity:
             k = int(rng.integers(2, 20))
             s = float(rng.uniform(1, 100))
             w = float(rng.uniform(0.01, 1.0)) * s
+            g = real_star([w] + [(s - w) / (k - 1)] * (k - 1))
+            s = g.strengths()[0]
             integral, _ = quad(lambda x: (1 - x) ** (k - 2), 0, w / s)
-            assert disparity_pvalue(w, s, k) == pytest.approx(
+            assert edge_disparity_pvalues(g)[0] == pytest.approx(
                 1 - (k - 1) * integral, abs=1e-9
             )
 
@@ -93,7 +91,9 @@ class TestDisparity:
         # minimum over its own two directed copies (a: k=3, s=9; b: k=3,
         # s=6; c: k=2, s=5)
         g = parse_edge_list("a b 3\nb a 2\nb c 1\na c 4", directed=False)
-        p = disparity_pvalue
+        def p(w, s, k):  # a uniform split of s over k edges puts >= w on one
+            return (1 - w / s) ** (k - 1)
+
         expected = [
             min(p(3, 9, 3), p(3, 6, 3)),
             min(p(2, 6, 3), p(2, 9, 3)),

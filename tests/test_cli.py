@@ -34,6 +34,13 @@ def read_json(path):
         return json.load(fh)
 
 
+def assert_negative_seed_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+
+
 class TestBackboneCommand:
     def test_mdl_global(self, star_file, tmp_path):
         out = tmp_path / "out"
@@ -120,6 +127,19 @@ class TestBackboneCommand:
                      "--output", str(tmp_path / "out")])
         assert code == 1
         assert "eta is undefined" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_non_finite_lam_exit_1(self, star_file, tmp_path, capsys, lam):
+        code = main(["backbone", "--method", "mdl-global",
+                     "--objective", "canonical-poisson", f"--lam={lam}",
+                     str(star_file), "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "mdlbackbone: error: lam must be finite and positive")
+
+    def test_negative_seed_exit_2(self, star_file, capsys):
+        assert_negative_seed_is_usage_error(
+            ["backbone", "--method", "hss", str(star_file)], capsys)
 
     @pytest.mark.parametrize("argv", [
         ["--method", "mdl-global"],
@@ -302,6 +322,10 @@ class TestCompareCommand:
         ])
         assert code == 1
 
+    def test_negative_seed_exit_2(self, star_file, capsys):
+        assert_negative_seed_is_usage_error(
+            ["compare", str(star_file), "--backbones", str(star_file)], capsys)
+
 
 class TestBackboneFilesRoundTrip:
     """``compare`` reads every backbone file back as the backbone that
@@ -381,6 +405,15 @@ class TestSynthCommand:
         total = sum(int(line.split("\t")[2]) for line in lines)
         assert total == 1000
 
+    @pytest.mark.parametrize("argv", [
+        ["regular"],
+        ["planted", "--gamma", "1e-3"],
+        ["dm", "--W", "1000", "--hstr", "0.1", "--hneig", "0.1"],
+    ])
+    def test_negative_seed_exit_2(self, argv, capsys):
+        assert_negative_seed_is_usage_error(
+            ["synth", *argv, "--N", "10", "--k", "2"], capsys)
+
 
 class TestPercolationCommand:
     def test_study(self, tmp_path):
@@ -406,6 +439,9 @@ class TestPercolationCommand:
         path.write_text("a\tb\t1\n")
         code = main(["percolation", str(path), "--pgrid", "log:0:1:5"])
         assert code == 1
+
+    def test_negative_seed_exit_2(self, star_file, capsys):
+        assert_negative_seed_is_usage_error(["percolation", str(star_file)], capsys)
 
     @pytest.mark.parametrize("grid, message", [
         ("log:1e-3:1", "use log:a:b:n or lin:a:b:n"),

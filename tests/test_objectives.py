@@ -13,7 +13,6 @@ from mdlbackbone.objectives import (
     _dl_curve,
     _log2_binom_raw,
     _log2_factorial,
-    delta_dl_weight_increment,
     dl_global_canonical,
     dl_global_micro,
     dl_local_canonical,
@@ -390,57 +389,59 @@ class TestCanonical:
         with pytest.raises(DomainError):
             dl_global_canonical(4, 8, 1, 5, MICRO)
 
+    @pytest.mark.parametrize("model", ["poisson", "exponential"])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lam_rejected(self, model, lam):
+        with pytest.raises(DomainError, match="lam must be finite and positive"):
+            ObjectiveSpec("global", "canonical", model, lam=lam)
+
+
+@st.composite
+def interior_states(draw):
+    """(spec, E, W, E_b, W_b) with 1 <= E_b <= E - 1, W <= 1e6 and both
+    W_b - 1 and W_b + 1 valid backbone weights; poisson and exponential
+    take a random lam, and the exponential model a real W_b."""
+    model = draw(st.sampled_from([None, "geometric", "poisson", "exponential"]))
+    lam = draw(st.floats(1e-3, 1e3))
+    spec = (MICRO if model is None
+            else ObjectiveSpec("global", "canonical", model, lam=lam))
+    E = draw(st.integers(2, 1000))
+    E_b = draw(st.integers(1, E - 1))
+    W = draw(st.integers(E + 2, 10**6))
+    if spec.continuous:
+        W_b = draw(st.floats(1.0, W - 1.0))
+    else:
+        W_b = draw(st.integers(E_b + 1, W - (E - E_b) - 1))
+    return spec, E, W, E_b, W_b
+
 
 class TestDelta:
+    """The change of the DL with the backbone weight at a fixed size, as
+    differences of the evaluators the greedy sweep runs."""
+
+    @staticmethod
+    def dl(spec, E, W, E_b, W_b):
+        if spec.family == "microcanonical":
+            return dl_global_micro(E, W, E_b, W_b)
+        return dl_global_canonical(E, W, E_b, W_b, spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(interior_states())
+    def test_concave_in_backbone_weight(self, state):
+        # the greedy's premise: at a fixed size every family's DL is concave
+        # in W_b, so the optimum sits at the heaviest or lightest edges
+        spec, E, W, E_b, W_b = state
+        lo, mid, hi = (self.dl(spec, E, W, E_b, W_b + d) for d in (-1, 0, 1))
+        assert lo - 2 * mid + hi <= 1e-6
+
     def test_reference_micro(self):
         # a unit weight increment at E=4, W=10, E_b=1, W_b=5
-        spec = MICRO
-        got = delta_dl_weight_increment(4, 10, 1, 5, spec)
+        got = dl_global_micro(4, 10, 1, 6) - dl_global_micro(4, 10, 1, 5)
         assert got == pytest.approx(np.log2((5 / 5) * (1 / 2)), abs=1e-9)
         assert got == pytest.approx(-1.0, abs=1e-9)
-
-    def test_increment_out_of_range_rejected(self):
-        # W_b + 1 would leave less than unit weight per non-backbone edge
-        with pytest.raises(DomainError):
-            delta_dl_weight_increment(4, 8, 1, 5, MICRO)
 
     def test_negative_increment_condition(self):
         # W_b > (E_b - 1)(W - 1)/(E - 2) implies a negative increment
         E, W, E_b, W_b = 4, 10, 2, 6
         assert W_b > (E_b - 1) * (W - 1) / (E - 2)
-        assert delta_dl_weight_increment(E, W, E_b, W_b, MICRO) < 0
-
-    def test_matches_finite_difference(self):
-        rng = np.random.default_rng(4)
-        for spec in (MICRO, GEOM, POIS):
-            n = 0
-            while n < 200:
-                E, W, E_b, W_b = valid_tuples(rng, 1)[0]
-                try:
-                    delta = delta_dl_weight_increment(E, W, E_b, W_b, spec)
-                except DomainError:
-                    continue
-                if spec.family == "microcanonical":
-                    hi = dl_global_micro(E, W, E_b, W_b + 1)
-                    lo = dl_global_micro(E, W, E_b, W_b)
-                else:
-                    hi = dl_global_canonical(E, W, E_b, W_b + 1, spec)
-                    lo = dl_global_canonical(E, W, E_b, W_b, spec)
-                assert delta == pytest.approx(hi - lo, abs=1e-9)
-                n += 1
-
-    def test_matches_finite_difference_exponential(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            E = int(rng.integers(2, 20))
-            E_b = int(rng.integers(1, E))
-            W_b = float(rng.uniform(0.1, 50))
-            W = W_b + float(rng.uniform(1.5, 50))
-            delta = delta_dl_weight_increment(E, W, E_b, W_b, EXPO)
-            hi = dl_global_canonical(E, W, E_b, W_b + 1, EXPO)
-            lo = dl_global_canonical(E, W, E_b, W_b, EXPO)
-            assert delta == pytest.approx(hi - lo, abs=1e-9)
-
-    def test_requires_backbone_edge(self):
-        with pytest.raises(DomainError):
-            delta_dl_weight_increment(4, 10, 0, 0, MICRO)
+        assert dl_global_micro(E, W, E_b, W_b + 1) < dl_global_micro(E, W, E_b, W_b)
