@@ -51,11 +51,6 @@ def _load_graph(path, directed, weight_kind="integer", round_weights=False):
         )
 
 
-def _objective_spec(name, scope, lam):
-    family, model = OBJECTIVES[name]
-    return ObjectiveSpec(scope, family, model, lam)
-
-
 def _write_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -74,18 +69,17 @@ def _output_prefix(args, default_stem):
 
 
 def cmd_backbone(args):
-    weight_kind = (
-        "real" if args.objective == "canonical-exponential" else "integer"
-    )
+    # every method checks the objective, as its JSON records lam
+    scope = "local" if args.method == "mdl-local" else "global"
+    spec = ObjectiveSpec(scope, *OBJECTIVES[args.objective], args.lam)
+    weight_kind = "real" if spec.continuous else "integer"
     g = _load_graph(
         args.input, directed=not args.undirected,
         weight_kind=weight_kind, round_weights=args.round_weights,
     )
     if args.method == "mdl-global":
-        spec = _objective_spec(args.objective, "global", args.lam)
         result = solver.greedy_global(g, spec)
     elif args.method == "mdl-local":
-        spec = _objective_spec(args.objective, "local", args.lam)
         result = solver.greedy_local(g, spec)
     else:
         result = None

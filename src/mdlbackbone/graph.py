@@ -11,7 +11,7 @@ text with non-ASCII whitespace and to locate an input error.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -36,12 +36,13 @@ __all__ = [
 class WeightedGraph:
     """Immutable weighted graph stored as a dense-indexed edge list.
 
-    ``src``, ``dst`` and ``weights`` are parallel arrays of length E. For
-    ``weight_kind == "integer"`` the weights array has an integer dtype,
-    every weight is >= 1 and the total weight of :func:`directed_view` (on
-    an undirected graph every non-loop weight counts twice) is below 2**53,
-    or construction raises DomainError. Below that bound every float sum of
-    the weights is exact. For ``"real"`` weights are positive floats.
+    ``src``, ``dst`` and ``weights`` are parallel arrays of length E. The
+    weights' dtype is the weight kind, :attr:`weight_kind`. Integer weights
+    are each >= 1 and the total weight of :func:`directed_view` (on an
+    undirected graph every non-loop weight counts twice) is below 2**53;
+    below that bound every float sum of them is exact. Float ("real")
+    weights are positive and finite. Weights breaking these rules, or of
+    any other dtype, raise DomainError.
     Undirected graphs store each edge once with ``src <= dst`` not enforced;
     duplication into both orientations happens in :func:`directed_view`.
     """
@@ -51,18 +52,22 @@ class WeightedGraph:
     dst: np.ndarray
     weights: np.ndarray
     directed: bool
-    weight_kind: str = "integer"
     labels: tuple = field(default=None)
 
     def __post_init__(self):
-        if self.weight_kind not in ("integer", "real"):
-            raise DomainError(f"unknown weight_kind {self.weight_kind!r}")
         if len(self.src) != len(self.dst) or len(self.src) != len(self.weights):
             raise DomainError("edge arrays must have equal length")
-        if self.weight_kind == "integer" and len(self.weights):
+        w = self.weights
+        if w.dtype.kind not in "iuf":
+            raise DomainError(f"weights need an integer or float dtype, got {w.dtype}")
+        if w.dtype.kind == "f":
+            bad = ~((w > 0) & (w < np.inf))  # NaN fails both comparisons
+            if bad.any():
+                raise DomainError("real weights must be positive and finite, "
+                                  f"got {w[bad][0]}")
+        elif len(w):
             # the directed view's float total is exact below 2**53 and, as
             # rounding is monotone, not below 2**53 where the exact one is not
-            w = self.weights
             if w.min() < 1:
                 raise DomainError(f"integer weights must be >= 1, got {w.min()}")
             total = w.sum(dtype=float)
@@ -79,15 +84,17 @@ class WeightedGraph:
             arr.setflags(write=False)
 
     @property
+    def weight_kind(self):
+        """``"integer"`` for integer weights, ``"real"`` for float ones."""
+        return "real" if self.weights.dtype.kind == "f" else "integer"
+
+    @property
     def num_edges(self):
         return len(self.src)
 
     @property
     def total_weight(self):
-        if self.num_edges == 0:
-            return 0
-        total = self.weights.sum()
-        return int(total) if self.weight_kind == "integer" else float(total)
+        return _weight_sum(self.weights)
 
     def strengths(self):
         """Per-node strength: sum of incident weights (both endpoints for
@@ -166,11 +173,7 @@ class Backbone:
 
     @property
     def total_weight(self):
-        w = self.parent.weights[self.member_flags]
-        if len(w) == 0:
-            return 0
-        total = w.sum()
-        return int(total) if self.parent.weight_kind == "integer" else float(total)
+        return _weight_sum(self.parent.weights[self.member_flags])
 
     def retained_strengths(self):
         return _out_sums(self.parent, self.member_flags, self.parent.weights)
@@ -186,15 +189,14 @@ class Backbone:
 
     def subgraph(self):
         """The backbone as a standalone WeightedGraph over the parent's nodes."""
-        return WeightedGraph(
-            num_nodes=self.parent.num_nodes,
-            src=self.parent.src[self.member_flags].copy(),
-            dst=self.parent.dst[self.member_flags].copy(),
-            weights=self.parent.weights[self.member_flags].copy(),
-            directed=self.parent.directed,
-            weight_kind=self.parent.weight_kind,
-            labels=self.parent.labels,
-        )
+        g, flags = self.parent, self.member_flags
+        return replace(g, src=g.src[flags], dst=g.dst[flags], weights=g.weights[flags])
+
+
+def _weight_sum(w):
+    """Sum of the weights ``w``: an int for integer weights, a float for
+    real ones, and 0 for none."""
+    return w.sum().item() if len(w) else 0
 
 
 def _out_sums(g, flags=None, weights=None):
@@ -488,15 +490,7 @@ def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
                               f"and below 2**53, got {got}")
         w = w.astype(np.int64)
 
-    return WeightedGraph(
-        num_nodes=num_nodes,
-        src=src,
-        dst=dst,
-        weights=w,
-        directed=directed,
-        weight_kind=weight_kind,
-        labels=labels,
-    )
+    return WeightedGraph(num_nodes, src, dst, w, directed, labels)
 
 
 def serialize_edge_list(g):
@@ -504,12 +498,8 @@ def serialize_edge_list(g):
     one edge per line, sorted by (src, dst) dense index."""
     order = np.argsort(g.src * g.num_nodes + g.dst, kind="stable")
     labels = np.array(g.labels, dtype=object)
-    w = g.weights[order]
-    if g.weight_kind == "integer":
-        wtxt = map(str, w.astype(np.int64).tolist())
-    else:
-        wtxt = map(repr, w.astype(float).tolist())
-    rows = zip(labels[g.src[order]].tolist(), labels[g.dst[order]].tolist(), wtxt)
+    rows = zip(labels[g.src[order]].tolist(), labels[g.dst[order]].tolist(),
+               map(repr, g.weights[order].tolist()))
     return "\n".join(map("\t".join, rows)) + "\n"
 
 
@@ -524,15 +514,7 @@ def directed_view(g):
     src = np.concatenate([g.src, g.dst[rev]])
     dst = np.concatenate([g.dst, g.src[rev]])
     weights = np.concatenate([g.weights, g.weights[rev]])
-    return WeightedGraph(
-        num_nodes=g.num_nodes,
-        src=src,
-        dst=dst,
-        weights=weights,
-        directed=True,
-        weight_kind=g.weight_kind,
-        labels=g.labels,
-    )
+    return replace(g, src=src, dst=dst, weights=weights, directed=True)
 
 
 def directed_parents(g):
@@ -557,29 +539,10 @@ def neighborhood_order(g):
     """Edge permutation grouping out-edges by source node, each group sorted
     by weight descending with ties broken by destination index ascending:
     the order of (src, -weight, dst, position), weights compared as floats.
-
-    Two sorts of packed int64 keys. The first, by (src, dst), is unstable:
-    it leaves only the runs of equal keys, the parallel edges, out of
-    position order, and just those runs are sorted again by position. The
-    second, by (src, weight rank), is stable over that order. Both keys are
-    below N * max(N, E), so below 2**63 for N and E under 3e9."""
+    lexsort is stable, so position breaks the last ties."""
     if not g.directed:
         raise DomainError("neighborhoods are defined on directed graphs")
-    src = np.asarray(g.src, dtype=np.int64)
-    pair = src * g.num_nodes + g.dst
-    by_dst = np.argsort(pair)
-    sorted_pair = pair[by_dst]
-    same = np.flatnonzero(sorted_pair[1:] == sorted_pair[:-1])
-    if len(same):
-        # every edge of a run of equal keys, runs in key order
-        run = np.union1d(same, same + 1)
-        by_dst[run] = by_dst[run][np.lexsort((by_dst[run], sorted_pair[run]))]
-    # rank 0 is the heaviest weight
-    w = np.asarray(g.weights, dtype=float)
-    distinct = np.unique(w)
-    rank = len(distinct) - 1 - np.searchsorted(distinct, w)
-    key = (src * len(distinct) + rank)[by_dst]
-    return by_dst[np.argsort(key, kind="stable")]
+    return np.lexsort((g.dst, -g.weights.astype(float), g.src))
 
 
 def neighborhoods(g):

@@ -48,8 +48,9 @@ class ObjectiveSpec:
     """Which description length to optimize.
 
     scope: "global" or "local"; family: "microcanonical" or "canonical";
-    weight_model and lam apply to canonical objectives only (lam only to
-    poisson/exponential).
+    weight_model applies to canonical objectives only. lam must be finite
+    and positive in every spec; only the poisson and exponential models
+    read it.
     """
 
     scope: str
@@ -67,10 +68,10 @@ class ObjectiveSpec:
                 raise DomainError(
                     f"canonical family needs weight_model in {WEIGHT_MODELS}"
                 )
-            if not 0 < self.lam < np.inf:
-                raise DomainError(f"lam must be finite and positive, got {self.lam}")
         elif self.weight_model is not None:
             raise DomainError("weight_model only applies to the canonical family")
+        if not 0 < self.lam < np.inf:
+            raise DomainError(f"lam must be finite and positive, got {self.lam}")
 
     @property
     def continuous(self):

@@ -221,7 +221,7 @@ def greedy_local(g, spec=None):
     The view is not built. Its edges are keyed node * R + class, with R
     weight classes, class 0 the heaviest, and the keys sorted as values:
     each node's weights, heaviest first. The keys are below N * R <= N * E,
-    the bound of ``graph.neighborhood_order``. Every edge of a class
+    so below 2**63 for N and E under 3e9. Every edge of a class
     heavier than node i's n_i-th is kept; only the edges of that boundary
     class are sorted by (node, other endpoint), stably, which leaves the
     ties in directed-view order."""

@@ -3,7 +3,7 @@ geometric-weight backbones, and Dirichlet-multinomial weight networks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,7 +63,6 @@ def random_regular_directed(N, k, seed=None):
         dst=dst.reshape(-1).astype(np.int64),
         weights=np.ones(N * k, dtype=np.int64),
         directed=True,
-        weight_kind="integer",
     )
 
 
@@ -98,15 +97,7 @@ def plant_weights_canonical(g, gamma, scope="global", seed=None):
         weights[:] = rng.geometric(theta_e)
     else:
         raise DomainError(f"unknown scope {scope!r}")
-    graph = WeightedGraph(
-        num_nodes=g.num_nodes,
-        src=g.src.copy(),
-        dst=g.dst.copy(),
-        weights=weights,
-        directed=True,
-        weight_kind="integer",
-        labels=g.labels,
-    )
+    graph = replace(g, weights=weights)
     return PlantedInstance(
         graph=graph,
         planted=backbone_from_flags(graph, member),
@@ -161,15 +152,7 @@ def dirichlet_multinomial_weights(N, k, W, h_str, h_neig, seed=None):
         probs = _dirichlet_rows(rng, h_neig, N, k)
         per_edge = _rowwise_multinomial(rng, node_excess, probs)
         weights += per_edge.reshape(-1)
-    graph = WeightedGraph(
-        num_nodes=N,
-        src=g.src.copy(),
-        dst=g.dst.copy(),
-        weights=weights,
-        directed=True,
-        weight_kind="integer",
-        labels=g.labels,
-    )
+    graph = replace(g, weights=weights)
     return DmInstance(
         graph=graph,
         params={"N": N, "k": k, "W": W, "h_str": h_str, "h_neig": h_neig, "seed": seed},

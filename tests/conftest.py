@@ -17,7 +17,7 @@ def make_graph(src, dst, weights, num_nodes=None, directed=True,
         num_nodes = int(max(src.max(), dst.max())) + 1 if len(src) else 0
     return WeightedGraph(
         num_nodes=num_nodes, src=src, dst=dst, weights=weights,
-        directed=directed, weight_kind=weight_kind,
+        directed=directed,
     )
 
 

@@ -128,14 +128,21 @@ class TestBackboneCommand:
         assert code == 1
         assert "eta is undefined" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
-    def test_non_finite_lam_exit_1(self, star_file, tmp_path, capsys, lam):
-        code = main(["backbone", "--method", "mdl-global",
-                     "--objective", "canonical-poisson", f"--lam={lam}",
-                     str(star_file), "--output", str(tmp_path / "out")])
+    @pytest.mark.parametrize("method, objective, lam", [
+        *(pytest.param("mdl-global", "canonical-poisson", lam, id=lam)
+          for lam in ("nan", "inf", "-inf")),
+        # every method and objective checks lam: the JSON records it
+        *(pytest.param(method, "micro", lam, id=f"{method}-micro-{lam}")
+          for method in ("mdl-global", "hss") for lam in ("nan", "-5")),
+    ])
+    def test_non_finite_lam_exit_1(self, star_file, tmp_path, capsys, method,
+                                   objective, lam):
+        code = main(["backbone", "--method", method, "--objective", objective,
+                     f"--lam={lam}", str(star_file), "--output", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith(
             "mdlbackbone: error: lam must be finite and positive")
+        assert not (tmp_path / "out.json").exists()
 
     def test_negative_seed_exit_2(self, star_file, capsys):
         assert_negative_seed_is_usage_error(

@@ -19,6 +19,7 @@ from mdlbackbone.graph import (
     parse_edge_list,
     serialize_edge_list,
 )
+from mdlbackbone.solver import greedy_global
 from mdlbackbone.synth import dirichlet_multinomial_weights
 
 from conftest import make_graph
@@ -222,7 +223,6 @@ def parse_edge_list_reference(text, directed, weight_kind="integer", round_weigh
         dst=np.array(dst, dtype=np.int64),
         weights=warr,
         directed=directed,
-        weight_kind=weight_kind,
         labels=tuple(labels),
     )
 
@@ -406,6 +406,7 @@ class TestGraph:
         sub = bb.subgraph()
         assert sub.num_edges == 2
         assert sub.num_nodes == g.num_nodes
+        assert (sub.labels, sub.directed, sub.weight_kind) == (g.labels, True, "integer")
 
     def test_backbone_rejects_flags_not_one_bool_per_edge(self):
         # integer flags would index the parent's arrays as positions
@@ -419,6 +420,33 @@ class TestGraph:
         ):
             with pytest.raises(DomainError):
                 Backbone(parent=g, member_flags=flags)
+
+
+class TestWeightKind:
+    """The weights' dtype is the weight kind; the constructor checks the
+    weights against it."""
+
+    def test_float_weights_are_real(self):
+        g = WeightedGraph(3, np.array([0, 0]), np.array([1, 2]),
+                          np.array([1.5, 2.25]), True)
+        assert g.weight_kind == "real"
+        assert g.total_weight == 3.75
+        assert serialize_edge_list(g) == "0\t1\t1.5\n0\t2\t2.25\n"
+        with pytest.raises(DomainError, match="requires integer weights"):
+            greedy_global(g)
+        und = make_graph(g.src, g.dst, g.weights, directed=False, weight_kind="real")
+        for derived in (directed_view(und), backbone_from_flags(g, [True, False]).subgraph()):
+            assert (derived.labels, derived.weight_kind) == (g.labels, "real")
+
+    @pytest.mark.parametrize("weights, message", [
+        *(pytest.param([1.5, bad], "positive and finite", id=str(bad))
+          for bad in (0.0, -1.0, np.nan, np.inf)),
+        *(pytest.param(np.array([1, 1], dtype=dtype), "integer or float dtype",
+                       id=dtype.__name__) for dtype in (bool, object)),
+    ])
+    def test_weights_outside_their_kind_rejected(self, weights, message):
+        with pytest.raises(DomainError, match=message):
+            WeightedGraph(3, np.array([0, 0]), np.array([1, 2]), np.asarray(weights), True)
 
 
 class TestNeighborhoods:

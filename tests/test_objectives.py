@@ -386,6 +386,8 @@ class TestCanonical:
             ObjectiveSpec("sideways", "canonical", "geometric")
         with pytest.raises(DomainError):
             ObjectiveSpec("global", "canonical", "poisson", lam=0.0)
+        with pytest.raises(DomainError, match="lam must be finite and positive"):
+            ObjectiveSpec("global", "microcanonical", lam=math.nan)
         with pytest.raises(DomainError):
             dl_global_canonical(4, 8, 1, 5, MICRO)
 

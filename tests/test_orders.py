@@ -1,11 +1,12 @@
 """Edge orders and per-node sums against the expressions they replaced.
 
 The package sorts only what each answer depends on: packed int64 keys for
-the neighborhood order, and the boundary class alone for the first n edges
-of the global and local sweeps and the disparity ranking. The multi-key
-lexsorts over the whole edge array (for the local sweep, over the directed
-view) and the ``np.add.at`` loops they replaced are kept here as the
-oracles.
+the local sweep, and the boundary class alone for the first n edges of the
+global and local sweeps and the disparity ranking. The multi-key lexsorts
+over the whole edge array (for the local sweep, over the directed view)
+and the ``np.add.at`` loops they replaced are kept here as the oracles.
+``neighborhood_order`` is itself that lexsort; its tests pin it to the
+definition written out here.
 """
 
 import sys
@@ -233,8 +234,7 @@ class TestPackedKeysAt63Bits:
         return WeightedGraph(
             num_nodes=self.N, src=np.array(self.SRC, dtype=np.int64),
             dst=np.array(self.DST, dtype=np.int64),
-            weights=np.array(self.W, dtype=float), directed=True,
-            weight_kind="real", labels=(),
+            weights=np.array(self.W, dtype=float), directed=True, labels=(),
         )
 
     def test_neighborhood_order(self):

@@ -58,6 +58,7 @@ class TestPlanted:
         assert np.all(g.weights >= 1)
         assert inst.planted.parent is g
         assert inst.params["gamma"] == 0.01
+        assert (g.labels, g.directed, g.weight_kind) == (base.labels, True, "integer")
 
     def test_determinism(self):
         base = random_regular_directed(30, 5, seed=0)

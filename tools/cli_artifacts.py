@@ -23,7 +23,10 @@ Artifacts, each input read directed (``dir``) and undirected (``und``):
   three backbones on the DM file;
 - ``percolation`` JSON on contact-1000: the grid ``log:1e-4:1:25`` over
   micro mdl-global, mdl-local and disparity-tope read undirected, and
-  ``lin:0:1:11`` over hss and percolation.
+  ``lin:0:1:11`` over hss and percolation;
+- ``synth`` TSVs and params JSON, which read no input: ``regular``,
+  ``planted`` at global and local scope (with its planted-backbone TSV)
+  and ``dm``, on 200 nodes.
 
 Prints ``sha256  name`` per artifact, sorted by name. The percolation JSONs
 (``contact-1000.study0.json`` and ``study1``) are hashed with their
@@ -62,6 +65,15 @@ PERCOLATION_STUDIES = {
 # the file, its layout included, is hashed as written.
 TIMING_LINE = re.compile(rb'^ *"(?:eig_seconds|runtime_ratio)": [^\n]*\n', re.M)
 SEED = "1"
+SYNTH = {
+    "synth-regular": ("regular", "--N", "200", "--k", "10"),
+    "synth-planted-global": ("planted", "--N", "200", "--k", "20", "--gamma", "0.1",
+                             "--scope", "global"),
+    "synth-planted-local": ("planted", "--N", "200", "--k", "20", "--gamma", "0.1",
+                            "--scope", "local"),
+    "synth-dm": ("dm", "--N", "200", "--k", "10", "--W", "20000", "--hstr", "1",
+                 "--hneig", "1"),
+}
 
 
 def write_dm_files(out):
@@ -121,6 +133,9 @@ def write_artifacts():
         run("percolation", CONTACT, "--pgrid", grid,
             "--output", f"contact-1000.study{i}",
             "--backbones", *[f"contact-1000.und.{m}.tsv" for m in methods])
+
+    for name, argv in SYNTH.items():
+        run("synth", *argv, "--output", name)
 
 
 def digest(path):
