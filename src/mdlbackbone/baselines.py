@@ -13,6 +13,7 @@ from .errors import DomainError
 from .graph import (
     _first_in_order,
     _out_sums,
+    _sample_nodes,
     backbone_from_flags,
     directed_parents,
     directed_view,
@@ -119,19 +120,14 @@ def salience_table(g, sample_cap=10000, seed=0):
     landmark path bound proves longer than their endpoints' distance (see
     :func:`_arcs_on_shortest_paths`); they lie on no shortest-path tree, so
     the saliencies are those of the full search."""
-    if sample_cap < 1:
-        raise DomainError(f"sample_cap must be at least 1, got {sample_cap}")
+    roots = _sample_nodes(g.num_nodes, sample_cap, seed)
+    if roots is None:
+        roots = np.arange(g.num_nodes)
     dg = directed_view(g)
     n = g.num_nodes
     d_edge = 1.0 / np.asarray(dg.weights, dtype=float)
     # of parallel edges, the shortest, the heaviest edge's, stands for the pair
     dist_mat = _pair_matrix(n, dg.src, dg.dst, d_edge)
-
-    if n <= sample_cap:
-        roots = np.arange(n)
-    else:
-        rng = np.random.default_rng(seed)
-        roots = np.sort(rng.choice(n, size=sample_cap, replace=False))
 
     arcs = np.arange(dg.num_edges)
     if dg.num_edges:

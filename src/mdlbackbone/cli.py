@@ -43,12 +43,9 @@ METHODS = (
 )
 
 
-def _load_graph(path, directed, weight_kind="integer", round_weights=False):
+def _load_graph(path, directed, round_weights):
     with open(path) as fh:
-        return parse_edge_list(
-            fh, directed=directed, weight_kind=weight_kind,
-            round_weights=round_weights,
-        )
+        return parse_edge_list(fh, directed=directed, round_weights=round_weights)
 
 
 def _write_json(path, doc):
@@ -72,11 +69,7 @@ def cmd_backbone(args):
     # every method checks the objective, as its JSON records lam
     scope = "local" if args.method == "mdl-local" else "global"
     spec = ObjectiveSpec(scope, *OBJECTIVES[args.objective], args.lam)
-    weight_kind = "real" if spec.continuous else "integer"
-    g = _load_graph(
-        args.input, directed=not args.undirected,
-        weight_kind=weight_kind, round_weights=args.round_weights,
-    )
+    g = _load_graph(args.input, not args.undirected, args.round_weights)
     if args.method == "mdl-global":
         result = solver.greedy_global(g, spec)
     elif args.method == "mdl-local":
@@ -126,7 +119,7 @@ def _backbone_from_file(g, path):
     with open(path) as fh:
         text = fh.read()
     try:
-        bb_graph = parse_edge_list(text, directed=g.directed, weight_kind=g.weight_kind)
+        bb_graph = parse_edge_list(text, directed=g.directed)
     except DomainError:
         if len(_edge_spans(text)[1]):
             raise
@@ -145,10 +138,7 @@ def _backbone_from_file(g, path):
 
 
 def cmd_compare(args):
-    g = _load_graph(
-        args.input, directed=not args.undirected,
-        weight_kind="integer", round_weights=args.round_weights,
-    )
+    g = _load_graph(args.input, not args.undirected, args.round_weights)
     backbones = [_backbone_from_file(g, path) for path in args.backbones]
     rows = [
         dict(asdict(metrics.summarize(g, bb, seed=args.seed)),
@@ -217,10 +207,7 @@ def _parse_pgrid(text):
 
 
 def cmd_percolation(args):
-    g = _load_graph(
-        args.input, directed=False,
-        weight_kind="integer", round_weights=args.round_weights,
-    )
+    g = _load_graph(args.input, False, args.round_weights)
     backbones = [_backbone_from_file(g, p) for p in args.backbones]
     grid = _parse_pgrid(args.pgrid)
     reports = percolation.backbone_percolation_study(g, backbones, grid)

@@ -66,16 +66,11 @@ class WeightedGraph:
                 raise DomainError("real weights must be positive and finite, "
                                   f"got {w[bad][0]}")
         elif len(w):
-            # the directed view's float total is exact below 2**53 and, as
-            # rounding is monotone, not below 2**53 where the exact one is not
             if w.min() < 1:
                 raise DomainError(f"integer weights must be >= 1, got {w.min()}")
-            total = w.sum(dtype=float)
-            if not self.directed:
-                total += w.sum(dtype=float, where=self.src != self.dst)
-            if total >= 2.0**53:
+            if not _total_fits(w, self.src, self.dst, self.directed):
                 raise DomainError("integer weights require the directed view's "
-                                  f"total weight below 2**53, got {total:.17g}")
+                                  "total weight below 2**53")
         if self.labels is None:
             object.__setattr__(
                 self, "labels", tuple(str(i) for i in range(self.num_nodes))
@@ -193,6 +188,19 @@ class Backbone:
         return replace(g, src=g.src[flags], dst=g.dst[flags], weights=g.weights[flags])
 
 
+def _total_fits(w, src, dst, directed):
+    """Whether the total of the weights ``w`` over :func:`directed_view`
+    (on an undirected graph every non-loop weight counts twice) is below
+    2**53, where every float sum of integer weights is exact. The float
+    total decides: as rounding is monotone, it is not below 2**53 where the
+    exact one is not, and an overflow to inf is past the bound too."""
+    with np.errstate(over="ignore"):
+        total = w.sum(dtype=float)
+        if not directed:
+            total += w.sum(dtype=float, where=src != dst)
+    return total < 2.0**53
+
+
 def _weight_sum(w):
     """Sum of the weights ``w``: an int for integer weights, a float for
     real ones, and 0 for none."""
@@ -244,6 +252,20 @@ def _first_in_order(n, keys):
     ranked = np.lexsort([k[tie] for k in reversed(keys)])
     flags[tie[ranked[:n - np.count_nonzero(below)]]] = True
     return flags
+
+
+def _sample_nodes(num_nodes, sample_cap, seed):
+    """The sorted seeded draw of ``sample_cap`` (at least 1, or DomainError)
+    distinct nodes, as a read-only array, or None where there are no more
+    nodes than that."""
+    if sample_cap < 1:
+        raise DomainError(f"sample_cap must be at least 1, got {sample_cap}")
+    if num_nodes <= sample_cap:
+        return None
+    rng = np.random.default_rng(seed)
+    nodes = np.sort(rng.choice(num_nodes, size=sample_cap, replace=False))
+    nodes.setflags(write=False)
+    return nodes
 
 
 def backbone_from_flags(parent, flags):
@@ -389,7 +411,7 @@ def _first_appearance(keys):
     return codes, first[by_first]
 
 
-def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
+def parse_edge_list(text, directed, round_weights=False):
     """Parse an edge list: a string, or a file object that is read whole.
 
     Lines end where ``str.splitlines`` ends them: ``\\n``, ``\\r``,
@@ -403,13 +425,12 @@ def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
     (src, dst) pairs) are merged into the position of their first
     occurrence, their weights summed in the order they appear.
 
-    With ``weight_kind="integer"`` the merged weights must be whole, >= 1
-    and below 2**53, the bound up to which a double holds every integer,
-    and so must the total weight of :func:`directed_view` (on undirected
-    input it counts every non-loop weight twice), which
-    :class:`WeightedGraph` checks. ``round_weights`` first rounds each to
-    the nearest integer (half to even), with a floor of 1; it raises
-    DomainError with ``"real"``, which keeps the merged float weights.
+    The merged weights decide the weight kind. They are integer (int64)
+    where every one is whole and the total weight of :func:`directed_view`
+    (on undirected input it counts every non-loop weight twice) is below
+    2**53, the rule :class:`WeightedGraph` holds integer weights to, and
+    real (float64) otherwise. ``round_weights`` first rounds each to the
+    nearest integer (half to even), with a floor of 1.
 
     A line without exactly three tokens, or with a weight ``float``
     rejects, raises ParseError; a weight that is not positive and finite
@@ -422,8 +443,6 @@ def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
     sort; if any label is longer, or the text holds a NUL byte, labels are
     numbered through a dict instead. Either way the result is the same.
     """
-    if round_weights and weight_kind != "integer":
-        raise DomainError("rounding weights requires integer weight mode")
     if hasattr(text, "read"):
         text = text.read()
     buf, starts, ends = _edge_spans(text)
@@ -480,14 +499,10 @@ def parse_edge_list(text, directed, weight_kind="integer", round_weights=False):
     else:
         src, dst = np.ascontiguousarray(src), np.ascontiguousarray(dst)
 
-    if weight_kind == "integer":
-        if round_weights:
-            w = np.maximum(1.0, np.round(w))
-        bad = (w != np.floor(w)) | (w < 1) | (w >= 2.0**53)
-        if bad.any():
-            got = float(w[bad.argmax()])
-            raise DomainError("integer weight mode requires whole weights >= 1 "
-                              f"and below 2**53, got {got}")
+    if round_weights:
+        w = np.maximum(1.0, np.round(w))
+    # positive whole weights are >= 1, and below 2**53 where their total is
+    if np.all(w == np.floor(w)) and _total_fits(w, src, dst, directed):
         w = w.astype(np.int64)
 
     return WeightedGraph(num_nodes, src, dst, w, directed, labels)

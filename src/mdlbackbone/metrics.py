@@ -10,6 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import DomainError
+from .graph import _sample_nodes
 
 __all__ = [
     "BackboneMetrics",
@@ -85,15 +86,9 @@ def _sampled_reach(g, sample_cap, seed):
     immutable, so the pair is kept on it per (sample_cap, seed), the way
     ``cached_property`` keeps values: scoring several backbones of one
     graph counts the full graph once."""
-    if sample_cap < 1:
-        raise DomainError(f"sample_cap must be at least 1, got {sample_cap}")
     memo = vars(g).setdefault("_sampled_reach", {})
     if (sample_cap, seed) not in memo:
-        nodes = None
-        if g.num_nodes > sample_cap:
-            rng = np.random.default_rng(seed)
-            nodes = np.sort(rng.choice(g.num_nodes, size=sample_cap, replace=False))
-            nodes.setflags(write=False)
+        nodes = _sample_nodes(g.num_nodes, sample_cap, seed)
         memo[sample_cap, seed] = nodes, reachable_pair_count(
             g.num_nodes, g.src, g.dst, g.directed, nodes)
     return memo[sample_cap, seed]

@@ -88,8 +88,9 @@ def _require_weights(g, spec):
     """Raise DomainError unless ``spec`` takes the weights of ``g``: only
     the exponential model takes real weights."""
     if not spec.continuous and g.weight_kind != "integer":
-        raise DomainError(f"{_objective_name(spec)} requires integer weights; "
-                          "use the exponential model for real weights")
+        raise DomainError(f"{_objective_name(spec)} requires integer weights: "
+                          "whole, with the directed view's total weight below "
+                          "2**53; use the exponential model for real weights")
 
 
 def _ln_factorial(n, table=None):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from mdlbackbone.errors import DomainError
 from mdlbackbone.graph import WeightedGraph
+from mdlbackbone.objectives import ObjectiveSpec
+from mdlbackbone.solver import greedy_global, greedy_local
+
+# what an integer objective says to weights outside the integer rule
+INTEGER_RULE = (r"requires integer weights: whole, with the directed view's "
+                r"total weight below 2\*\*53")
 
 
 def make_graph(src, dst, weights, num_nodes=None, directed=True,
@@ -19,6 +26,16 @@ def make_graph(src, dst, weights, num_nodes=None, directed=True,
         num_nodes=num_nodes, src=src, dst=dst, weights=weights,
         directed=directed,
     )
+
+
+def assert_integer_objectives_refuse(g):
+    """Every objective but the exponential one, at either scope, refuses
+    the real weights of ``g`` and states the integer rule."""
+    for family, model in [("microcanonical", None), ("canonical", "geometric"),
+                          ("canonical", "poisson")]:
+        for scope, solve in (("global", greedy_global), ("local", greedy_local)):
+            with pytest.raises(DomainError, match=INTEGER_RULE):
+                solve(g, ObjectiveSpec(scope, family, model))
 
 
 def real_star(weights):

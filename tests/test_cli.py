@@ -102,22 +102,26 @@ class TestBackboneCommand:
         path.write_text("a b 4611686018427387904\na c 4611686018427387904\na a 2\n")
         code = main(["backbone", "--method", "mdl-global", str(path),
                      "--output", str(tmp_path / "out")])
+        # whole weights past the integer rule read as real ones
         assert code == 1
         assert capsys.readouterr().err.startswith(
-            "mdlbackbone: error: integer weight mode requires whole weights >= 1 "
-            "and below 2**53")
-
-    def test_round_weights_with_real_weights_exit_1(self, tmp_path, capsys):
-        # canonical-exponential reads real weights, which are never rounded
-        path = tmp_path / "half.tsv"
-        path.write_text("a b 1.5\n")
-        out = tmp_path / "out"
-        code = main(["backbone", "--method", "mdl-global",
-                     "--objective", "canonical-exponential", "--round-weights",
-                     str(path), "--output", str(out)])
-        assert code == 1
-        assert "rounding weights requires integer weight mode" in capsys.readouterr().err
+            "mdlbackbone: error: micro-global requires integer weights: whole, "
+            "with the directed view's total weight below 2**53")
         assert not (tmp_path / "out.json").exists()
+
+    def test_round_weights_with_real_weights(self, tmp_path):
+        # rounded, the weights are whole ones, which every objective reads
+        path, whole = tmp_path / "real.tsv", tmp_path / "star.tsv"
+        path.write_text("a\tb\t49.6\na\tc\t1.2\na\td\t0.6\na\te\t1.4\n")
+        whole.write_text("a\tb\t50\na\tc\t1\na\td\t1\na\te\t1\n")
+        for src, out in ((path, "rounded"), (whole, "whole")):
+            assert main(["backbone", "--method", "mdl-global",
+                         "--objective", "canonical-exponential", "--round-weights",
+                         str(src), "--output", str(tmp_path / out)]) == 0
+        rounded = read_json(tmp_path / "rounded.json")
+        assert rounded["weight_kind"] == "integer"
+        assert rounded == dict(read_json(tmp_path / "whole.json"), input=str(path))
+        assert (tmp_path / "rounded.tsv").read_text() == "a\tb\t50\n"
 
     def test_nonpositive_empty_dl_exit_1(self, tmp_path, capsys):
         path = tmp_path / "small.tsv"
@@ -168,8 +172,6 @@ class TestBackboneCommand:
                  "--output", str(again)]
         if "objective" in doc:  # "<objective>-<scope>"
             rerun += ["--objective", doc["objective"].rsplit("-", 1)[0]]
-        elif doc["weight_kind"] == "real":
-            rerun += ["--objective", "canonical-exponential"]
         if doc["etarget"] is not None:
             rerun += ["--etarget", str(doc["etarget"])]
         if "alpha" in doc:
@@ -250,14 +252,33 @@ class TestBackboneCommand:
         assert main(["backbone", str(path), "--method", "mdl-global",
                      "--objective", "canonical-exponential", "--output", str(out)]) == 0
         with open(path) as fh:
-            g = parse_edge_list(fh, directed=True, weight_kind="real")
+            g = parse_edge_list(fh, directed=True)
         bb = greedy_global(g, ObjectiveSpec("global", "canonical", "exponential")).backbone
         assert bb.num_edges
         with open(tmp_path / "out.tsv") as fh:
-            back = parse_edge_list(fh, directed=True, weight_kind="real")
+            back = parse_edge_list(fh, directed=True)
         assert back.weights.tobytes() == g.weights[bb.member_flags].tobytes()
         assert [back.labels[i] for i in back.dst] == [
             g.labels[i] for i in g.dst[bb.member_flags]]
+
+    def test_fractional_weights_in_every_command(self, tmp_path):
+        # the input's weights decide its kind, whatever reads them
+        path = tmp_path / "frac.tsv"
+        path.write_text("a b 1.5\na c 2.5\nb c 0.5\n")
+        for name, argv in (("hss", ["--method", "hss"]),
+                           ("exp", ["--method", "mdl-global",
+                                    "--objective", "canonical-exponential"])):
+            assert main(["backbone", str(path), *argv, "--undirected",
+                         "--output", str(tmp_path / name)]) == 0
+            assert read_json(tmp_path / f"{name}.json")["weight_kind"] == "real"
+        backbones = [str(tmp_path / "hss.tsv"), str(tmp_path / "exp.tsv")]
+        assert main(["compare", str(path), "--undirected", "--backbones", *backbones,
+                     "--output", str(tmp_path / "cmp")]) == 0
+        rows = read_json(tmp_path / "cmp.json")["backbones"]
+        assert [(row["E_b"], row["W_b"]) for row in rows] == [(2, 4.0), (0, 0)]
+        assert main(["percolation", str(path), "--pgrid", "lin:0:1:3",
+                     "--backbones", *backbones, "--output", str(tmp_path / "perc")]) == 0
+        assert len(read_json(tmp_path / "perc.json")["graphs"]) == 3
 
     def test_default_output_prefix(self, star_file, tmp_path, monkeypatch):
         # without --output every command writes into the working directory

@@ -28,6 +28,8 @@ from mdlbackbone.solver import (
 )
 
 from conftest import (
+    INTEGER_RULE,
+    assert_integer_objectives_refuse,
     make_graph,
     mean_weight_ordering_holds,
     random_multigraph_free,
@@ -403,8 +405,9 @@ class TestIntegerWeightBound:
         "unreachable_states", "small_neighborhood_after_a_heavy_one", "node_totals",
     ])
     def test_graphs_beyond_the_bound_are_refused(self, text, directed, src, dst, w):
-        with pytest.raises(DomainError, match=r"below 2\*\*53"):
-            parse_edge_list(text, directed=directed)
+        g = parse_edge_list(text, directed=directed)
+        assert (g.weight_kind, g.weights.tolist()) == ("real", [float(x) for x in w])
+        assert_integer_objectives_refuse(g)
         with pytest.raises(DomainError, match=r"total weight below 2\*\*53"):
             make_graph(src, dst, w, directed=directed)
 
@@ -465,18 +468,20 @@ class TestIntegerWeightBound:
 
 
 class TestRoundedWeightSums:
-    """The graphs on which float weight sums rounded, beyond 2**53, are
-    refused; the same shapes just below the bound, where every sum is exact,
-    are scored at the states integer weights reach."""
+    """The graphs on which float weight sums rounded, beyond 2**53, read as
+    real weights, which the integer objectives refuse; the same shapes just
+    below the bound, where every sum is exact, are scored at the states
+    integer weights reach."""
 
     @pytest.mark.parametrize("spec", [MICRO_G, MICRO_L, GEOM_G, GEOM_L])
     def test_unreachable_states_never_win(self, spec):
         # On (2**62, 1, 1) the prefixes of size 1 and 2 left the rest lighter
         # than its edge count, a state no integer weights reach.
-        with pytest.raises(DomainError, match=r"below 2\*\*53"):
-            parse_edge_list("a b 4611686018427387904\na c 1\na d 1\n", directed=True)
-        g = parse_edge_list(f"a b {2**53 - 3}\na c 1\na d 1\n", directed=True)
         solve = greedy_global if spec.scope == "global" else greedy_local
+        beyond = parse_edge_list("a b 4611686018427387904\na c 1\na d 1\n", directed=True)
+        with pytest.raises(DomainError, match=INTEGER_RULE):
+            solve(beyond, spec)
+        g = parse_edge_list(f"a b {2**53 - 3}\na c 1\na d 1\n", directed=True)
         res = solve(g, spec)
         # node a's curve, the first segment in both scopes
         curve = res.curves[0][:4]
@@ -491,9 +496,10 @@ class TestRoundedWeightSums:
     def test_small_neighborhood_after_a_heavy_one(self, spec):
         # The prefix sums of c's neighborhood are differences of a running
         # total that has passed the heavy edge; they must stay exact.
-        with pytest.raises(DomainError, match=r"below 2\*\*53"):
-            parse_edge_list("a b 1152921504606846976\nc d 1\nc e 1\nc f 5\n",
-                            directed=True)
+        beyond = parse_edge_list("a b 1152921504606846976\nc d 1\nc e 1\nc f 5\n",
+                                 directed=True)
+        with pytest.raises(DomainError, match=INTEGER_RULE):
+            greedy_local(beyond, spec)
         heavy = parse_edge_list(f"a b {2**53 - 8}\nc d 1\nc e 1\nc f 5\n",
                                 directed=True)
         alone = parse_edge_list("c d 1\nc e 1\nc f 5\n", directed=True)

@@ -2,11 +2,13 @@
 
 Usage: python tools/cli_artifacts.py OUT   (OUT must not exist yet)
 
-Runs the command-line front end of the checkout this file sits in on three
+Runs the command-line front end of the checkout this file sits in on four
 inputs, written into the new directory OUT so that every path recorded in
 the JSON artifacts is relative to OUT:
 
-- ``contact-1000.tsv``, the bundled dataset;
+- ``contact-1000.tsv``, the bundled dataset, and ``contact-real.tsv``, the
+  same edges with 0.5 added to every weight, so that every weight is
+  fractional and the input reads as real weights;
 - ``dm-seed1.tsv``, the 1M-edge Dirichlet-multinomial file of the
   benchmark, and ``dm-canary.tsv``, its 20k-edge canary, both generated by
   ``perfbench/inputs.py`` and checked against their pinned sha256.
@@ -17,20 +19,22 @@ Artifacts, each input read directed (``dir``) and undirected (``und``):
   all four objectives, and disparity-alpha, disparity-tope (at the
   micro mdl-global size), hss and percolation; on the DM file mdl-local
   under all four objectives, and mdl-global and percolation; on the
-  canary hss;
+  canary hss; on contact-real mdl-global under canonical-exponential, the
+  one objective that reads real weights, and hss;
 - ``compare`` JSON: the five contact-study backbones (micro mdl-global,
-  mdl-local, hss, percolation, disparity-tope) on contact-1000, and the
-  three backbones on the DM file;
+  mdl-local, hss, percolation, disparity-tope) on contact-1000, the
+  three backbones on the DM file and the two on contact-real;
 - ``percolation`` JSON on contact-1000: the grid ``log:1e-4:1:25`` over
   micro mdl-global, mdl-local and disparity-tope read undirected, and
-  ``lin:0:1:11`` over hss and percolation;
+  ``lin:0:1:11`` over hss and percolation; on contact-real the grid
+  ``log:1e-4:1:25`` over its two backbones read undirected;
 - ``synth`` TSVs and params JSON, which read no input: ``regular``,
   ``planted`` at global and local scope (with its planted-backbone TSV)
   and ``dm``, on 200 nodes.
 
 Prints ``sha256  name`` per artifact, sorted by name. The percolation JSONs
-(``contact-1000.study0.json`` and ``study1``) are hashed with their
-``eig_seconds`` and ``runtime_ratio`` lines removed, because those are
+(``contact-1000.study0.json``, ``study1`` and ``contact-real.study.json``)
+are hashed with their ``eig_seconds`` and ``runtime_ratio`` lines removed, because those are
 wall-clock times; every other byte is hashed as written. Run it on two
 checkouts and ``diff`` the outputs to see which artifacts a change moved.
 """
@@ -52,6 +56,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from mdlbackbone import cli  # noqa: E402
 
 CONTACT = "contact-1000.tsv"
+REAL = "contact-real.tsv"
+REAL_METHODS = (("mdl-global", "canonical-exponential"), ("hss", "micro"))
 DM = "dm-seed1.tsv"
 CANARY = "dm-canary.tsv"
 OBJECTIVES = ("micro", "canonical-geometric", "canonical-poisson", "canonical-exponential")
@@ -89,6 +95,13 @@ def write_dm_files(out):
         if inputs.sha256(data) != inputs.PINNED_SHA256[pin]:
             sys.exit(f"cli_artifacts: the generated {name} does not match its pinned sha256")
         (out / name).write_bytes(data)
+
+
+def write_real_file(out):
+    with open(ROOT / "datasets" / CONTACT) as src, open(out / REAL, "w") as dst:
+        for line in src:
+            a, b, w = line.split()
+            dst.write(f"{a}\t{b}\t{float(w) + 0.5!r}\n")
 
 
 def run(*argv):
@@ -129,10 +142,20 @@ def write_artifacts():
             "--backbones", *[f"dm-seed1.{way}.{m}.tsv" for m in DM_METHODS])
         backbone(CANARY, "hss", way)
 
+        for method, objective in REAL_METHODS:
+            backbone(REAL, method, way, objective)
+        run("compare", REAL, "--output", f"contact-real.{way}.compare", *flags,
+            "--backbones", f"contact-real.{way}.mdl-global.canonical-exponential.tsv",
+            f"contact-real.{way}.hss.tsv")
+
     for i, (grid, methods) in enumerate(PERCOLATION_STUDIES.items()):
         run("percolation", CONTACT, "--pgrid", grid,
             "--output", f"contact-1000.study{i}",
             "--backbones", *[f"contact-1000.und.{m}.tsv" for m in methods])
+
+    run("percolation", REAL, "--output", "contact-real.study",
+        "--backbones", "contact-real.und.mdl-global.canonical-exponential.tsv",
+        "contact-real.und.hss.tsv")
 
     for name, argv in SYNTH.items():
         run("synth", *argv, "--output", name)
@@ -140,7 +163,7 @@ def write_artifacts():
 
 def digest(path):
     data = path.read_bytes()
-    if path.name.startswith("contact-1000.study"):
+    if ".study" in path.name:
         data = TIMING_LINE.sub(b"", data)
     return hashlib.sha256(data).hexdigest()
 
@@ -152,9 +175,10 @@ def main(argv):
     out.mkdir(parents=True)
     shutil.copyfile(ROOT / "datasets" / CONTACT, out / CONTACT)
     write_dm_files(out)
+    write_real_file(out)
     os.chdir(out)
     write_artifacts()
-    inputs = {CONTACT, DM, CANARY}
+    inputs = {CONTACT, REAL, DM, CANARY}
     for path in sorted(Path(".").iterdir()):
         if path.name not in inputs:
             print(f"{digest(path)}  {path.name}")
