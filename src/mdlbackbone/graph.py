@@ -203,8 +203,8 @@ def _total_fits(w, src, dst, directed):
 
 def _weight_sum(w):
     """Sum of the weights ``w``: an int for integer weights, a float for
-    real ones, and 0 for none."""
-    return w.sum().item() if len(w) else 0
+    real ones, 0 or 0.0 for none."""
+    return w.sum().item()
 
 
 def _out_sums(g, flags=None, weights=None):

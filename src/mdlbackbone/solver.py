@@ -128,9 +128,9 @@ _CURVE_BLOCK = 1 << 16
 def _sweep(w, starts, strength, wfact, spec):
     """The greedy sweep over every segment ``w[starts[i]:starts[i + 1]]`` of
     the weights ``w``, each segment sorted heaviest first. ``strength`` and
-    ``wfact`` (sum of log2 w! for the poisson model, else 0) are the
-    segment totals: an array with one entry per segment, or a scalar that
-    holds for every segment.
+    ``wfact`` (sum of log2 w! for the poisson model, else 0) hold the
+    segment totals, one entry per segment; global scope is the case of one
+    segment.
 
     Prefix weights are differences of one float cumulative sum. Integer
     weights total below 2**53 (:class:`WeightedGraph`), so every such sum
@@ -176,10 +176,8 @@ def _sweep(w, starts, strength, wfact, spec):
         overlap = np.diff(np.clip(curve_starts[first:last + 2], lo, hi))
         seg = np.repeat(np.arange(first, last + 1), overlap)
         j = np.arange(lo, hi) - curve_starts[seg]
-        W = strength[seg] if np.ndim(strength) else strength
-        wf = wfact[seg] if np.ndim(wfact) else wfact
         w_b = cum[starts[seg] + j] - cum[starts[seg]]
-        curve[lo:hi] = _dl_curve(k[seg], W, j, w_b, spec, wf, table)
+        curve[lo:hi] = _dl_curve(k[seg], strength[seg], j, w_b, spec, wfact[seg], table)
 
     at = curve_starts[:-1]
     # the full segment has the empty backbone's DL (bit-flip symmetry); copy
@@ -202,8 +200,8 @@ def greedy_global(g, spec=None):
     n_keep, dl, curve, curve_starts = _sweep(
         np.sort(g.weights)[::-1],
         np.array([0, g.num_edges]),
-        float(g.total_weight),
-        _poisson_wfact(spec, g.weights),
+        np.array([float(g.total_weight)]),
+        np.array([_poisson_wfact(spec, g.weights)]),
         spec,
     )
     flags = _first_in_order(int(n_keep[0]), (-w, g.src, g.dst))
@@ -241,7 +239,7 @@ def greedy_local(g, spec=None):
 
     k = _out_sums(g)
     starts = np.concatenate([[0], np.cumsum(k)])
-    wfact = 0.0
+    wfact = np.zeros(g.num_nodes)
     if spec.family == "canonical" and spec.weight_model == "poisson":
         wfact = _out_sums(g, weights=_log2_factorial(g.weights))
     strength = g.strengths()
@@ -279,20 +277,23 @@ def greedy_local(g, spec=None):
     return _result(g, flags, dl, spec, "mdl-local", (curve, curve_starts))
 
 
-def _enumerate_masks(n_edges, chunk=1 << 16):
+def _enumerate_masks(n_edges, chunk):
+    """Every mask of ``n_edges`` bits in order, as 0/1 float rows, ``chunk`` at a time."""
     total = 1 << n_edges
     for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(n_edges)) & 1
-        yield masks, bits.astype(float)
+        masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        yield ((masks[:, None] >> np.arange(n_edges)) & 1).astype(float)
 
 
 def enumerate_optimal(g, spec):
     """Exhaustive minimization over all 2^E backbones; the test oracle for
-    the greedy solvers. Refuses graphs beyond 24 (directed-view) edges."""
+    the greedy solvers. Refuses graphs beyond 24 (directed-view) edges. It
+    scores the sweep's segments (the edge list at global scope, each out-
+    neighborhood of the directed view at local scope) by its own one-hot
+    sums. Ties: the least DL, then the fewest edges, then the first mask."""
     spec = _checked_spec(g, spec, spec.scope)
-    scope_g = g if spec.scope == "global" else directed_view(g)
+    local = spec.scope == "local"
+    scope_g = directed_view(g) if local else g
     m = scope_g.num_edges
     if m > ENUMERATION_EDGE_CAP:
         raise DomainError(
@@ -300,56 +301,29 @@ def enumerate_optimal(g, spec):
         )
 
     w = np.asarray(scope_g.weights, dtype=float)
-    best_dl = np.inf
-    best_Eb = None
-    best_mask_bits = None
+    seg = scope_g.src if local else np.zeros(m, dtype=np.int64)
+    onehot = np.zeros((m, scope_g.num_nodes if local else 1))
+    onehot[np.arange(m), seg] = 1.0
+    n_seg, w_onehot = onehot.shape[1], w[:, None] * onehot
+    # each segment's totals, added in edge order whatever the other segments
+    k, s = onehot.sum(axis=0), np.bincount(seg, w, n_seg)
+    poisson = spec.family == "canonical" and spec.weight_model == "poisson"
+    wf = np.bincount(seg, _log2_factorial(scope_g.weights), n_seg) if poisson else 0.0
 
-    if spec.scope == "global":
-        E, W = float(m), float(scope_g.total_weight)
-        wf = _poisson_wfact(spec, scope_g.weights)
-        for masks, bits in _enumerate_masks(m):
-            Eb = bits.sum(axis=1)
-            Wb = bits @ w
-            dls = _dl_curve(E, W, Eb, Wb, spec, wf)
-            best_dl, best_Eb, best_mask_bits = _fold_best(
-                dls, Eb, bits, best_dl, best_Eb, best_mask_bits
-            )
-        flags = best_mask_bits.astype(bool)
-    else:
-        N = scope_g.num_nodes
-        onehot = np.zeros((m, N))
-        onehot[np.arange(m), scope_g.src] = 1.0
-        k = onehot.sum(axis=0)
-        s = w @ onehot
-        prior = (
-            strength_prior_bits(N, m, scope_g.total_weight)
-            if spec.family == "microcanonical"
-            else 0.0
-        )
-        if spec.family == "canonical" and spec.weight_model == "poisson":
-            wf_nodes = np.asarray(_log2_factorial(scope_g.weights)) @ onehot
-        else:
-            wf_nodes = 0.0
-        w_onehot = w[:, None] * onehot
-        for masks, bits in _enumerate_masks(m, chunk=1 << 12):
-            Kb = bits @ onehot
-            Sb = bits @ w_onehot
-            terms = _dl_curve(k[None, :], s[None, :], Kb, Sb, spec, wf_nodes)
-            dls = prior + terms.sum(axis=1)
-            Eb = bits.sum(axis=1)
-            best_dl, best_Eb, best_mask_bits = _fold_best(
-                dls, Eb, bits, best_dl, best_Eb, best_mask_bits
-            )
-        flags = np.zeros(g.num_edges, dtype=bool)
-        flags[directed_parents(g)[best_mask_bits.astype(bool)]] = True
-    return _result(g, flags, float(best_dl), spec, "enumerate")
-
-
-def _fold_best(dls, Eb, bits, best_dl, best_Eb, best_bits):
-    i = int(np.lexsort((Eb, dls))[0])
-    if dls[i] < best_dl or (dls[i] == best_dl and Eb[i] < best_Eb):
-        return float(dls[i]), float(Eb[i]), bits[i].copy()
-    return best_dl, best_Eb, best_bits
+    best_dl, best_Eb, best_bits = np.inf, np.inf, None
+    for bits in _enumerate_masks(m, chunk=1 << (12 if local else 16)):
+        dls = _dl_curve(k, s, bits @ onehot, bits @ w_onehot, spec, wf).sum(axis=1)
+        Eb = bits.sum(axis=1)
+        i = int(np.lexsort((Eb, dls))[0])
+        if (dls[i], Eb[i]) < (best_dl, best_Eb):
+            best_dl, best_Eb, best_bits = float(dls[i]), Eb[i], bits[i].astype(bool)
+    if local and spec.family == "microcanonical":
+        # a constant, added after the minimum as greedy_local adds it
+        best_dl += strength_prior_bits(scope_g.num_nodes, m, scope_g.total_weight)
+    parents = directed_parents(g) if local else np.arange(m)
+    flags = np.zeros(g.num_edges, dtype=bool)
+    flags[parents[best_bits]] = True
+    return _result(g, flags, best_dl, spec, "enumerate")
 
 
 def backbone_to_dict(bb):

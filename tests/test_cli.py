@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 import mdlbackbone
 from mdlbackbone.baselines import high_salience_skeleton, percolation_backbone
 from mdlbackbone.cli import METHODS, main
-from mdlbackbone.graph import parse_edge_list, serialize_edge_list
+from mdlbackbone.graph import backbone_from_flags, parse_edge_list, serialize_edge_list
 from mdlbackbone.objectives import ObjectiveSpec
 from mdlbackbone.solver import greedy_global
 
@@ -340,6 +341,21 @@ class TestCompareCommand:
         backbone = read_json(f"{perc}.json")["graphs"][1]
         assert backbone["S"] == [0.0, 0.0, 0.0]
         assert backbone["p_crit"] is None
+
+    def test_empty_backbone_of_real_weights(self, tmp_path):
+        # an empty backbone's weight takes the weights' kind: 0.0, not 0
+        path = tmp_path / "frac.tsv"
+        path.write_text("a b 1.5\na c 2.5\nb c 0.5\n")
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        g = parse_edge_list(path.read_text(), directed=False)
+        bb = backbone_from_flags(g, np.zeros(g.num_edges, dtype=bool))
+        assert type(bb.total_weight) is float and bb.total_weight == 0.0
+        cmp = tmp_path / "cmp"
+        assert main(["compare", str(path), "--undirected", "--backbones", str(empty),
+                     "--output", str(cmp)]) == 0
+        assert '"W_b": 0.0,' in (tmp_path / "cmp.json").read_text()
+        assert read_json(f"{cmp}.json")["backbones"][0]["W_b"] == 0.0
 
     def test_foreign_edge_exit_1(self, star_file, tmp_path):
         bad = tmp_path / "bad.tsv"

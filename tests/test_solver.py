@@ -338,6 +338,123 @@ class TestAgainstEnumeration:
             enumerate_optimal(g, MICRO_G)
 
 
+class TestOracleGlobalMatchesLocalOnOneNeighborhood:
+    """The oracle's counterpart of TestGlobalMatchesLocalOnOneNeighborhood:
+    where every edge leaves node 0, the enumeration at local scope scores
+    one non-empty segment, the edge list, as it does at global scope."""
+
+    @pytest.mark.parametrize("family, model", OBJECTIVES)
+    @given(g=small_graphs(one_neighborhood=True))
+    @settings(max_examples=30, deadline=None)
+    def test_same_flags_and_dl(self, family, model, g):
+        glob = enumerate_optimal(g, ObjectiveSpec("global", family, model))
+        loc = enumerate_optimal(g, ObjectiveSpec("local", family, model))
+        assert np.array_equal(loc.backbone.member_flags, glob.backbone.member_flags)
+        prior = 0.0
+        if family == "microcanonical":
+            prior = strength_prior_bits(g.num_nodes, g.num_edges, g.total_weight)
+        assert loc.dl - prior == pytest.approx(glob.dl, abs=1e-9)
+
+    def test_ties_go_to_the_fewest_edges_then_the_first_mask(self):
+        # 17 edges: the oracle scores two chunks of masks at global scope.
+        # Every mask of one or two edges scores 0 bits and every other mask
+        # 1 bit, so the winner is mask 1, edge 0 alone, from the first chunk.
+        def zero_at_one_or_two(k, s, k_b, s_b, spec, wf):
+            return np.where((k_b == 1) | (k_b == 2), 0.0, 1.0)
+
+        g = make_graph([0] * 17, range(1, 18), [1] * 17)
+        with mock.patch.object(solver, "_dl_curve", zero_at_one_or_two):
+            res = enumerate_optimal(g, MICRO_G)
+        assert list(np.flatnonzero(res.backbone.member_flags)) == [0]
+        assert res.dl == 0.0
+
+
+def random_graph(rng, directed, real):
+    """Up to 40 nodes and 300 edges, self-loops and parallel edges allowed,
+    a random share of the weights about 50 times heavier than the rest, so
+    that most backbones are neither empty nor full. Real weights are all
+    distinct."""
+    n, m = int(rng.integers(2, 41)), int(rng.integers(1, 301))
+    heavy = rng.random(m) < rng.random()
+    if real:
+        w = np.where(heavy, 50.0, 1.0) * (1.0 + rng.exponential(1.0, m))
+    else:
+        w = np.where(heavy, rng.integers(50, 500, m), rng.integers(1, 6, m))
+    return make_graph(rng.integers(0, n, m), rng.integers(0, n, m), w, num_nodes=n,
+                      directed=directed, weight_kind="real" if real else "integer")
+
+
+class TestRelabelAndPermute:
+    """Relabeling the nodes and permuting the lines moves no result: the
+    same kept weights (per relabeled node at directed local scope) and the
+    same DL. Undirected local scope is left out: which of two equal-weight
+    edges a neighborhood keeps follows input position there, and whether
+    both endpoints keep the same one changes the union."""
+
+    @staticmethod
+    def relabeled(g, rng):
+        perm, order = rng.permutation(g.num_nodes), rng.permutation(g.num_edges)
+        h = make_graph(perm[g.src[order]], perm[g.dst[order]], g.weights[order],
+                       num_nodes=g.num_nodes, directed=g.directed,
+                       weight_kind=g.weight_kind)
+        return h, perm
+
+    @staticmethod
+    def kept(res, node_of=None):
+        """Sorted (node, weight) pairs of the kept edges; nodes through
+        ``node_of``, or all 0."""
+        bb = res.backbone
+        src = bb.parent.src[bb.member_flags]
+        nodes = node_of[src] if node_of is not None else np.zeros_like(src)
+        return sorted(zip(nodes.tolist(), bb.parent.weights[bb.member_flags].tolist()))
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("family, model", OBJECTIVES)
+    def test_global(self, family, model, directed):
+        rng = np.random.default_rng(len(family) + len(model or "") + directed)
+        spec = ObjectiveSpec("global", family, model)
+        for _ in range(40):
+            g = random_graph(rng, directed, real=model == "exponential")
+            h, _ = self.relabeled(g, rng)
+            a, b = greedy_global(g, spec), greedy_global(h, spec)
+            assert a.backbone.num_edges == b.backbone.num_edges
+            assert self.kept(a) == self.kept(b)
+            assert b.dl == pytest.approx(a.dl, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("family, model", OBJECTIVES)
+    def test_directed_local(self, family, model):
+        rng = np.random.default_rng(len(family) + len(model or ""))
+        spec = ObjectiveSpec("local", family, model)
+        for _ in range(40):
+            g = random_graph(rng, True, real=model == "exponential")
+            h, perm = self.relabeled(g, rng)
+            a, b = greedy_local(g, spec), greedy_local(h, spec)
+            assert self.kept(a, perm) == self.kept(b, np.arange(h.num_nodes))
+            assert b.dl == pytest.approx(a.dl, rel=0, abs=1e-9)
+
+
+class TestDisjointUnion:
+    """At directed local scope every out-neighborhood is its own segment,
+    and the strength prior does not depend on the backbone: the flags of
+    G1 + G2, side by side, are G1's flags followed by G2's."""
+
+    @pytest.mark.parametrize("family, model", OBJECTIVES)
+    def test_flags_concatenate(self, family, model):
+        rng = np.random.default_rng(3 + len(family) + len(model or ""))
+        spec = ObjectiveSpec("local", family, model)
+        real = model == "exponential"
+        for _ in range(40):
+            g1, g2 = (random_graph(rng, True, real) for _ in range(2))
+            n = g1.num_nodes
+            union = make_graph(np.concatenate([g1.src, g2.src + n]),
+                               np.concatenate([g1.dst, g2.dst + n]),
+                               np.concatenate([g1.weights, g2.weights]),
+                               num_nodes=n + g2.num_nodes, weight_kind=g1.weight_kind)
+            flags = [greedy_local(x, spec).backbone.member_flags for x in (g1, g2)]
+            assert np.array_equal(greedy_local(union, spec).backbone.member_flags,
+                                  np.concatenate(flags))
+
+
 class TestInvariants:
     def test_mean_weight_ordering(self):
         rng = np.random.default_rng(13)

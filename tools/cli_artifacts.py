@@ -19,8 +19,9 @@ Artifacts, each input read directed (``dir``) and undirected (``und``):
   all four objectives, and disparity-alpha, disparity-tope (at the
   micro mdl-global size), hss and percolation; on the DM file mdl-local
   under all four objectives, and mdl-global and percolation; on the
-  canary hss; on contact-real mdl-global under canonical-exponential, the
-  one objective that reads real weights, and hss;
+  canary hss; on contact-real mdl-global and mdl-local under
+  canonical-exponential, the one objective that reads real weights, and
+  hss;
 - ``compare`` JSON: the five contact-study backbones (micro mdl-global,
   mdl-local, hss, percolation, disparity-tope) on contact-1000, the
   three backbones on the DM file and the two on contact-real;
@@ -57,7 +58,8 @@ from mdlbackbone import cli  # noqa: E402
 
 CONTACT = "contact-1000.tsv"
 REAL = "contact-real.tsv"
-REAL_METHODS = (("mdl-global", "canonical-exponential"), ("hss", "micro"))
+REAL_METHODS = (("mdl-global", "canonical-exponential"),
+                ("mdl-local", "canonical-exponential"), ("hss", "micro"))
 DM = "dm-seed1.tsv"
 CANARY = "dm-canary.tsv"
 OBJECTIVES = ("micro", "canonical-geometric", "canonical-poisson", "canonical-exponential")
