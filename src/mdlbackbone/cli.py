@@ -44,7 +44,7 @@ METHODS = (
 
 
 def _load_graph(path, directed, round_weights):
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return parse_edge_list(fh, directed=directed, round_weights=round_weights)
 
 
@@ -55,7 +55,7 @@ def _write_json(path, doc):
 
 
 def _write_text(path, text):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -116,15 +116,15 @@ def cmd_backbone(args):
 
 
 def _backbone_from_file(g, path):
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        bb_graph = parse_edge_list(text, directed=g.directed)
-    except DomainError:
-        if len(_edge_spans(text)[1]):
-            raise
-        # `backbone` writes an empty backbone as a file without edge lines
-        return backbone_from_flags(g, np.zeros(g.num_edges, dtype=bool))
+    with open(path, "rb") as fh:
+        try:
+            bb_graph = parse_edge_list(fh, directed=g.directed)
+        except DomainError:
+            fh.seek(0)
+            if len(_edge_spans(fh.read())[1]):
+                raise
+            # `backbone` writes an empty backbone as a file without edge lines
+            return backbone_from_flags(g, np.zeros(g.num_edges, dtype=bool))
     label_idx = {lab: i for i, lab in enumerate(g.labels)}
     # parent index of each backbone-file label, -1 where the parent lacks it
     idx = np.array([label_idx.get(lab, -1) for lab in bb_graph.labels], dtype=np.int64)

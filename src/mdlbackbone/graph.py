@@ -3,9 +3,12 @@ the out-neighborhood index.
 
 Node labels are arbitrary strings mapped to dense indices 0..N-1 in order of
 first appearance; all algorithms operate on the dense indices. Multi-edges
-are merged by weight summation at parse time. Parsing works on the bytes
-of the text and serializing on whole arrays; a per-line check runs only on
-text with non-ASCII whitespace and to locate an input error.
+are merged by weight summation at parse time. Parsing works on the UTF-8
+bytes of the input, a str or bytes, and serializing on whole arrays; a
+per-line check runs only on text with non-ASCII whitespace and to locate an
+input error. Labels that are all canonical decimals are keyed by their
+values, and keys below the number of label tokens are numbered through a
+direct-address table, without a sort.
 """
 
 from __future__ import annotations
@@ -297,11 +300,42 @@ _UNICODE_SPACES = (
 )
 
 
+def _decode(data):
+    """The str of the UTF-8 bytes ``data``; an invalid byte raises
+    ParseError naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first invalid one decode; with one more
+        # character, their last line is the line of that byte
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"invalid UTF-8 {data[exc.start:exc.end]!r}", line=line) from None
+
+
+def _utf8(text):
+    """The UTF-8 bytes of the edge list ``text``, a str or bytes. ASCII
+    bytes are returned as they are. A text with non-ASCII whitespace is
+    rewritten by :func:`_check_lines` first, so that only ASCII whitespace
+    separates its tokens and ends its lines."""
+    if isinstance(text, str):
+        data = text.encode("utf-8")
+    elif text.isascii():
+        return text
+    else:
+        data, text = text, _decode(text)
+    if not text.isascii() and any(c in text for c in _UNICODE_SPACES):
+        return _check_lines(text).encode("utf-8")
+    return data
+
+
 def _check_lines(text):
-    """The per-line check of an edge list and the locator of its errors:
-    raises ParseError or DomainError, with the line number, at the first
-    line that is not a comment, blank or "src dst weight" with a positive
-    finite weight. Returns the edge lines, their tokens one space apart."""
+    """The per-line check of an edge list, a str or UTF-8 bytes, and the
+    locator of its errors: raises ParseError or DomainError, with the line
+    number, at the first line that is not a comment, blank or "src dst
+    weight" with a positive finite weight. Returns the edge lines, their
+    tokens one space apart."""
+    if not isinstance(text, str):
+        text = _decode(text)
     lines = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -321,24 +355,34 @@ def _check_lines(text):
 
 
 def _edge_spans(text):
-    """``(buf, starts, ends)``: the UTF-8 bytes of ``text`` between 8 spaces
-    on either side, and the token ``buf[starts[i]:ends[i]]`` for each token
-    of an edge line, src dst weight after each other. The bytes are checked
-    as arrays: every line must hold 0 or 3 tokens unless its first token
-    starts with '#'. Every byte of a multi-byte character is >= 0x80, so
-    only text with non-ASCII whitespace, and text that fails the check, goes
-    to :func:`_check_lines`."""
-    if not text.isascii() and any(c in text for c in _UNICODE_SPACES):
-        text = _check_lines(text)
-    buf = b"        " + text.encode("utf-8") + b"        "
+    """``(buf, starts, ends)``: the bytes :func:`_utf8` gives for ``text``
+    between 8 spaces on either side, and the token ``buf[starts[i]:ends[i]]``
+    for each token of an edge line, src dst weight after each other. The
+    bytes are checked as arrays: every line must hold 0 or 3 tokens unless
+    its first token starts with '#'. Where the line breaks sit one after
+    every third token and nowhere else, the positions of the breaks show
+    that at once; otherwise each line's tokens are counted. Every byte of a
+    multi-byte character is >= 0x80, so only text with non-ASCII
+    whitespace, and text that fails the check, goes to
+    :func:`_check_lines`."""
+    buf = b"        " + _utf8(text) + b"        "
     space = np.frombuffer(buf.translate(_SPACE_TABLE), dtype=bool)
     # tokens start and end where the flag changes; buf begins and ends in spaces
     edges = np.flatnonzero(space[1:] != space[:-1])
     edges += 1
     del space
     starts, ends = edges[0::2], edges[1::2]
-    # the tokens of line i are starts[bounds[i]:bounds[i + 1]]
     breaks = np.flatnonzero(np.frombuffer(buf.translate(_BREAK_TABLE), dtype=bool))
+    # the usual layout: one line break after every third token, none
+    # elsewhere (the last line may end the text), and no line starting
+    # with '#'
+    n = len(starts) // 3
+    if (len(starts) == 3 * n and n - 1 <= len(breaks) <= n
+            and np.all(ends[2::3][:len(breaks)] <= breaks)
+            and np.all(breaks[:n - 1] < starts[3::3])
+            and not np.any(np.frombuffer(buf, dtype=np.uint8)[starts[0::3]] == ord("#"))):
+        return buf, starts, ends
+    # the tokens of line i are starts[bounds[i]:bounds[i + 1]]
     bounds = np.concatenate([[0], np.searchsorted(starts, breaks), [len(starts)]])
     del breaks
     counts = np.diff(bounds)
@@ -353,6 +397,12 @@ def _edge_spans(text):
     return buf, starts, ends
 
 
+# tokens per block of :func:`_span_digits`: 64k tokens keep a block's
+# 8-byte temporaries within 512 KiB each; on 2M labels and a 2-vCPU host a
+# whole-array pass took 80 ms and blocks of 16k-64k tokens 45-48 ms
+_SWAR_BLOCK = 1 << 16
+
+
 def _words(buf):
     """Every little-endian 8-byte word of ``buf``: word i is buf[i:i + 8]."""
     return np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
@@ -363,26 +413,52 @@ def _bytes8(b):
     return np.uint64(b * 0x0101010101010101)
 
 
+def _span_digits(buf, starts, ends):
+    """``(value, digits)``: ``digits[i]`` tells whether the token
+    ``buf[starts[i]:ends[i]]`` is at most 8 ASCII digits, and then
+    ``value[i]`` (uint64) is its decimal value. The token is read from the
+    8-byte word that starts at it by Lemire's SWAR conversion, a block of
+    tokens at a time, so that the temporaries of a block stay in cache."""
+    words = _words(buf)
+    value = np.empty(len(starts), dtype=np.uint64)
+    digits = np.empty(len(starts), dtype=bool)
+    for lo in range(0, len(starts), _SWAR_BLOCK):
+        block = slice(lo, lo + _SWAR_BLOCK)
+        length = ends[block] - starts[block]
+        ok = length <= 8
+        # bits of the word that lie after the token
+        pad = np.minimum(length, 8, out=length)
+        pad *= -8
+        pad += 64
+        pad = pad.view(np.uint64)
+        # the token moves to the high bytes, and zero bytes fill those below it
+        word = words[starts[block]]
+        word <<= pad
+        # a byte is a digit if its high nibble is 3, also after adding 6; the
+        # zero bytes below the token give 0, which is what they are matched to
+        high = word + _bytes8(0x06)
+        high &= _bytes8(0xF0)
+        high >>= np.uint64(4)
+        high |= word & _bytes8(0xF0)
+        digits[block] = ok & (high == np.left_shift(_bytes8(0x33), pad, out=pad))
+        # the digits' values, combined into 4 pairs, 2 quads, then one number
+        for mask, mul, shift in ((0x0F0F0F0F0F0F0F0F, 2561, 8),
+                                 (0x00FF00FF00FF00FF, 6553601, 16),
+                                 (0x0000FFFF0000FFFF, 42949672960001, 32)):
+            word &= np.uint64(mask)
+            word *= np.uint64(mul)
+            word >>= np.uint64(shift)
+        value[block] = word
+    return value, digits
+
+
 def _span_floats(buf, starts, ends):
     """``float`` of each token ``buf[starts[i]:ends[i]]``, or None if it
-    rejects one. A token of at most 8 ASCII digits is read from the 8-byte
-    word that ends at it, by Lemire's SWAR conversion: its value is below
-    1e8, so the double is exact. Every other token goes through ``float``."""
-    length = ends - starts
-    # bits of the bytes before the token in the word
-    pad = np.uint64(8) * (np.uint64(8) - np.minimum(length, 8).astype(np.uint64))
-    token = _bytes8(0xFF) << pad
-    # the token fills the high bytes; the bytes before it become b"0"
-    word = _words(buf)[ends - 8] & token | _bytes8(0x30) & ~token
-    # a byte is a digit if its high nibble is 3, also after adding 6
-    high = word & _bytes8(0xF0) | (word + _bytes8(0x06) & _bytes8(0xF0)) >> np.uint64(4)
-    digits = (length <= 8) & (high == _bytes8(0x33))
-    # the digits' values, combined into 4 pairs, 2 quads, then one number
-    for mask, mul, shift in ((0x0F0F0F0F0F0F0F0F, 2561, 8),
-                             (0x00FF00FF00FF00FF, 6553601, 16),
-                             (0x0000FFFF0000FFFF, 42949672960001, 32)):
-        word = (word & np.uint64(mask)) * np.uint64(mul) >> np.uint64(shift)
-    w = word.astype(float)
+    rejects one. A token of at most 8 ASCII digits is read by
+    :func:`_span_digits`: its value is below 1e8, so the double is exact.
+    Every other token goes through ``float``."""
+    value, digits = _span_digits(buf, starts, ends)
+    w = value.astype(float)
     for i in np.flatnonzero(~digits).tolist():
         try:
             w[i] = float(buf[starts[i]:ends[i]].decode())
@@ -391,14 +467,45 @@ def _span_floats(buf, starts, ends):
     return w
 
 
+def _decimal_keys(buf, starts, ends):
+    """The decimal value (uint64) of every token ``buf[starts[i]:ends[i]]``
+    where each is a canonical decimal: at most 8 ASCII digits, without a
+    leading zero unless it is "0". Only then is ``str(value)`` the token
+    itself, so "07" and "7" stay apart. None where a token is not."""
+    lead = np.frombuffer(buf, dtype=np.uint8)[starts]
+    # first bytes only, so that other labels skip the SWAR pass
+    if not np.all((lead >= np.uint8(ord("1"))) & (lead <= np.uint8(ord("9")))
+                  | (lead == np.uint8(ord("0"))) & (ends - starts == 1)):
+        return None
+    del lead
+    value, digits = _span_digits(buf, starts, ends)
+    return value if digits.all() else None
+
+
 def _first_appearance(keys):
     """``(codes, first)`` for an integer array: ``codes[i]`` numbers
     ``keys[i]`` by the order in which the distinct keys first appear, and
     ``first[c]`` is the position where the key of code c first appears.
-    One unstable sort: equal keys form a group whatever their order in it,
-    and a group's first position is its minimum."""
-    if len(keys) == 0:
+
+    Keys that all lie in [0, len(keys)) are numbered through a
+    direct-address table of first positions, no longer than the keys, so
+    without a sort. Any others take one unstable sort: equal keys form a
+    group whatever their order in it, and a group's first position is its
+    minimum."""
+    n = len(keys)
+    if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if keys.min() >= 0 and keys.max() < n:
+        # table[k] is the first position of the key k, n where k is absent
+        table = np.full(n, n, dtype=np.int64)
+        np.minimum.at(table, keys, np.arange(n))
+        mark = np.zeros(n, dtype=bool)
+        mark[table[table < n]] = True
+        first = np.flatnonzero(mark)
+        del mark
+        # table[k] becomes the code of the key k
+        table[keys[first]] = np.arange(len(first))
+        return table[keys], first
     order = np.argsort(keys)
     sorted_keys = keys[order]
     head = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
@@ -412,7 +519,8 @@ def _first_appearance(keys):
 
 
 def parse_edge_list(text, directed, round_weights=False):
-    """Parse an edge list: a string, or a file object that is read whole.
+    """Parse an edge list: a str, bytes, or a text or binary file object
+    that is read whole. Bytes are decoded as UTF-8.
 
     Lines end where ``str.splitlines`` ends them: ``\\n``, ``\\r``,
     ``\\r\\n``, ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``
@@ -435,13 +543,21 @@ def parse_edge_list(text, directed, round_weights=False):
     A line without exactly three tokens, or with a weight ``float``
     rejects, raises ParseError; a weight that is not positive and finite
     raises DomainError. Both name the first offending line, counted from 1.
-    An input without edge lines raises DomainError.
+    So does the ParseError of bytes that are not valid UTF-8. An input
+    without edge lines raises DomainError.
 
-    The tokens are found once on the UTF-8 bytes. A weight of at most 8
-    ASCII digits is read from those bytes, any other through ``float``.
-    Labels of at most 8 bytes are numbered as 8-byte integer keys by one
-    sort; if any label is longer, or the text holds a NUL byte, labels are
-    numbered through a dict instead. Either way the result is the same.
+    The tokens are found once on the UTF-8 bytes: ASCII bytes are read as
+    they are, a str is encoded. A weight of at most 8 ASCII digits is read
+    from those bytes, any other through ``float``. Each label gets an
+    integer key. Where every label is a canonical decimal, at most 8 ASCII
+    digits without a leading zero unless it is "0", the key is its value,
+    and ``str`` of the value gives the label back ("07" is not one, so it
+    stays apart from "7"). Otherwise, where every label has at most 8 bytes
+    and the text holds no NUL byte, the key is the label's bytes as one
+    zero-padded 8-byte word. Keys that all lie below the number of label
+    tokens are numbered through a direct-address table of first positions,
+    other keys by one sort. If neither key fits, labels are numbered
+    through a dict. Every path gives the same result.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -458,16 +574,25 @@ def parse_edge_list(text, directed, round_weights=False):
     label_starts = starts.reshape(n, 3)[:, :2].reshape(-1)
     label_ends = ends.reshape(n, 3)[:, :2].reshape(-1)
     del starts, ends
-    length = label_ends - label_starts
-    if length.max() <= 8 and b"\0" not in buf:
-        # the key of a label is its bytes, zero-padded, as one word: without
-        # NUL bytes, equal keys are equal labels
-        pad = np.uint64(8) * (np.uint64(8) - length.astype(np.uint64))
-        keys = _words(buf)[label_starts] & _bytes8(0xFF) >> pad
-        del buf, label_starts, label_ends, length, pad
+    keys = _decimal_keys(buf, label_starts, label_ends)
+    decimal = keys is not None
+    if not decimal:
+        length = label_ends - label_starts
+        if length.max() <= 8 and b"\0" not in buf:
+            # the key of a label is its bytes, zero-padded, as one word:
+            # without NUL bytes, equal keys are equal labels
+            pad = np.uint64(8) * (np.uint64(8) - length.astype(np.uint64))
+            keys = _words(buf)[label_starts] & _bytes8(0xFF) >> pad
+            del pad
+        del length
+    if keys is not None:
+        del buf, label_starts, label_ends
         codes, first = _first_appearance(keys)
-        # S8 drops the zero padding
-        labels = b"\n".join(keys[first].view("S8").tolist()).decode().split("\n")
+        if decimal:
+            labels = list(map(str, keys[first].tolist()))
+        else:
+            # S8 drops the zero padding
+            labels = b"\n".join(keys[first].view("S8").tolist()).decode().split("\n")
         del keys, first
     else:
         # every byte outside the label tokens becomes a space, so that one
@@ -478,7 +603,7 @@ def parse_edge_list(text, directed, round_weights=False):
         np.cumsum(inside, out=inside)
         tokens = np.where(inside[:-1].view(bool), np.frombuffer(buf, dtype=np.uint8),
                           np.uint8(ord(" "))).tobytes().split()
-        del buf, label_starts, label_ends, length, inside
+        del buf, label_starts, label_ends, inside
         # a label not yet seen gets the id len(ids) as it is inserted
         ids = defaultdict()
         ids.default_factory = ids.__len__

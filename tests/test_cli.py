@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +100,36 @@ class TestBackboneCommand:
         path.write_text("a b\n")
         code = main(["backbone", "--method", "mdl-global", str(path)])
         assert code == 1
+
+    def test_invalid_utf8_exit_1(self, tmp_path, capsys):
+        # the input is read as bytes and decoded as UTF-8 whatever the locale
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"a b 1\n\xff c 2\n")
+        code = main(["backbone", str(path), "--method", "mdl-global",
+                     "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "mdlbackbone: error: line 2: invalid UTF-8 b'\\xff'\n")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # under the C locale without UTF-8 mode, text files are ASCII; edge
+        # lists are read and written as UTF-8 all the same
+        path = tmp_path / "utf8.tsv"
+        path.write_bytes(("# caf\u00e9\n" + STAR.replace("a", "\u00e9")).encode())
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+
+        def run(*argv):
+            proc = subprocess.run([sys.executable, "-m", "mdlbackbone.cli", *argv],
+                                  env=env, capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr) == (0, "")
+
+        run("backbone", str(path), "--method", "mdl-global", "--output", str(tmp_path / "bb"))
+        assert (tmp_path / "bb.tsv").read_bytes() == "\u00e9\tb\t5\n".encode()
+        run("compare", str(path), "--backbones", str(tmp_path / "bb.tsv"),
+            "--output", str(tmp_path / "cmp"))
+        assert read_json(tmp_path / "cmp.json")["backbones"][0]["E_b"] == 1
 
     def test_total_beyond_int64_exit_1(self, tmp_path, capsys):
         path = tmp_path / "big.tsv"
@@ -404,6 +437,14 @@ class TestBackboneFilesRoundTrip:
                      "--output", str(tmp_path / "cmp")]) == 0
         row = read_json(tmp_path / "cmp.json")["backbones"][0]
         assert (row["E_b"], row["W_b"]) == (1, 3)
+
+    def test_invalid_utf8_backbone_file_exit_1(self, star_file, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"a\tb\t5\r\n# \xc3\n")
+        code = main(["compare", str(star_file), "--backbones", str(bad),
+                     "--output", str(tmp_path / "c")])
+        assert code == 1
+        assert "error: line 2: invalid UTF-8" in capsys.readouterr().err
 
     def test_unparsable_backbone_file_exit_1(self, star_file, tmp_path, capsys):
         # a file with edge lines that does not parse is an error, not the

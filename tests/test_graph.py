@@ -1,16 +1,20 @@
+import io
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mdlbackbone import graph
 from mdlbackbone.errors import DomainError, ParseError
 from mdlbackbone.graph import (
     _UNICODE_SPACES,
     Backbone,
     WeightedGraph,
     _first_appearance,
+    _span_digits,
     backbone_from_edge_subset,
     backbone_from_flags,
     collapse_to_undirected,
@@ -95,6 +99,30 @@ class TestParse:
         g = parse_edge_list("a b 1.5", directed=True)
         assert g.weights.dtype == float
         assert g.total_weight == 1.5
+
+    @pytest.mark.parametrize("source", [bytes, io.BytesIO, io.StringIO],
+                             ids=["bytes", "binary-file", "text-file"])
+    def test_bytes_and_files(self, source):
+        text = "\u00e9 b 2\n# \u65e5\n10 b 1.5\n\u00e9 b 3\n"
+        data = text.encode() if source is not io.StringIO else text
+        g = parse_edge_list(source(data), directed=True)
+        assert g.labels == ("\u00e9", "b", "10")
+        assert (g.src.tolist(), g.dst.tolist(), g.weights.tolist()) == (
+            [0, 2], [1, 1], [5.0, 1.5])
+
+    @pytest.mark.parametrize("data, line", [
+        (b"a b 1\n\xff c 2\n", 2),
+        (b"\xfe", 1),
+        (b"a b 1\r\n\xc3\xa9 c 2\r\n# \xc3", 3),
+        # a lone \r ends a line; \x1c ends one too
+        (b"a b 1\r\xe9 c 2", 2),
+        (b"a b 1\x1c\n\xe9 c 2", 3),
+    ])
+    @pytest.mark.parametrize("source", [bytes, io.BytesIO], ids=["bytes", "binary-file"])
+    def test_invalid_utf8_names_its_line(self, data, line, source):
+        with pytest.raises(ParseError, match="invalid UTF-8") as err:
+            parse_edge_list(source(data), directed=True)
+        assert err.value.line == line
 
     def test_serialize_round_trip_stable(self):
         text = "c a 2\na b 5\nb c 1\n"
@@ -254,19 +282,34 @@ def test_unicode_spaces_are_every_non_ascii_space():
     assert UNICODE_SPACES == [c for c in map(chr, range(0x80, 0x110000)) if c.isspace()]
 
 
+# canonical decimals, whose values number them: at most 8 ASCII digits
+# without a leading zero; the small ones fit the direct-address table
+DECIMAL_LABELS = ["0", "1", "2", "3", "7", "10", "99999999"]
+# decimal but not canonical ("07" and "7" are two labels), too long, or
+# read by int() but not ASCII digits
+NON_CANONICAL_LABELS = ["07", "007", "100000000", "+1", "1_0", "\u0663"]
+
+
 @st.composite
 def edge_texts(draw):
     """Edge-list texts over a few labels, ASCII and not: edge lines
     (repeated pairs are likely), blank and comment lines, every line end
     and whitespace byte that ends or splits a line, and in half of them one
     or two non-ASCII whitespace characters too; half of them also with
-    malformed lines and bad weights. Half of them may also use labels the
-    word keys cannot hold: over 8 bytes, or with a NUL byte."""
+    malformed lines and bad weights. A third of them have word labels, half
+    of those also labels the word keys cannot hold: over 8 bytes, or with a
+    NUL byte. A third have canonical decimal labels only, and a third mix
+    them with decimals that are not canonical."""
     valid = draw(st.booleans())
+    label_kind = draw(st.sampled_from(["words", "decimal", "mixed"]))
     # "abcdefgh" and "\U0001f600\U0001f600" are 8 bytes long
     labels = ["a", "b", "c", "0", "00", "x#y", "#z", "\xe9", "\xfc1", "\u65e5\u672c",
               "\U0001f600", "abcdefgh", "\U0001f600\U0001f600"]
-    if draw(st.booleans()):
+    if label_kind == "decimal":
+        labels = DECIMAL_LABELS
+    elif label_kind == "mixed":
+        labels = DECIMAL_LABELS + NON_CANONICAL_LABELS
+    elif draw(st.booleans()):
         # "\u65e5\u672c\u8a9e" is 9 bytes long
         labels += ["abcdefghi", "a\x00", "\x00", "\u65e5\u672c\u8a9e"]
     weights = GOOD_WEIGHTS + ([] if valid else BAD_WEIGHTS)
@@ -318,12 +361,18 @@ class TestParseOracle:
     # the directed view totals 2**53 - 1, then 2**53: integer, then real
     @example(text="a b 4503599627370495\nb b 1", directed=False, round_weights=False)
     @example(text="a b 4503599627370496\nb b 1", directed=False, round_weights=False)
+    # 4 label tokens: the largest decimal is 3, in the table, then 4, past it
+    @example(text="0 1 1\n1 3 1", directed=True, round_weights=False)
+    @example(text="0 1 1\n1 4 1", directed=True, round_weights=False)
+    @example(text="7 0 1\n07 0 2\n0 7 3\n1 2 1", directed=True, round_weights=False)
+    # six tokens and two line breaks, as two edge lines have, but 4 + 2
+    @example(text="a b 2 1\nd 1\n", directed=True, round_weights=False)
     @settings(max_examples=400, deadline=None)
     def test_matches_per_line_reference(self, text, directed, round_weights):
-        args = (text, directed, round_weights)
-        assert _parse_outcome(parse_edge_list, *args) == _parse_outcome(
-            parse_edge_list_reference, *args
-        )
+        expected = _parse_outcome(parse_edge_list_reference, text, directed, round_weights)
+        # the same outcome from the str, its UTF-8 bytes and a binary file
+        for source in (text, text.encode(), io.BytesIO(text.encode())):
+            assert _parse_outcome(parse_edge_list, source, directed, round_weights) == expected
 
 
 def _first_appearance_reference(keys):
@@ -339,9 +388,27 @@ INT64 = np.iinfo(np.int64)
 EXTREMES = [INT64.min, INT64.min + 1, -1, 0, 1, INT64.max - 1, INT64.max]
 
 
+@st.composite
+def dense_keys(draw):
+    """Non-negative keys at the edge of the direct-address table: repeats
+    of 0..n-1, or keys whose maximum is exactly their count less one, or
+    exactly their count."""
+    n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        repeats = draw(st.integers(1, 4))
+        return draw(st.permutations(list(range(n)) * repeats))
+    top = n - draw(st.integers(0, 1))
+    keys = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    keys[draw(st.integers(0, n - 1))] = top
+    return keys
+
+
 class TestFirstAppearance:
     @given(keys=st.one_of(
         st.lists(st.integers(INT64.min, INT64.max), max_size=50),
+        dense_keys(),
+        # small keys of either sign, some of them inside the table's range
+        st.lists(st.integers(-8, 8), max_size=30),
         # heavy repeats, of the extremes among others
         st.lists(st.sampled_from(EXTREMES), max_size=200),
         # all keys equal
@@ -349,15 +416,39 @@ class TestFirstAppearance:
     ))
     @example(keys=[])
     @example(keys=[7])
+    # the largest key is the count less one (the table), then the count
+    @example(keys=[1, 1, 0])
+    @example(keys=[3, 1, 0])
+    # -2 and 0 would share a slot of a table of 2 if negative keys took it
+    @example(keys=[-2, 0])
     @settings(max_examples=300, deadline=None)
     def test_matches_dict_loop(self, keys):
         expected = _first_appearance_reference(keys)
         signed = np.array(keys, dtype=np.int64)
-        # the parser's keys are unsigned words; the view keeps which are equal
+        # the parser's keys are unsigned; the view keeps which are equal
         for arr in (signed, signed.view(np.uint64)):
             codes, first = _first_appearance(arr)
             assert codes.dtype == first.dtype == np.int64
             assert (codes.tolist(), first.tolist()) == expected
+
+
+class TestSpanDigits:
+    # "/" and ":" are the bytes either side of the digits; 0xFA and 0xFF
+    # carry out of their byte when 6 is added
+    @given(tokens=st.lists(st.text("0123456789/:a\xfa\xff", min_size=1, max_size=10),
+                           min_size=1, max_size=40),
+           block=st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_int_in_every_block(self, tokens, block):
+        data = [t.encode("latin-1") for t in tokens]
+        buf = b" " * 8 + b" ".join(data) + b" " * 8
+        ends = np.cumsum([len(t) + 1 for t in data]) + 7
+        starts = ends - [len(t) for t in data]
+        with mock.patch.object(graph, "_SWAR_BLOCK", block):
+            value, digits = _span_digits(buf, starts, ends)
+        expected = [t.isdigit() and len(t) <= 8 for t in data]
+        assert digits.tolist() == expected
+        assert [int(t) for t, d in zip(data, expected) if d] == value[digits].tolist()
 
 
 class TestGraph:

@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_artifacts.py OUT   (OUT must not exist yet)
 
-Runs the command-line front end of the checkout this file sits in on four
+Runs the command-line front end of the checkout this file sits in on five
 inputs, written into the new directory OUT so that every path recorded in
 the JSON artifacts is relative to OUT:
 
@@ -11,7 +11,10 @@ the JSON artifacts is relative to OUT:
   fractional and the input reads as real weights;
 - ``dm-seed1.tsv``, the 1M-edge Dirichlet-multinomial file of the
   benchmark, and ``dm-canary.tsv``, its 20k-edge canary, both generated by
-  ``perfbench/inputs.py`` and checked against their pinned sha256.
+  ``perfbench/inputs.py`` and checked against their pinned sha256;
+- ``dm-canary-padded.tsv``, the canary with every label zero-padded to 5
+  digits, so that its labels are decimal but not canonical ("00007" is not
+  "7") and the parser numbers them as byte strings.
 
 Artifacts, each input read directed (``dir``) and undirected (``und``):
 
@@ -19,9 +22,9 @@ Artifacts, each input read directed (``dir``) and undirected (``und``):
   all four objectives, and disparity-alpha, disparity-tope (at the
   micro mdl-global size), hss and percolation; on the DM file mdl-local
   under all four objectives, and mdl-global and percolation; on the
-  canary hss; on contact-real mdl-global and mdl-local under
-  canonical-exponential, the one objective that reads real weights, and
-  hss;
+  canary hss; on the padded canary mdl-global; on contact-real mdl-global
+  and mdl-local under canonical-exponential, the one objective that reads
+  real weights, and hss;
 - ``compare`` JSON: the five contact-study backbones (micro mdl-global,
   mdl-local, hss, percolation, disparity-tope) on contact-1000, the
   three backbones on the DM file and the two on contact-real;
@@ -62,6 +65,7 @@ REAL_METHODS = (("mdl-global", "canonical-exponential"),
                 ("mdl-local", "canonical-exponential"), ("hss", "micro"))
 DM = "dm-seed1.tsv"
 CANARY = "dm-canary.tsv"
+PADDED = "dm-canary-padded.tsv"
 OBJECTIVES = ("micro", "canonical-geometric", "canonical-poisson", "canonical-exponential")
 STUDY_METHODS = ("mdl-global", "mdl-local", "hss", "percolation", "disparity-tope")
 DM_METHODS = ("mdl-global", "mdl-local", "percolation")
@@ -97,6 +101,13 @@ def write_dm_files(out):
         if inputs.sha256(data) != inputs.PINNED_SHA256[pin]:
             sys.exit(f"cli_artifacts: the generated {name} does not match its pinned sha256")
         (out / name).write_bytes(data)
+
+
+def write_padded_file(out):
+    with open(out / CANARY) as src, open(out / PADDED, "w") as dst:
+        for line in src:
+            a, b, w = line.split()
+            dst.write(f"{a.zfill(5)}\t{b.zfill(5)}\t{w}\n")
 
 
 def write_real_file(out):
@@ -143,6 +154,7 @@ def write_artifacts():
         run("compare", DM, "--output", f"dm-seed1.{way}.compare", *flags,
             "--backbones", *[f"dm-seed1.{way}.{m}.tsv" for m in DM_METHODS])
         backbone(CANARY, "hss", way)
+        backbone(PADDED, "mdl-global", way)
 
         for method, objective in REAL_METHODS:
             backbone(REAL, method, way, objective)
@@ -177,10 +189,11 @@ def main(argv):
     out.mkdir(parents=True)
     shutil.copyfile(ROOT / "datasets" / CONTACT, out / CONTACT)
     write_dm_files(out)
+    write_padded_file(out)
     write_real_file(out)
     os.chdir(out)
     write_artifacts()
-    inputs = {CONTACT, REAL, DM, CANARY}
+    inputs = {CONTACT, REAL, DM, CANARY, PADDED}
     for path in sorted(Path(".").iterdir()):
         if path.name not in inputs:
             print(f"{digest(path)}  {path.name}")
