@@ -107,10 +107,7 @@ def cmd_backbone(args):
         version=__version__,
     )
 
-    if bb.num_edges:
-        _write_text(str(prefix) + ".tsv", serialize_edge_list(bb.subgraph()))
-    else:
-        _write_text(str(prefix) + ".tsv", "")
+    _write_text(str(prefix) + ".tsv", serialize_edge_list(bb.subgraph()))
     _write_json(str(prefix) + ".json", doc)
     return 0
 
@@ -184,7 +181,7 @@ def cmd_synth(args):
         params = dict(inst.params, kind="dm")
     _write_text(str(prefix) + ".tsv", serialize_edge_list(g))
     _write_json(str(prefix) + ".params.json", params)
-    if planted is not None and planted.num_edges:
+    if planted is not None:
         _write_text(
             str(prefix) + ".planted.tsv", serialize_edge_list(planted.subgraph())
         )

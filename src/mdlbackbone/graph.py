@@ -39,13 +39,14 @@ __all__ = [
 class WeightedGraph:
     """Immutable weighted graph stored as a dense-indexed edge list.
 
-    ``src``, ``dst`` and ``weights`` are parallel arrays of length E. The
-    weights' dtype is the weight kind, :attr:`weight_kind`. Integer weights
-    are each >= 1 and the total weight of :func:`directed_view` (on an
-    undirected graph every non-loop weight counts twice) is below 2**53;
-    below that bound every float sum of them is exact. Float ("real")
-    weights are positive and finite. Weights breaking these rules, or of
-    any other dtype, raise DomainError.
+    ``src``, ``dst`` and ``weights`` are parallel arrays of length E;
+    ``src`` and ``dst`` hold node indices in [0, num_nodes), in an integer
+    dtype. The weights' dtype is the weight kind, :attr:`weight_kind`.
+    Integer weights are each >= 1 and the total weight of
+    :func:`directed_view` (on an undirected graph every non-loop weight
+    counts twice) is below 2**53; below that bound every float sum of them
+    is exact. Float ("real") weights are positive and finite. Arrays
+    breaking these rules, or weights of any other dtype, raise DomainError.
     Undirected graphs store each edge once with ``src <= dst`` not enforced;
     duplication into both orientations happens in :func:`directed_view`.
     """
@@ -60,6 +61,13 @@ class WeightedGraph:
     def __post_init__(self):
         if len(self.src) != len(self.dst) or len(self.src) != len(self.weights):
             raise DomainError("edge arrays must have equal length")
+        for name, idx in (("src", self.src), ("dst", self.dst)):
+            if idx.dtype.kind not in "iu":
+                raise DomainError(f"{name} needs an integer dtype, got {idx.dtype}")
+            if len(idx) and (idx.min() < 0 or idx.max() >= self.num_nodes):
+                bad = idx[(idx < 0) | (idx >= self.num_nodes)][0]
+                raise DomainError(f"{name} holds node {bad}, "
+                                  f"outside [0, {self.num_nodes})")
         w = self.weights
         if w.dtype.kind not in "iuf":
             raise DomainError(f"weights need an integer or float dtype, got {w.dtype}")
@@ -178,7 +186,9 @@ class Backbone:
 
     def edge_set(self):
         """Set of the members' (src, dst) index pairs; undirected edges
-        normalized to (min, max)."""
+        normalized to (min, max). Parallel undirected edges, such as
+        ``a b 3`` and ``b a 2``, fold into one pair, so ``len(edge_set())``
+        can be below :attr:`num_edges`."""
         src = self.parent.src[self.member_flags]
         dst = self.parent.dst[self.member_flags]
         if not self.parent.directed:
@@ -635,12 +645,13 @@ def parse_edge_list(text, directed, round_weights=False):
 
 def serialize_edge_list(g):
     """Serialize to the tab-separated exchange format with original labels,
-    one edge per line, sorted by (src, dst) dense index."""
+    one edge per line, sorted by (src, dst) dense index; a graph without
+    edges gives the empty string."""
     order = np.argsort(g.src * g.num_nodes + g.dst, kind="stable")
     labels = np.array(g.labels, dtype=object)
     rows = zip(labels[g.src[order]].tolist(), labels[g.dst[order]].tolist(),
                map(repr, g.weights[order].tolist()))
-    return "\n".join(map("\t".join, rows)) + "\n"
+    return "\n".join(map("\t".join, rows)) + "\n" if g.num_edges else ""
 
 
 def directed_view(g):

@@ -16,17 +16,20 @@ up to about 6e-7 bits at W ~ 1e7, 8e-6 at 1e8, 9e-5 at 1e9 and 1e-2 at 1e11
 whose exact DLs nearly tie can swap order.
 Integer weights total below 2**53, which WeightedGraph enforces: every float
 sum of them is exact, and at 2**53 one ulp of ln Gamma(W + 1) is 64 nats.
+A DL is a sum over segments: the edge list at global scope, each
+out-neighborhood of the directed view at local scope. Their totals come from
+:func:`_segments` alone, for :func:`_scope_dl` and for the greedy sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .graph import _out_sums
+from .graph import _out_sums, _weight_sum
 
 __all__ = [
     "ObjectiveSpec",
@@ -205,29 +208,47 @@ def strength_prior_bits(N, E, W):
 def dl_local_micro(g, bb):
     """Microcanonical local description length of backbone ``bb``: strength
     prior plus the sum of neighborhood terms over the directed view."""
-    return _local_dl(g, bb.member_flags, ObjectiveSpec("local", "microcanonical"))
+    return _scope_dl(g, bb.member_flags, ObjectiveSpec("local", "microcanonical"))
 
 
-def _local_dl(g, flags, spec):
-    """Local description length under ``spec``'s family of the backbone
-    membership ``flags`` over the edges of ``g``: the sum over every
-    non-empty out-neighborhood of the directed view, plus, for the
-    microcanonical family, the strength prior."""
+def _segments(g, spec):
+    """``(k, s, wfact, const)`` of ``spec``'s scope over ``g``, after
+    :func:`_require_weights`. Per segment (the edge list at global scope,
+    each node's out-neighborhood in the directed view at local scope): the
+    edge count, the strength and the poisson constant sum_e log2(w_e!),
+    added in edge order (0 under the other models). ``const``: the bits
+    every backbone pays besides its segments, the microcanonical local
+    strength prior, else 0."""
     _require_weights(g, spec)
-    k = _out_sums(g)
-    nz = k > 0
-    s = g.strengths()[nz]
-    k_b = _out_sums(g, flags)[nz]
-    s_b = _out_sums(g, flags, g.weights)[nz]
-    _check_global_args(k[nz], s, k_b, s_b, integer=not spec.continuous)
-    wfact = 0.0
+    local = spec.scope == "local"
+    k = _out_sums(g) if local else np.array([g.num_edges])
+    s = g.strengths() if local else np.array([float(g.total_weight)])
+    wfact, const = np.zeros(len(k)), 0.0
     if spec.family == "canonical" and spec.weight_model == "poisson":
-        wfact = _out_sums(g, weights=_log2_factorial(g.weights))[nz]
-    dl = np.sum(_dl_curve(k[nz], s, k_b, s_b, spec, wfact))
-    if spec.family == "microcanonical":
+        # added in edge order: np.sum's pairwise order would move the last bits
+        terms = _log2_factorial(g.weights)
+        wfact = (_out_sums(g, weights=terms) if local
+                 else np.bincount(np.zeros(len(terms), dtype=np.intp), terms, 1))
+    if local and spec.family == "microcanonical":
         # the directed view's edge count and total weight, both exact
-        dl = strength_prior_bits(g.num_nodes, int(k.sum()), int(s.sum())) + dl
-    return float(dl)
+        const = strength_prior_bits(g.num_nodes, int(k.sum()), int(s.sum()))
+    return k, s, wfact, const
+
+
+def _scope_dl(g, flags, spec):
+    """Description length under ``spec`` of the backbone membership
+    ``flags`` over the edges of ``g``: the sum over the non-empty segments
+    of :func:`_segments`, plus its constant."""
+    k, s, wfact, const = _segments(g, spec)
+    if spec.scope == "local":
+        k_b, s_b = _out_sums(g, flags), _out_sums(g, flags, g.weights)
+    else:
+        k_b = np.array([np.count_nonzero(flags)])
+        s_b = np.array([_weight_sum(g.weights[flags])])
+    nz = k > 0
+    k, s, k_b, s_b, wfact = k[nz], s[nz], k_b[nz], s_b[nz], wfact[nz]
+    _check_global_args(k, s, k_b, s_b, integer=not spec.continuous)
+    return float(const + np.sum(_dl_curve(k, s, k_b, s_b, spec, wfact)))
 
 
 def _dl_curve(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
@@ -240,15 +261,6 @@ def _dl_curve(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
     if spec.family == "microcanonical":
         return dl_global_micro_arr(E, W, E_b, W_b, table)
     return _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact, table)
-
-
-def _poisson_wfact(spec, weights):
-    """sum_e log2(w_e!) for the poisson model, else 0. Added in edge order,
-    as :func:`graph._out_sums` adds each node's share for the local scope."""
-    if spec.family == "canonical" and spec.weight_model == "poisson":
-        terms = _log2_factorial(weights)
-        return float(np.bincount(np.zeros(len(terms), dtype=np.intp), terms, 1)[0])
-    return 0.0
 
 
 def _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
@@ -309,4 +321,4 @@ def dl_local_canonical(g, bb, spec):
     directed view (no strength prior in the canonical formulation)."""
     if spec.family != "canonical":
         raise DomainError("spec must be canonical")
-    return _local_dl(g, bb.member_flags, spec)
+    return _scope_dl(g, bb.member_flags, replace(spec, scope="local"))

@@ -7,12 +7,13 @@ evaluates the chosen description length of the heavy prefix of every size
 edge list, local scope once in every out-neighborhood of the directed view.
 Both are exact minimizers for the microcanonical objectives and for
 canonical geometric/poisson/exponential weights (asymptotically for the
-latter two).
+latter two). The segments' totals come from :func:`objectives._segments`,
+as for every backbone DL; only the enumeration oracle adds up its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .errors import DomainError
 from .graph import (
     Backbone,
     _first_in_order,
-    _out_sums,
     backbone_from_flags,
     directed_parents,
     directed_view,
@@ -29,11 +29,11 @@ from .objectives import (
     ObjectiveSpec,
     _dl_curve,
     _ln_factorial,
-    _local_dl,
     _log2_factorial,
     _objective_name,
-    _poisson_wfact,
     _require_weights,
+    _scope_dl,
+    _segments,
     strength_prior_bits,
 )
 
@@ -81,14 +81,14 @@ def _checked_spec(g, spec, scope):
 
 def empty_backbone_dls(g, spec):
     """(global, local) description lengths of the empty backbone under the
-    family/weight-model of ``spec``. The global value uses the graph's own
-    edge list; the local value uses the directed view."""
-    E, W = g.num_edges, g.total_weight
-    if E == 0:
+    family/weight-model of ``spec``, whatever its scope. The global value
+    uses the graph's own edge list; the local value uses the directed
+    view."""
+    if g.num_edges == 0:
         raise DomainError("empty graph has no description length")
-    _require_weights(g, spec)
-    dl_g = float(_dl_curve(E, W, 0, 0, spec, _poisson_wfact(spec, g.weights)))
-    return dl_g, _local_dl(g, np.zeros(E, dtype=bool), spec)
+    empty = np.zeros(g.num_edges, dtype=bool)
+    return tuple(_scope_dl(g, empty, replace(spec, scope=scope))
+                 for scope in ("global", "local"))
 
 
 def inverse_compression_ratio(dl_opt, dl_empty_global, dl_empty_local):
@@ -125,11 +125,11 @@ def _result(g, flags, dl, spec, method, curves=None):
 _CURVE_BLOCK = 1 << 16
 
 
-def _sweep(w, starts, strength, wfact, spec):
-    """The greedy sweep over every segment ``w[starts[i]:starts[i + 1]]`` of
-    the weights ``w``, each segment sorted heaviest first. ``strength`` and
-    ``wfact`` (sum of log2 w! for the poisson model, else 0) hold the
-    segment totals, one entry per segment; global scope is the case of one
+def _sweep(w, segments, spec):
+    """The greedy sweep over the segments ``(k, strength, wfact, const)``
+    of :func:`objectives._segments`. Segment i holds the k[i] weights
+    ``w[starts[i]:starts[i + 1]]``, sorted heaviest first, where ``starts``
+    is the cumulative sum of ``k`` from 0; global scope is the case of one
     segment.
 
     Prefix weights are differences of one float cumulative sum. Integer
@@ -154,11 +154,13 @@ def _sweep(w, starts, strength, wfact, spec):
     minimizing size wins. Size k is given size 0's value exactly, so the
     full segment never beats the empty backbone by rounding.
 
-    Returns ``(n_keep, dl, curve, curve_starts)``: per segment the number of
-    heaviest edges kept and its DL, and the DLs over sizes 0..k of segment i
-    at ``curve[curve_starts[i]:curve_starts[i + 1]]``.
+    Returns ``(n_keep, dl, (curve, curve_starts))``: per segment the number
+    of heaviest edges kept; the DL of the backbone they make, the sum of the
+    non-empty segments' minima plus ``const``; and the DLs over sizes 0..k
+    of segment i at ``curve[curve_starts[i]:curve_starts[i + 1]]``.
     """
-    k = np.diff(starts)
+    k, strength, wfact, const = segments
+    starts = np.concatenate([[0], np.cumsum(k)])
     curve_starts = np.concatenate([[0], np.cumsum(k + 1)])
     if (not spec.continuous and w.dtype.kind in "iu"
             and np.max(strength) < curve_starts[-1]):
@@ -186,7 +188,8 @@ def _sweep(w, starts, strength, wfact, spec):
     dl = np.minimum.reduceat(curve, at)
     # the first minimizing size of each segment
     ties = np.flatnonzero(curve == np.repeat(dl, k + 1))
-    return ties[np.searchsorted(ties, at)] - at, dl, curve, curve_starts
+    n_keep = ties[np.searchsorted(ties, at)] - at
+    return n_keep, float(np.sum(dl[k > 0])) + const, (curve, curve_starts)
 
 
 def greedy_global(g, spec=None):
@@ -195,17 +198,10 @@ def greedy_global(g, spec=None):
     in the order of (-weight, src, dst, position), weights compared as
     floats. ``curves`` holds the one DL curve, over sizes 0..E."""
     spec = _checked_spec(g, spec, "global")
-
     w = np.asarray(g.weights, dtype=float)
-    n_keep, dl, curve, curve_starts = _sweep(
-        np.sort(g.weights)[::-1],
-        np.array([0, g.num_edges]),
-        np.array([float(g.total_weight)]),
-        np.array([_poisson_wfact(spec, g.weights)]),
-        spec,
-    )
+    n_keep, dl, curves = _sweep(np.sort(g.weights)[::-1], _segments(g, spec), spec)
     flags = _first_in_order(int(n_keep[0]), (-w, g.src, g.dst))
-    return _result(g, flags, float(dl[0]), spec, "mdl-global", (curve, curve_starts))
+    return _result(g, flags, dl, spec, "mdl-global", curves)
 
 
 def greedy_local(g, spec=None):
@@ -237,19 +233,9 @@ def greedy_local(g, spec=None):
     keys[g.num_edges:] += cls[rev]
     keys.sort()
 
-    k = _out_sums(g)
-    starts = np.concatenate([[0], np.cumsum(k)])
-    wfact = np.zeros(g.num_nodes)
-    if spec.family == "canonical" and spec.weight_model == "poisson":
-        wfact = _out_sums(g, weights=_log2_factorial(g.weights))
-    strength = g.strengths()
-    n_keep, node_dl, curve, curve_starts = _sweep(distinct[keys % R], starts,
-                                                  strength, wfact, spec)
-
-    # isolated nodes contribute 0 bits
-    dl = float(np.sum(node_dl[k > 0]))
-    if spec.family == "microcanonical":
-        dl += strength_prior_bits(g.num_nodes, int(k.sum()), int(strength.sum()))
+    segments = _segments(g, spec)
+    starts = np.concatenate([[0], np.cumsum(segments[0])])
+    n_keep, dl, curves = _sweep(distinct[keys % R], segments, spec)
 
     # per node: the boundary class (-1 keeps nothing) and how many of its
     # edges are kept, after every edge of a heavier class
@@ -274,7 +260,7 @@ def greedy_local(g, spec=None):
     at, parent = at[ranked], parent[ranked]
     rank = np.arange(len(at)) - np.searchsorted(at, at)
     flags[parent[rank < need[at]]] = True
-    return _result(g, flags, dl, spec, "mdl-local", (curve, curve_starts))
+    return _result(g, flags, dl, spec, "mdl-local", curves)
 
 
 def _enumerate_masks(n_edges, chunk):

@@ -39,6 +39,8 @@ def random_regular_directed(N, k, seed=None):
     """Directed graph with exactly k out-edges per node, targets sampled
     uniformly without replacement from all N nodes (self-loops allowed).
     All weights 1."""
+    if k < 0:
+        raise DomainError(f"k={k} out-targets: k must be non-negative")
     if k > N:
         raise DomainError(f"k={k} out-targets impossible with N={N} nodes")
     rng = np.random.default_rng(seed)
@@ -140,9 +142,16 @@ def _rowwise_multinomial(rng, totals, probs):
 def dirichlet_multinomial_weights(N, k, W, h_str, h_neig, seed=None):
     """Random k-regular directed graph whose excess weight W - Nk is spread
     over nodes with concentration ``h_str`` and within each out-neighborhood
-    with concentration ``h_neig``. Total weight is exactly W."""
+    with concentration ``h_neig``. Total weight is exactly W. Concentrations
+    must be finite and positive; they are clipped to [CONCENTRATION_FLOOR,
+    CONCENTRATION_CAP]."""
+    for name, h in (("h_str", h_str), ("h_neig", h_neig)):
+        if not 0 < h < np.inf:
+            raise DomainError(f"{name}={h}: concentrations must be finite and positive")
     if W < N * k:
         raise DomainError(f"W={W} below the minimum N*k={N * k}")
+    if W > 0 and N * k == 0:
+        raise DomainError(f"W={W} but N*k=0: no edges to carry the weight")
     rng = np.random.default_rng(seed)
     g = random_regular_directed(N, k, seed=rng.integers(2**63))
     excess = int(W - N * k)

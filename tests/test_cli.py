@@ -490,6 +490,43 @@ class TestSynthCommand:
         total = sum(int(line.split("\t")[2]) for line in lines)
         assert total == 1000
 
+    def test_no_edges_write_an_empty_file(self, tmp_path):
+        # an edge list without edges is an empty file, as `backbone` writes
+        # an empty backbone
+        out = tmp_path / "reg"
+        assert main(["synth", "regular", "--N", "5", "--k", "0",
+                     "--output", str(out)]) == 0
+        assert (tmp_path / "reg.tsv").read_text() == ""
+        assert read_json(f"{out}.params.json")["k"] == 0
+        # so is an empty planted backbone
+        out = tmp_path / "pl"
+        assert main(["synth", "planted", "--N", "5", "--k", "0", "--gamma", "0.5",
+                     "--output", str(out)]) == 0
+        assert (tmp_path / "pl.tsv").read_text() == ""
+        assert (tmp_path / "pl.planted.tsv").read_text() == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["regular", "--N", "10", "--k", "-1"], "k must be non-negative"),
+        (["planted", "--N", "10", "--k", "-1", "--gamma", "0.5"], "k must be non-negative"),
+        (["dm", "--N", "10", "--k", "-1", "--W", "100", "--hstr", "1", "--hneig", "1"],
+         "k must be non-negative"),
+        (["dm", "--N", "3", "--k", "0", "--W", "5", "--hstr", "1", "--hneig", "1"],
+         "no edges to carry the weight"),
+        # W = N * k leaves no excess weight to spread
+        *(pytest.param(["dm", "--N", "10", "--k", "2", "--W", W, flag, bad, other, "1"],
+                       f"{name}={bad}: concentrations must be finite and positive",
+                       id=f"{flag}={bad},W={W}")
+          for flag, name, other in (("--hstr", "h_str", "--hneig"),
+                                    ("--hneig", "h_neig", "--hstr"))
+          for bad in ("nan", "inf", "-1.0", "0.0") for W in ("20", "100")),
+    ])
+    def test_bad_parameters_exit_1(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert main(["synth", *argv, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mdlbackbone: error: ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["regular"],
         ["planted", "--gamma", "1e-3"],

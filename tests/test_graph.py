@@ -545,6 +545,33 @@ class TestWeightKind:
             WeightedGraph(3, np.array([0, 0]), np.array([1, 2]), np.asarray(weights), True)
 
 
+class TestNodeIndices:
+    """``src`` and ``dst`` hold node indices of the graph in an integer dtype."""
+
+    @pytest.mark.parametrize("src, dst, message", [
+        ([0, -1], [1, 0], "src holds node -1, outside \\[0, 2\\)"),
+        ([0, 3], [1, 0], "src holds node 3, outside \\[0, 2\\)"),
+        ([0, 1], [2, 0], "dst holds node 2, outside \\[0, 2\\)"),
+        (np.array([0.0, 1.0]), [1, 0], "src needs an integer dtype, got float64"),
+        ([0, 1], np.array([True, False]), "dst needs an integer dtype, got bool"),
+    ])
+    def test_rejected(self, src, dst, message):
+        with pytest.raises(DomainError, match=message):
+            WeightedGraph(2, np.asarray(src), np.asarray(dst), np.array([1, 2]), True)
+
+    def test_every_index_in_range_accepted(self):
+        for dtype in (np.int32, np.int64, np.uint64):
+            g = WeightedGraph(2, np.array([0, 1], dtype=dtype), np.array([1, 1], dtype=dtype),
+                              np.array([1, 2]), False)
+            assert serialize_edge_list(g) == "0\t1\t1\n1\t1\t2\n"
+        empty = np.zeros(0, dtype=np.int64)
+        assert WeightedGraph(0, empty, empty, empty, True).num_edges == 0
+
+    def test_no_edges_serialize_to_the_empty_string(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert serialize_edge_list(WeightedGraph(3, empty, empty, empty, True)) == ""
+
+
 class TestNeighborhoods:
     def test_star_order(self, star_graph):
         order, starts = neighborhoods(star_graph)

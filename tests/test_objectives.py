@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mdlbackbone.objectives import (
     _dl_curve,
     _log2_binom_raw,
     _log2_factorial,
+    _scope_dl,
     dl_global_canonical,
     dl_global_micro,
     dl_local_canonical,
@@ -20,6 +22,7 @@ from mdlbackbone.objectives import (
     log2_binomial,
     strength_prior_bits,
 )
+from mdlbackbone.solver import empty_backbone_dls
 
 from conftest import graphs_with_backbones, make_graph
 
@@ -221,6 +224,63 @@ class TestCurveMatchesMaskOracle:
         assert got.tobytes() == want.tobytes()
         i = data.draw(st.integers(0, len(states) - 1))
         assert _dl_curve(E[i], W[i], E_b[i], W_b[i], spec, wfact) == got[i]
+
+
+def global_scalar(g, flags, spec):
+    """The global DL of the backbone ``flags`` through the scalar
+    evaluators on (E, W, E_b, W_b), the poisson constant added up one edge
+    after another."""
+    bb = backbone_from_flags(g, flags)
+    state = (g.num_edges, g.total_weight, bb.num_edges, bb.total_weight)
+    if spec.family == "microcanonical":
+        return dl_global_micro(*state)
+    wfact = 0.0
+    if spec.weight_model == "poisson":
+        for term in _log2_factorial(g.weights):
+            wfact += term
+    return dl_global_canonical(*state, spec, wfact)
+
+
+# every objective on integer weights, the exponential one also on real weights
+SCOPE_SPECS = [(spec, False) for spec, _ in ORACLE_SPECS] + [ORACLE_SPECS[-1]]
+# from 8 terms on np.sum adds the poisson constant in another order than the
+# edges', and here the last bits of the DL show it
+ORDER_STAR = make_graph([0] * 8, range(1, 9), [2**52, 1, 1, 1, 1, 1, 2, 8])
+
+
+class TestGlobalScopeDL:
+    """At global scope a backbone DL is the one segment of
+    ``objectives._segments``: it must match the scalar evaluators bit for
+    bit, on graphs of either direction."""
+
+    @pytest.mark.parametrize("spec, real", SCOPE_SPECS)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_scope_dl_matches_scalar(self, spec, real, data):
+        g, flags = data.draw(graphs_with_backbones(real=real))
+        flags = np.array(flags)
+        assert _scope_dl(g, flags, spec).hex() == global_scalar(g, flags, spec).hex()
+
+    @pytest.mark.parametrize("spec, real", SCOPE_SPECS)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_empty_backbone_matches_scalar(self, spec, real, data):
+        g, _ = data.draw(graphs_with_backbones(real=real))
+        empty = np.zeros(g.num_edges, dtype=bool)
+        want = global_scalar(g, empty, spec)
+        for scope in ("global", "local"):
+            dl = empty_backbone_dls(g, replace(spec, scope=scope))[0]
+            assert dl.hex() == want.hex()
+
+    def test_poisson_constant_in_edge_order(self):
+        spec = ORACLE_SPECS[2][0]
+        empty = np.zeros(ORDER_STAR.num_edges, dtype=bool)
+        terms = _log2_factorial(ORDER_STAR.weights)
+        pairwise = dl_global_canonical(8, ORDER_STAR.total_weight, 0, 0, spec, np.sum(terms))
+        want = global_scalar(ORDER_STAR, empty, spec)
+        assert pairwise != want
+        assert empty_backbone_dls(ORDER_STAR, spec)[0] == want
+        assert _scope_dl(ORDER_STAR, empty, spec) == want
 
 
 class TestStrengthPrior:

@@ -707,7 +707,7 @@ class TestSweepTable:
         # exact totals for integer weights
         strength = np.array([np.sum(seg) for seg in segs], dtype=float)
         wfact = np.array([np.sum(_log2_factorial(seg)) for seg in segs])
-        _, _, curve, curve_starts = _sweep(w, starts, strength, wfact, spec)
+        _, _, (curve, curve_starts) = _sweep(w, (k, strength, wfact, 0.0), spec)
         if not real:
             assert (strength.max() < len(curve)) == fits
 

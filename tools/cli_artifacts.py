@@ -21,8 +21,9 @@ Artifacts, each input read directed (``dir``) and undirected (``und``):
 - ``backbone`` TSV and JSON: on contact-1000 mdl-global and mdl-local under
   all four objectives, and disparity-alpha, disparity-tope (at the
   micro mdl-global size), hss and percolation; on the DM file mdl-local
-  under all four objectives, and mdl-global and percolation; on the
-  canary hss; on the padded canary mdl-global; on contact-real mdl-global
+  under all four objectives, mdl-global under micro, canonical-geometric
+  and canonical-poisson (whose poisson constant over 1M edges shows its
+  summation order), and percolation; on the canary hss; on the padded canary mdl-global; on contact-real mdl-global
   and mdl-local under canonical-exponential, the one objective that reads
   real weights, and hss;
 - ``compare`` JSON: the five contact-study backbones (micro mdl-global,
@@ -69,6 +70,7 @@ PADDED = "dm-canary-padded.tsv"
 OBJECTIVES = ("micro", "canonical-geometric", "canonical-poisson", "canonical-exponential")
 STUDY_METHODS = ("mdl-global", "mdl-local", "hss", "percolation", "disparity-tope")
 DM_METHODS = ("mdl-global", "mdl-local", "percolation")
+DM_GLOBAL_OBJECTIVES = ("canonical-geometric", "canonical-poisson")
 PERCOLATION_STUDIES = {
     "log:1e-4:1:25": ("mdl-global", "mdl-local", "disparity-tope"),
     "lin:0:1:11": ("hss", "percolation"),
@@ -151,6 +153,8 @@ def write_artifacts():
             backbone(DM, method, way)
         for objective in OBJECTIVES[1:]:
             backbone(DM, "mdl-local", way, objective)
+        for objective in DM_GLOBAL_OBJECTIVES:
+            backbone(DM, "mdl-global", way, objective)
         run("compare", DM, "--output", f"dm-seed1.{way}.compare", *flags,
             "--backbones", *[f"dm-seed1.{way}.{m}.tsv" for m in DM_METHODS])
         backbone(CANARY, "hss", way)
