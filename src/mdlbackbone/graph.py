@@ -41,8 +41,8 @@ class WeightedGraph:
 
     ``src``, ``dst`` and ``weights`` are parallel arrays of length E;
     ``src`` and ``dst`` hold node indices in [0, num_nodes), in an integer
-    dtype. The weights' dtype is the weight kind, :attr:`weight_kind`.
-    Integer weights are each >= 1 and the total weight of
+    dtype, and num_nodes is >= 0. The weights' dtype is the weight kind,
+    :attr:`weight_kind`. Integer weights are each >= 1 and the total weight of
     :func:`directed_view` (on an undirected graph every non-loop weight
     counts twice) is below 2**53; below that bound every float sum of them
     is exact. Float ("real") weights are positive and finite. Arrays
@@ -59,6 +59,8 @@ class WeightedGraph:
     labels: tuple = field(default=None)
 
     def __post_init__(self):
+        if self.num_nodes < 0:
+            raise DomainError(f"num_nodes must be >= 0, got {self.num_nodes}")
         if len(self.src) != len(self.dst) or len(self.src) != len(self.weights):
             raise DomainError("edge arrays must have equal length")
         for name, idx in (("src", self.src), ("dst", self.dst)):

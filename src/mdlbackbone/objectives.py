@@ -237,17 +237,20 @@ def _segments(g, spec):
 
 def _scope_dl(g, flags, spec):
     """Description length under ``spec`` of the backbone membership
-    ``flags`` over the edges of ``g``: the sum over the non-empty segments
-    of :func:`_segments`, plus its constant."""
+    ``flags`` over the edges of ``g``, None for the empty backbone: the sum
+    over the non-empty segments of :func:`_segments`, plus its constant."""
     k, s, wfact, const = _segments(g, spec)
-    if spec.scope == "local":
-        k_b, s_b = _out_sums(g, flags), _out_sums(g, flags, g.weights)
-    else:
-        k_b = np.array([np.count_nonzero(flags)])
-        s_b = np.array([_weight_sum(g.weights[flags])])
     nz = k > 0
-    k, s, k_b, s_b, wfact = k[nz], s[nz], k_b[nz], s_b[nz], wfact[nz]
-    _check_global_args(k, s, k_b, s_b, integer=not spec.continuous)
+    k, s, wfact = k[nz], s[nz], wfact[nz]
+    # the empty backbone is a valid state of every non-empty segment
+    k_b = s_b = 0
+    if flags is not None:
+        if spec.scope == "local":
+            k_b, s_b = _out_sums(g, flags)[nz], _out_sums(g, flags, g.weights)[nz]
+        else:
+            k_b = np.array([np.count_nonzero(flags)])
+            s_b = np.array([_weight_sum(g.weights[flags])])
+        _check_global_args(k, s, k_b, s_b, integer=not spec.continuous)
     return float(const + np.sum(_dl_curve(k, s, k_b, s_b, spec, wfact)))
 
 

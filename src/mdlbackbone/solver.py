@@ -2,9 +2,14 @@
 inverse compression ratios.
 
 One greedy sweep serves both scopes: it orders the weights descending,
-evaluates the chosen description length of the heavy prefix of every size
-0..E and keeps the first minimum. Global scope runs it once over the whole
-edge list, local scope once in every out-neighborhood of the directed view.
+evaluates the chosen description length of the heavy prefix at the sizes
+0..E that can win and keeps the first minimum. Inside a tail of weight-1
+edges the description length is strictly concave in the size, so the sweep
+skips the sizes strictly inside it; the full curves, every size 0..E, are
+computed only when ``BackboneResult.curves`` is read (see :func:`_sweep`
+for the proof and its float bound). Global scope runs the sweep once over
+the whole edge list, local scope once in every out-neighborhood of the
+directed view.
 Both are exact minimizers for the microcanonical objectives and for
 canonical geometric/poisson/exponential weights (asymptotically for the
 latter two). The segments' totals come from :func:`objectives._segments`,
@@ -14,6 +19,7 @@ as for every backbone DL; only the enumeration oracle adds up its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -60,10 +66,21 @@ class BackboneResult:
     dl_empty_local: float
     method: str
     objective: str
-    # (values, starts): the DL curves the greedy minimized, segment i's over
-    # sizes 0..k_i at values[starts[i]:starts[i + 1]]; one segment over the
-    # edge list for mdl-global, one per out-neighborhood for mdl-local
-    curves: tuple = field(default=None, repr=False)
+    # per segment of the greedy sweep (the edge list for mdl-global, each
+    # out-neighborhood for mdl-local): how many of its sizes 0..k_i reach
+    # the minimum of its DL curve
+    tie_counts: np.ndarray = field(default=None, repr=False)
+    # computes ``curves`` when it is first read
+    _curves: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def curves(self):
+        """(values, starts): the DL curves the greedy minimized, segment i's
+        over sizes 0..k_i at values[starts[i]:starts[i + 1]]; one segment
+        over the edge list for mdl-global, one per out-neighborhood for
+        mdl-local; None for enumerate_optimal. The sweep scores only the
+        sizes that can win, so the curves are computed when first read."""
+        return None if self._curves is None else self._curves()
 
 
 def _checked_spec(g, spec, scope):
@@ -86,8 +103,7 @@ def empty_backbone_dls(g, spec):
     view."""
     if g.num_edges == 0:
         raise DomainError("empty graph has no description length")
-    empty = np.zeros(g.num_edges, dtype=bool)
-    return tuple(_scope_dl(g, empty, replace(spec, scope=scope))
+    return tuple(_scope_dl(g, None, replace(spec, scope=scope))
                  for scope in ("global", "local"))
 
 
@@ -105,8 +121,9 @@ def inverse_compression_ratio(dl_opt, dl_empty_global, dl_empty_local):
     return float(dl_opt / denom)
 
 
-def _result(g, flags, dl, spec, method, curves=None):
-    """BackboneResult of the parent-edge membership ``flags`` with DL ``dl``."""
+def _result(g, flags, dl, spec, method, tie_counts=None, curves=None):
+    """BackboneResult of the parent-edge membership ``flags`` with DL ``dl``;
+    ``curves`` computes the result's curves."""
     dl_eg, dl_el = empty_backbone_dls(g, spec)
     return BackboneResult(
         backbone=backbone_from_flags(g, flags),
@@ -116,7 +133,8 @@ def _result(g, flags, dl, spec, method, curves=None):
         dl_empty_local=dl_el,
         method=method,
         objective=_objective_name(spec),
-        curves=curves,
+        tie_counts=tie_counts,
+        _curves=curves,
     )
 
 
@@ -125,71 +143,128 @@ def _result(g, flags, dl, spec, method, curves=None):
 _CURVE_BLOCK = 1 << 16
 
 
-def _sweep(w, segments, spec):
-    """The greedy sweep over the segments ``(k, strength, wfact, const)``
-    of :func:`objectives._segments`. Segment i holds the k[i] weights
-    ``w[starts[i]:starts[i + 1]]``, sorted heaviest first, where ``starts``
-    is the cumulative sum of ``k`` from 0; global scope is the case of one
-    segment.
+def _curve(w, segments, spec, last):
+    """The DLs under ``spec`` of the heavy prefixes of sizes 0..last[i] of
+    every segment i of ``(k, strength, wfact, const)``, as
+    ``(curve, curve_starts)``: segment i's at
+    ``curve[curve_starts[i]:curve_starts[i + 1]]``. Segment i holds the
+    k[i] weights ``w[starts[i]:starts[i + 1]]``, sorted heaviest first,
+    where ``starts`` is the cumulative sum of ``k`` from 0.
 
     Prefix weights are differences of one float cumulative sum. Integer
     weights total below 2**53 (:class:`WeightedGraph`), so every such sum
     is exact, and every prefix state is valid.
 
     Log-factorials are read from one table of ln n! over n in 0..m, built
-    here and never longer than the curve. With integer weights and every
-    segment strength below the curve's length, m is the largest strength
-    and the prefix weights stay integers, so every count and weight
-    log-factorial reads the table (no count exceeds its segment's
-    strength). Otherwise, and for the exponential model, m is the largest
-    segment size: only the counts read the table, and the float prefix
-    weights go through gammaln.
+    here. With integer weights and every segment strength below the
+    curve's length, m is the largest strength and the prefix weights stay
+    integers, so every count and weight log-factorial reads the table (no
+    count exceeds its segment's strength). Otherwise, and for the
+    exponential model, m is the largest segment size: only the counts read
+    the table, and the float prefix weights go through gammaln. Both give
+    the same bits. The counts read there are at most the longest scored
+    size or, in a longer segment, at least the length of its unscored tail
+    less 1; the table holds those, and NaN between them.
 
-    A segment of k edges is scored under ``spec``'s family at its heavy
-    prefixes of every size 0..k. At fixed size the DL is concave in the
-    backbone weight for every supported family, so the per-size optimum
-    sits at an extreme: the heaviest or the lightest edges. The light
-    suffix of size j has the DL of the heavy prefix of size k - j (bit-flip
-    symmetry), so the prefix curve covers both. Ties: the smallest
-    minimizing size wins. Size k is given size 0's value exactly, so the
-    full segment never beats the empty backbone by rounding.
-
-    Returns ``(n_keep, dl, (curve, curve_starts))``: per segment the number
-    of heaviest edges kept; the DL of the backbone they make, the sum of the
-    non-empty segments' minima plus ``const``; and the DLs over sizes 0..k
-    of segment i at ``curve[curve_starts[i]:curve_starts[i + 1]]``.
+    Size k, where it is scored, is given size 0's value exactly.
     """
-    k, strength, wfact, const = segments
+    k, strength, wfact, _ = segments
     starts = np.concatenate([[0], np.cumsum(k)])
-    curve_starts = np.concatenate([[0], np.cumsum(k + 1)])
+    curve_starts = np.concatenate([[0], np.cumsum(last + 1)])
     if (not spec.continuous and w.dtype.kind in "iu"
             and np.max(strength) < curve_starts[-1]):
         strength = np.asarray(strength, dtype=np.int64)
         m, cum = np.max(strength), np.zeros(len(w) + 1, dtype=np.int64)
+        n = np.arange(m + 1)
     else:
         m, cum = k.max(), np.zeros(len(w) + 1)
+        a = last.max()
+        b = max(a + 1, np.min(k - last - 1, where=k > a, initial=m + 1))
+        n = np.r_[0:a + 1, b:m + 1]
     np.cumsum(w, dtype=cum.dtype, out=cum[1:])
-    table = _ln_factorial(np.arange(m + 1))
+    table = np.full(m + 1, np.nan)
+    table[n] = _ln_factorial(n)
     curve = np.empty(curve_starts[-1])
     for lo in range(0, len(curve), _CURVE_BLOCK):
         hi = min(lo + _CURVE_BLOCK, len(curve))
         # the segments the block overlaps, each repeated over its overlap
-        first, last = np.searchsorted(curve_starts, [lo, hi - 1], side="right") - 1
-        overlap = np.diff(np.clip(curve_starts[first:last + 2], lo, hi))
-        seg = np.repeat(np.arange(first, last + 1), overlap)
+        first, last_seg = np.searchsorted(curve_starts, [lo, hi - 1], side="right") - 1
+        overlap = np.diff(np.clip(curve_starts[first:last_seg + 2], lo, hi))
+        seg = np.repeat(np.arange(first, last_seg + 1), overlap)
         j = np.arange(lo, hi) - curve_starts[seg]
         w_b = cum[starts[seg] + j] - cum[starts[seg]]
         curve[lo:hi] = _dl_curve(k[seg], strength[seg], j, w_b, spec, wfact[seg], table)
-
-    at = curve_starts[:-1]
     # the full segment has the empty backbone's DL (bit-flip symmetry); copy
     # it so rounding never ranks the full segment below the empty backbone
-    curve[(at + k)[k > 0]] = curve[at[k > 0]]
+    at, full = curve_starts[:-1], (last == k) & (k > 0)
+    curve[(at + k)[full]] = curve[at[full]]
+    return curve, curve_starts
+
+
+def _sweep(w, segments, spec):
+    """The greedy sweep over the segments ``(k, strength, wfact, const)``
+    of :func:`objectives._segments`, the weights ``w`` laid out as in
+    :func:`_curve`; global scope is the case of one segment.
+
+    A segment of k edges is scored under ``spec``'s family at its heavy
+    prefixes. At fixed size the DL is concave in the backbone weight for
+    every supported family, so the per-size optimum sits at an extreme: the
+    heaviest or the lightest edges. The light suffix of size j has the DL
+    of the heavy prefix of size k - j (bit-flip symmetry), so the prefix
+    curve f over sizes 0..k covers both. Ties: the smallest minimizing size
+    wins. f(k) is f(0) exactly (:func:`_curve`), so the full segment never
+    beats the empty backbone by rounding.
+
+    Only sizes 0..k - u are scored, u the segment's tail of weight-1 edges:
+    with integer weights, which are >= 1, all its weight-1 edges. Along
+    the tail each size adds one edge of weight 1, and every term of the DL
+    is concave in the size j: log2 C(k, j) strictly (binomial coefficients
+    are log-concave); the microcanonical and geometric weight compositions,
+    the backbone's log2 C(d + j, j) up to a shift of j, d its fixed excess
+    weight, and the rest's, which is fixed; and the poisson and exponential
+    weight terms, because psi'(x) > 1/x. So every size strictly inside the
+    tail scores strictly above min(f(k - u), f(k)), and f(k) = f(0): the
+    minimum and its first size are among the scored sizes, and size k ties
+    with size 0.
+
+    That holds in exact arithmetic, where the inner sizes score at least
+    (u - 1) log2(1 + 2/k) above the tail's ends: half the least curvature
+    of log2 C(k, j), times (u - 1). Each float value of the curve is off by
+    less than 2**-44 ``scale`` bits, where ``scale`` bounds the magnitudes
+    of the DL's terms with room to spare. Where the margin does not
+    exceed 2**-40 ``scale``, eight times what two values' errors can add up
+    to, the whole segment is scored; that takes segment strengths in the
+    billions, or a tail of under a hundred edges in a segment of a million
+    edges. So the sweep keeps the full curve's result, bit for bit. Real
+    weights are scored in full: their prefix sums round, so the sizes of a
+    run of 1.0 need not be one weight apart. Runs of heavier equal weights
+    are scored too: inside them the microcanonical curve can be convex,
+    e.g. for weights (2 x 10, 1 x 3).
+
+    Returns ``(n_keep, dl, ties)``: per segment the number of heaviest
+    edges kept; the DL of the backbone they make, the sum of the non-empty
+    segments' minima plus ``const``; and per segment the number of sizes
+    0..k whose DL is the minimum, size k among them where it is not scored
+    (u >= 1) and size 0 reaches the minimum.
+    """
+    k, strength, wfact, const = segments
+    u = np.zeros(len(k), dtype=np.int64)
+    if w.dtype.kind in "iu":
+        nz = k > 0
+        u[nz] = np.add.reduceat(w == 1, (np.cumsum(k) - k)[nz], dtype=np.int64)
+        # the inner sizes' margin against the curve's float error
+        margin = np.log2(1.0 + 2.0 / np.maximum(k, 1)) * (u - 1)
+        n = strength + k + 2.0
+        scale = n * (np.log2(n) + 2.0 * abs(np.log2(spec.lam)) + 2.0) + np.abs(wfact)
+        u[(u > 1) & (margin <= scale * 2.0**-40)] = 0
+    curve, curve_starts = _curve(w, segments, spec, k - u)
+    at = curve_starts[:-1]
     dl = np.minimum.reduceat(curve, at)
     # the first minimizing size of each segment
-    ties = np.flatnonzero(curve == np.repeat(dl, k + 1))
+    ties = np.flatnonzero(curve == np.repeat(dl, k - u + 1))
     n_keep = ties[np.searchsorted(ties, at)] - at
-    return n_keep, float(np.sum(dl[k > 0])) + const, (curve, curve_starts)
+    n_ties = np.diff(np.searchsorted(ties, curve_starts)) + ((u > 0) & (curve[at] == dl))
+    return n_keep, float(np.sum(dl[k > 0])) + const, n_ties
 
 
 def greedy_global(g, spec=None):
@@ -199,9 +274,11 @@ def greedy_global(g, spec=None):
     floats. ``curves`` holds the one DL curve, over sizes 0..E."""
     spec = _checked_spec(g, spec, "global")
     w = np.asarray(g.weights, dtype=float)
-    n_keep, dl, curves = _sweep(np.sort(g.weights)[::-1], _segments(g, spec), spec)
+    w_sorted, segments = np.sort(g.weights)[::-1], _segments(g, spec)
+    n_keep, dl, ties = _sweep(w_sorted, segments, spec)
     flags = _first_in_order(int(n_keep[0]), (-w, g.src, g.dst))
-    return _result(g, flags, dl, spec, "mdl-global", curves)
+    return _result(g, flags, dl, spec, "mdl-global", ties,
+                   lambda: _curve(w_sorted, segments, spec, segments[0]))
 
 
 def greedy_local(g, spec=None):
@@ -235,7 +312,8 @@ def greedy_local(g, spec=None):
 
     segments = _segments(g, spec)
     starts = np.concatenate([[0], np.cumsum(segments[0])])
-    n_keep, dl, curves = _sweep(distinct[keys % R], segments, spec)
+    w = distinct[keys % R]
+    n_keep, dl, ties = _sweep(w, segments, spec)
 
     # per node: the boundary class (-1 keeps nothing) and how many of its
     # edges are kept, after every edge of a heavier class
@@ -260,7 +338,8 @@ def greedy_local(g, spec=None):
     at, parent = at[ranked], parent[ranked]
     rank = np.arange(len(at)) - np.searchsorted(at, at)
     flags[parent[rank < need[at]]] = True
-    return _result(g, flags, dl, spec, "mdl-local", curves)
+    return _result(g, flags, dl, spec, "mdl-local", ties,
+                   lambda: _curve(w, segments, spec, segments[0]))
 
 
 def _enumerate_masks(n_edges, chunk):
@@ -339,7 +418,6 @@ def result_to_dict(result):
         "eta": result.eta,
     })
     if result.method == "mdl-global":
-        values = result.curves[0]
-        doc["trace"] = {"length": len(values), "argmin": doc["E_b"], "min_bits": result.dl,
-                        "tie_count": int(np.count_nonzero(values == result.dl))}
+        doc["trace"] = {"length": doc["E"] + 1, "argmin": doc["E_b"], "min_bits": result.dl,
+                        "tie_count": int(result.tie_counts[0])}
     return doc

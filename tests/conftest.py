@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mdlbackbone.errors import DomainError
-from mdlbackbone.graph import WeightedGraph
+from mdlbackbone.graph import WeightedGraph, directed_parents, directed_view
 from mdlbackbone.objectives import ObjectiveSpec
 from mdlbackbone.solver import greedy_global, greedy_local
 
@@ -60,6 +60,39 @@ def mean_weight_ordering_holds(weights):
         if (W - Wb) * E > W * (E - Eb):
             return False
     return True
+
+
+def first_of_lexsort(n, keys):
+    """Flags of the first n edges of ``np.lexsort(keys)`` (last key primary)."""
+    flags = np.zeros(len(keys[0]), dtype=bool)
+    flags[np.lexsort(keys)[:n]] = True
+    return flags
+
+
+def lexsort_neighborhood_order(g):
+    return np.lexsort((g.dst, -np.asarray(g.weights, dtype=float), g.src))
+
+
+def lexsort_global_flags(g, n_keep):
+    w = np.asarray(g.weights, dtype=float)
+    return first_of_lexsort(n_keep, (g.dst, g.src, -w))
+
+
+def lexsort_local_flags(g, curves):
+    """Flags of each node's first n_i out-edges in the lexsort order of the
+    directed view, mapped to their parent edges; n_i is the first minimum
+    of the node's segment of ``curves``."""
+    dg = directed_view(g)
+    parents = directed_parents(g)[lexsort_neighborhood_order(dg)]
+    values, starts = curves
+    degrees = np.bincount(dg.src, minlength=g.num_nodes)
+    assert np.diff(starts).tolist() == (degrees + 1).tolist()
+    edge_starts = np.concatenate([[0], np.cumsum(degrees)])
+    flags = np.zeros(g.num_edges, dtype=bool)
+    for i in range(g.num_nodes):
+        n = int(np.argmin(values[starts[i]:starts[i + 1]]))
+        flags[parents[edge_starts[i]:edge_starts[i] + n]] = True
+    return flags
 
 
 @st.composite

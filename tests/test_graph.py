@@ -546,7 +546,8 @@ class TestWeightKind:
 
 
 class TestNodeIndices:
-    """``src`` and ``dst`` hold node indices of the graph in an integer dtype."""
+    """``src`` and ``dst`` hold node indices of the graph in an integer dtype,
+    and the graph has at least 0 nodes."""
 
     @pytest.mark.parametrize("src, dst, message", [
         ([0, -1], [1, 0], "src holds node -1, outside \\[0, 2\\)"),
@@ -558,6 +559,12 @@ class TestNodeIndices:
     def test_rejected(self, src, dst, message):
         with pytest.raises(DomainError, match=message):
             WeightedGraph(2, np.asarray(src), np.asarray(dst), np.array([1, 2]), True)
+
+    @pytest.mark.parametrize("num_nodes", [-1, -5])
+    def test_negative_node_count_rejected(self, num_nodes):
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(DomainError, match=f"num_nodes must be >= 0, got {num_nodes}"):
+            WeightedGraph(num_nodes, empty, empty, empty, True)
 
     def test_every_index_in_range_accepted(self):
         for dtype in (np.int32, np.int64, np.uint64):

@@ -3,8 +3,9 @@
 The package sorts only what each answer depends on: packed int64 keys for
 the local sweep, and the boundary class alone for the first n edges of the
 global and local sweeps and the disparity ranking. The multi-key lexsorts
-over the whole edge array (for the local sweep, over the directed view)
-and the ``np.add.at`` loops they replaced are kept here as the oracles.
+over the whole edge array (for the local sweep, over the directed view,
+both in ``conftest.py``) and the ``np.add.at`` loops they replaced are the
+oracles.
 ``neighborhood_order`` is itself that lexsort; its tests pin it to the
 definition written out here.
 """
@@ -31,43 +32,16 @@ from mdlbackbone.objectives import ObjectiveSpec
 from mdlbackbone.percolation import HalfEdgeSystem
 from mdlbackbone.solver import greedy_global, greedy_local
 
-from conftest import make_graph, small_graphs
+from conftest import (
+    lexsort_global_flags,
+    lexsort_local_flags,
+    lexsort_neighborhood_order,
+    make_graph,
+    small_graphs,
+)
 
 SPECS = [("microcanonical", None), ("canonical", "geometric"),
          ("canonical", "poisson"), ("canonical", "exponential")]
-
-
-def first_of_lexsort(n, keys):
-    """Flags of the first n edges of ``np.lexsort(keys)`` (last key primary)."""
-    flags = np.zeros(len(keys[0]), dtype=bool)
-    flags[np.lexsort(keys)[:n]] = True
-    return flags
-
-
-def lexsort_neighborhood_order(g):
-    return np.lexsort((g.dst, -np.asarray(g.weights, dtype=float), g.src))
-
-
-def lexsort_global_flags(g, n_keep):
-    w = np.asarray(g.weights, dtype=float)
-    return first_of_lexsort(n_keep, (g.dst, g.src, -w))
-
-
-def lexsort_local_flags(g, curves):
-    """Flags of each node's first n_i out-edges in the lexsort order of the
-    directed view, mapped to their parent edges; n_i is the first minimum
-    of the node's segment of ``curves``."""
-    dg = directed_view(g)
-    parents = directed_parents(g)[lexsort_neighborhood_order(dg)]
-    values, starts = curves
-    degrees = np.bincount(dg.src, minlength=g.num_nodes)
-    assert np.diff(starts).tolist() == (degrees + 1).tolist()
-    edge_starts = np.concatenate([[0], np.cumsum(degrees)])
-    flags = np.zeros(g.num_edges, dtype=bool)
-    for i in range(g.num_nodes):
-        n = int(np.argmin(values[starts[i]:starts[i + 1]]))
-        flags[parents[edge_starts[i]:edge_starts[i] + n]] = True
-    return flags
 
 
 def graphs(directed=None, real=None):

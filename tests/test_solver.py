@@ -1,11 +1,12 @@
+from math import comb
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdlbackbone import solver
+from mdlbackbone import objectives, solver
 from mdlbackbone.errors import DomainError
 from mdlbackbone.graph import _out_sums, directed_view, parse_edge_list
 from mdlbackbone.objectives import (
@@ -18,7 +19,7 @@ from mdlbackbone.objectives import (
 )
 from mdlbackbone.solver import (
     ENUMERATION_EDGE_CAP,
-    _sweep,
+    _curve,
     empty_backbone_dls,
     enumerate_optimal,
     greedy_global,
@@ -30,6 +31,8 @@ from mdlbackbone.solver import (
 from conftest import (
     INTEGER_RULE,
     assert_integer_objectives_refuse,
+    lexsort_global_flags,
+    lexsort_local_flags,
     make_graph,
     mean_weight_ordering_holds,
     random_multigraph_free,
@@ -707,7 +710,7 @@ class TestSweepTable:
         # exact totals for integer weights
         strength = np.array([np.sum(seg) for seg in segs], dtype=float)
         wfact = np.array([np.sum(_log2_factorial(seg)) for seg in segs])
-        _, _, (curve, curve_starts) = _sweep(w, (k, strength, wfact, 0.0), spec)
+        curve, curve_starts = _curve(w, (k, strength, wfact, 0.0), spec, k)
         if not real:
             assert (strength.max() < len(curve)) == fits
 
@@ -721,6 +724,174 @@ class TestSweepTable:
             want[-1] = want[0]
             got = curve[curve_starts[i]:curve_starts[i + 1]]
             assert got.tobytes() == want.tobytes()
+
+
+def exact_dl_powers(weights, model):
+    """2**DL of the heavy prefix of every size 0..k of ``weights``, heaviest
+    first, as integers: under the microcanonical objective (``model`` None)
+    or the canonical geometric one, C(-1, -1) = 1 as in the closed form."""
+    k, W = len(weights), sum(weights)
+    powers, W_b = [], 0
+    for j in range(k + 1):
+        W_b += weights[j - 1] if j else 0
+        Wt, Et = W - W_b, k - j
+        if model is None:
+            p = ((k + 1) * (W - k + 1) * comb(k, j) * comb(max(W_b - 1, 0), max(j - 1, 0))
+                 * comb(max(Wt - 1, 0), max(Et - 1, 0)))
+        else:
+            p = (k + 1) * comb(k, j) * (W_b + 1) * (Wt + 1) * comb(W_b, j) * comb(Wt, Et)
+        powers.append(p)
+    return powers
+
+
+class TestWeightOneTail:
+    """Inside a segment's tail of u weight-1 edges the DL is strictly
+    concave in the size, so every size strictly inside the tail scores
+    strictly above the minimum over sizes 0..k - u, the sizes the sweep
+    scores."""
+
+    heavy = st.lists(st.integers(2, 10**5), max_size=9)
+    tail = st.integers(1, 40)
+
+    @pytest.mark.parametrize("model", [None, "geometric"])
+    @given(heavy=heavy, u=tail)
+    @example(heavy=[], u=25)
+    @settings(max_examples=150, deadline=None)
+    def test_exact(self, model, heavy, u):
+        weights = sorted(heavy, reverse=True) + [1] * u
+        k = len(weights)
+        powers = exact_dl_powers(weights, model)
+        # the full segment and the empty backbone are one bit-flip apart
+        assert powers[k] == powers[0]
+        scored = min(powers[:k - u + 1])
+        assert all(p > scored for p in powers[k - u + 1:k])
+
+    @pytest.mark.parametrize("model", ["poisson", "exponential"])
+    @given(heavy=heavy, u=tail, lam=st.floats(0.05, 20.0))
+    @example(heavy=[], u=25, lam=1.0)
+    @settings(max_examples=150, deadline=None)
+    def test_float(self, model, heavy, u, lam):
+        weights = sorted(heavy, reverse=True) + [1] * u
+        k, W = len(weights), float(sum(weights))
+        assert W <= 1e6
+        prefix = np.concatenate([[0.0], np.cumsum(weights, dtype=float)])
+        spec = ObjectiveSpec("global", "canonical", model, lam)
+        curve = _dl_curve(k, W, np.arange(k + 1), prefix, spec)
+        assert (curve[k - u + 1:k] > curve[:k - u + 1].min()).all()
+
+
+@st.composite
+def graphs_with_ones(draw, directed, real):
+    """Graph on up to 6 nodes whose out-edges are drawn node by node: none,
+    all of weight 1, none of weight 1, or mostly of weight 1. Real weights
+    add 0.25 and 0.5, lighter than 1, which can follow a run of 1.0."""
+    n = draw(st.integers(1, 6))
+    if real:
+        kinds = {"ones": st.just(1.0), "free": st.sampled_from([0.25, 0.5, 2.5, 4.0]),
+                 "mostly": st.sampled_from([0.25, 0.5, 1.0, 1.0, 1.0, 2.5, 4.0])}
+    else:
+        kinds = {"ones": st.just(1), "free": st.integers(2, 9),
+                 "mostly": st.one_of(st.just(1), st.integers(1, 9))}
+    src, dst, w = [], [], []
+    for node in range(n):
+        kind = draw(st.sampled_from(["none", *kinds]))
+        m = 0 if kind == "none" else draw(st.integers(1, 6))
+        src += [node] * m
+        dst += draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+        w += draw(st.lists(kinds.get(kind, st.just(1)), min_size=m, max_size=m))
+    if not src:
+        src, dst, w = [0], [0], [1]
+    return make_graph(src, dst, w, num_nodes=n, directed=directed,
+                      weight_kind="real" if real else "integer")
+
+
+class TestSolversAgainstFullCurves:
+    """The sweep scores sizes 0..k - u of every segment, u its tail of
+    weight-1 edges (integer weights only); what it returns is what the full
+    curves, over sizes 0..k, give."""
+
+    @staticmethod
+    def scored_values(solve, g, spec):
+        """The result of ``solve`` and the number of values its sweep scored."""
+        counts = []
+
+        def counting(E, W, E_b, W_b, *args):
+            counts.append(np.broadcast(E, W, E_b, W_b).size)
+            return _dl_curve(E, W, E_b, W_b, *args)
+
+        with (mock.patch.object(solver, "_dl_curve", counting),
+              mock.patch.object(solver, "inverse_compression_ratio", lambda *dls: np.nan)):
+            res = solve(g, spec)
+        return res, sum(counts)
+
+    @pytest.mark.parametrize("scope", ["global", "local"])
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("family, model, real", [
+        *((family, model, False) for family, model in OBJECTIVES),
+        ("canonical", "exponential", True),
+    ])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_result(self, scope, directed, family, model, real, data):
+        g = data.draw(graphs_with_ones(directed, real))
+        spec = ObjectiveSpec(scope, family, model)
+        solve = greedy_global if scope == "global" else greedy_local
+        res, scored = self.scored_values(solve, g, spec)
+
+        dg = directed_view(g)
+        if scope == "global":
+            segs = [np.sort(g.weights)[::-1]]
+        else:
+            segs = [np.sort(dg.weights[dg.src == i])[::-1] for i in range(g.num_nodes)]
+        k = np.array([len(seg) for seg in segs])
+        u = np.array([np.count_nonzero(seg == 1) for seg in segs]) * (not real)
+        assert scored == np.sum(k - u + 1)
+
+        values, starts = res.curves
+        assert np.diff(starts).tolist() == (k + 1).tolist()
+        mins = np.minimum.reduceat(values, starts[:-1])
+        ties = [np.count_nonzero(values[a:b] == low)
+                for a, b, low in zip(starts[:-1], starts[1:], mins)]
+        assert res.tie_counts.tolist() == ties
+        prior = 0.0
+        if scope == "local" and family == "microcanonical":
+            prior = strength_prior_bits(g.num_nodes, dg.num_edges, dg.total_weight)
+        assert res.dl == float(np.sum(mins[k > 0])) + prior
+        flags = res.backbone.member_flags
+        if scope == "local":
+            assert flags.tolist() == lexsort_local_flags(g, res.curves).tolist()
+            return
+        n_keep = int(np.argmin(values))
+        assert flags.tolist() == lexsort_global_flags(g, n_keep).tolist()
+        assert result_to_dict(res)["trace"] == {
+            "length": g.num_edges + 1, "argmin": n_keep, "min_bits": values[n_keep],
+            "tie_count": ties[0]}
+
+    @pytest.mark.parametrize("spec", [MICRO_G, GEOM_G, POIS_G])
+    def test_tail_scored_where_rounding_could_reach_its_margin(self, spec):
+        # At 2**53 one ulp of ln Gamma(W + 1) is 64 nats, far above the
+        # exact margin of the tail's inner size: it is scored.
+        for heavy, scored in ((1000, 2), (2**53 - 3, 4)):
+            g = make_graph([0, 0, 0], [1, 2, 3], [heavy, 1, 1])
+            res, n = self.scored_values(greedy_global, g, spec)
+            assert n == scored
+            assert res.dl == res.curves[0].min()
+
+    def test_benchmark_counter_sees_the_drop(self, star_graph):
+        # the microcanonical sweep scores through dl_global_micro_arr, which
+        # the benchmark counts; the empty-backbone DLs add one value per
+        # non-empty segment of each scope
+        counts = []
+        real = objectives.dl_global_micro_arr
+
+        def counting(E, W, E_b, W_b, *args):
+            counts.append(np.broadcast(E, W, E_b, W_b).size)
+            return real(E, W, E_b, W_b, *args)
+
+        with mock.patch.object(objectives, "dl_global_micro_arr", counting):
+            greedy_global(star_graph, MICRO_G)
+        # weights (5, 1, 1, 1) on one node: sizes 0 and 1 are scored
+        assert sum(counts) == 2 + 1 + 1
 
 
 class TestReporting:

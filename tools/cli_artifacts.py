@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_artifacts.py OUT   (OUT must not exist yet)
 
-Runs the command-line front end of the checkout this file sits in on five
+Runs the command-line front end of the checkout this file sits in on seven
 inputs, written into the new directory OUT so that every path recorded in
 the JSON artifacts is relative to OUT:
 
@@ -14,7 +14,12 @@ the JSON artifacts is relative to OUT:
   ``perfbench/inputs.py`` and checked against their pinned sha256;
 - ``dm-canary-padded.tsv``, the canary with every label zero-padded to 5
   digits, so that its labels are decimal but not canonical ("00007" is not
-  "7") and the parser numbers them as byte strings.
+  "7") and the parser numbers them as byte strings;
+- ``contact-plus1.tsv``, contact-1000 with 1 added to every weight, so
+  that no edge weighs 1 and no segment of the greedy sweep ends in a run of
+  weight-1 edges, and ``contact-halves.tsv``, contact-1000 with every other
+  weight-1 edge (the first, third, ... in file order) set to 0.5, so that
+  real weights lighter than 1 follow the weight-1 edges.
 
 Artifacts, each input read directed (``dir``) and undirected (``und``):
 
@@ -23,9 +28,11 @@ Artifacts, each input read directed (``dir``) and undirected (``und``):
   micro mdl-global size), hss and percolation; on the DM file mdl-local
   under all four objectives, mdl-global under micro, canonical-geometric
   and canonical-poisson (whose poisson constant over 1M edges shows its
-  summation order), and percolation; on the canary hss; on the padded canary mdl-global; on contact-real mdl-global
-  and mdl-local under canonical-exponential, the one objective that reads
-  real weights, and hss;
+  summation order), and percolation; on the canary hss; on the padded
+  canary mdl-global; on contact-real mdl-global and mdl-local under
+  canonical-exponential, the one objective that reads real weights, and
+  hss; on contact-plus1 mdl-global and mdl-local under micro, and on
+  contact-halves the same two under canonical-exponential;
 - ``compare`` JSON: the five contact-study backbones (micro mdl-global,
   mdl-local, hss, percolation, disparity-tope) on contact-1000, the
   three backbones on the DM file and the two on contact-real;
@@ -67,6 +74,8 @@ REAL_METHODS = (("mdl-global", "canonical-exponential"),
 DM = "dm-seed1.tsv"
 CANARY = "dm-canary.tsv"
 PADDED = "dm-canary-padded.tsv"
+PLUS1 = "contact-plus1.tsv"
+HALVES = "contact-halves.tsv"
 OBJECTIVES = ("micro", "canonical-geometric", "canonical-poisson", "canonical-exponential")
 STUDY_METHODS = ("mdl-global", "mdl-local", "hss", "percolation", "disparity-tope")
 DM_METHODS = ("mdl-global", "mdl-local", "percolation")
@@ -119,6 +128,18 @@ def write_real_file(out):
             dst.write(f"{a}\t{b}\t{float(w) + 0.5!r}\n")
 
 
+def write_shifted_files(out):
+    ones = 0
+    with (open(ROOT / "datasets" / CONTACT) as src, open(out / PLUS1, "w") as plus1,
+          open(out / HALVES, "w") as halves):
+        for line in src:
+            a, b, w = line.split()
+            plus1.write(f"{a}\t{b}\t{int(w) + 1}\n")
+            if w == "1":
+                w, ones = ("0.5" if ones % 2 == 0 else w), ones + 1
+            halves.write(f"{a}\t{b}\t{w}\n")
+
+
 def run(*argv):
     code = cli.main([*argv, "--seed", SEED])
     if code != 0:
@@ -166,6 +187,10 @@ def write_artifacts():
             "--backbones", f"contact-real.{way}.mdl-global.canonical-exponential.tsv",
             f"contact-real.{way}.hss.tsv")
 
+        for src, objective in ((PLUS1, "micro"), (HALVES, "canonical-exponential")):
+            for method in ("mdl-global", "mdl-local"):
+                backbone(src, method, way, objective)
+
     for i, (grid, methods) in enumerate(PERCOLATION_STUDIES.items()):
         run("percolation", CONTACT, "--pgrid", grid,
             "--output", f"contact-1000.study{i}",
@@ -195,9 +220,10 @@ def main(argv):
     write_dm_files(out)
     write_padded_file(out)
     write_real_file(out)
+    write_shifted_files(out)
     os.chdir(out)
     write_artifacts()
-    inputs = {CONTACT, REAL, DM, CANARY, PADDED}
+    inputs = {CONTACT, REAL, DM, CANARY, PADDED, PLUS1, HALVES}
     for path in sorted(Path(".").iterdir()):
         if path.name not in inputs:
             print(f"{digest(path)}  {path.name}")
