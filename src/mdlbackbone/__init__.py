@@ -27,7 +27,6 @@ from .objectives import (
 from .solver import (
     BackboneResult,
     empty_backbone_dls,
-    enumerate_optimal,
     greedy_global,
     greedy_local,
     inverse_compression_ratio,

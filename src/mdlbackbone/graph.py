@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Immutable weighted graph stored as a dense-indexed edge list.
 
@@ -49,6 +49,7 @@ class WeightedGraph:
     breaking these rules, or weights of any other dtype, raise DomainError.
     Undirected graphs store each edge once with ``src <= dst`` not enforced;
     duplication into both orientations happens in :func:`directed_view`.
+    Graphs compare and hash by identity.
     """
 
     num_nodes: int
@@ -160,7 +161,7 @@ class WeightedGraph:
         return order[pos]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Backbone:
     """Subset of a parent graph's edges: one bool flag per parent edge."""
 
@@ -649,9 +650,10 @@ def serialize_edge_list(g):
     """Serialize to the tab-separated exchange format with original labels,
     one edge per line, sorted by (src, dst) dense index; a graph without
     edges gives the empty string."""
-    order = np.argsort(g.src * g.num_nodes + g.dst, kind="stable")
+    src, dst = (np.asarray(a, dtype=np.int64) for a in (g.src, g.dst))
+    order = np.argsort(src * g.num_nodes + dst, kind="stable")
     labels = np.array(g.labels, dtype=object)
-    rows = zip(labels[g.src[order]].tolist(), labels[g.dst[order]].tolist(),
+    rows = zip(labels[src[order]].tolist(), labels[dst[order]].tolist(),
                map(repr, g.weights[order].tolist()))
     return "\n".join(map("\t".join, rows)) + "\n" if g.num_edges else ""
 

@@ -39,7 +39,7 @@ def contact_transmission(w, p):
     return 1.0 - (1.0 - p) ** np.asarray(w, dtype=float)
 
 
-@dataclass
+@dataclass(eq=False)
 class MessageState:
     u: np.ndarray
     iterations: int
@@ -47,7 +47,7 @@ class MessageState:
     converged: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class HalfEdgeSystem:
     """Half-edge indexing for an undirected graph: arrays of length 2E with
     reverse-pointer, source grouping, and per-half-edge weight. Self-loops
@@ -265,7 +265,7 @@ def critical_probability(g, tolerance=1e-7):
     return 0.5 * (lo + hi)
 
 
-@dataclass
+@dataclass(eq=False)
 class PercolationReport:
     """Cluster curve and threshold of one graph. ``iterations`` holds the
     message-passing sweeps of each grid point. ``eig_seconds`` is the wall

@@ -1,5 +1,4 @@
-"""Greedy backbone optimization, the exhaustive enumeration oracle, and
-inverse compression ratios.
+"""Greedy backbone optimization and inverse compression ratios.
 
 One greedy sweep serves both scopes: it orders the weights descending,
 evaluates the chosen description length of the heavy prefix at the sizes
@@ -13,7 +12,7 @@ directed view.
 Both are exact minimizers for the microcanonical objectives and for
 canonical geometric/poisson/exponential weights (asymptotically for the
 latter two). The segments' totals come from :func:`objectives._segments`,
-as for every backbone DL; only the enumeration oracle adds up its own.
+as for every backbone DL.
 """
 
 from __future__ import annotations
@@ -24,40 +23,29 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .graph import (
-    Backbone,
-    _first_in_order,
-    backbone_from_flags,
-    directed_parents,
-    directed_view,
-)
+from .graph import Backbone, _first_in_order, backbone_from_flags
 from .objectives import (
     ObjectiveSpec,
     _dl_curve,
     _ln_factorial,
-    _log2_factorial,
     _objective_name,
     _require_weights,
     _scope_dl,
     _segments,
-    strength_prior_bits,
 )
 
 __all__ = [
     "BackboneResult",
     "greedy_global",
     "greedy_local",
-    "enumerate_optimal",
     "inverse_compression_ratio",
     "empty_backbone_dls",
     "backbone_to_dict",
     "result_to_dict",
 ]
 
-ENUMERATION_EDGE_CAP = 24
 
-
-@dataclass
+@dataclass(eq=False)
 class BackboneResult:
     backbone: Backbone
     dl: float
@@ -69,18 +57,18 @@ class BackboneResult:
     # per segment of the greedy sweep (the edge list for mdl-global, each
     # out-neighborhood for mdl-local): how many of its sizes 0..k_i reach
     # the minimum of its DL curve
-    tie_counts: np.ndarray = field(default=None, repr=False)
+    tie_counts: np.ndarray = field(repr=False)
     # computes ``curves`` when it is first read
-    _curves: object = field(default=None, repr=False, compare=False)
+    _curves: object = field(repr=False)
 
     @cached_property
     def curves(self):
         """(values, starts): the DL curves the greedy minimized, segment i's
         over sizes 0..k_i at values[starts[i]:starts[i + 1]]; one segment
         over the edge list for mdl-global, one per out-neighborhood for
-        mdl-local; None for enumerate_optimal. The sweep scores only the
-        sizes that can win, so the curves are computed when first read."""
-        return None if self._curves is None else self._curves()
+        mdl-local. The sweep scores only the sizes that can win, so the
+        curves are computed when first read."""
+        return self._curves()
 
 
 def _checked_spec(g, spec, scope):
@@ -121,9 +109,10 @@ def inverse_compression_ratio(dl_opt, dl_empty_global, dl_empty_local):
     return float(dl_opt / denom)
 
 
-def _result(g, flags, dl, spec, method, tie_counts=None, curves=None):
-    """BackboneResult of the parent-edge membership ``flags`` with DL ``dl``;
-    ``curves`` computes the result's curves."""
+def _result(g, flags, dl, spec, method, tie_counts, curves):
+    """BackboneResult of the parent-edge membership ``flags`` with DL ``dl``
+    and the sweep's per-segment ``tie_counts``; ``curves`` computes the
+    result's curves."""
     dl_eg, dl_el = empty_backbone_dls(g, spec)
     return BackboneResult(
         backbone=backbone_from_flags(g, flags),
@@ -340,55 +329,6 @@ def greedy_local(g, spec=None):
     flags[parent[rank < need[at]]] = True
     return _result(g, flags, dl, spec, "mdl-local", ties,
                    lambda: _curve(w, segments, spec, segments[0]))
-
-
-def _enumerate_masks(n_edges, chunk):
-    """Every mask of ``n_edges`` bits in order, as 0/1 float rows, ``chunk`` at a time."""
-    total = 1 << n_edges
-    for lo in range(0, total, chunk):
-        masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        yield ((masks[:, None] >> np.arange(n_edges)) & 1).astype(float)
-
-
-def enumerate_optimal(g, spec):
-    """Exhaustive minimization over all 2^E backbones; the test oracle for
-    the greedy solvers. Refuses graphs beyond 24 (directed-view) edges. It
-    scores the sweep's segments (the edge list at global scope, each out-
-    neighborhood of the directed view at local scope) by its own one-hot
-    sums. Ties: the least DL, then the fewest edges, then the first mask."""
-    spec = _checked_spec(g, spec, spec.scope)
-    local = spec.scope == "local"
-    scope_g = directed_view(g) if local else g
-    m = scope_g.num_edges
-    if m > ENUMERATION_EDGE_CAP:
-        raise DomainError(
-            f"enumeration over 2^{m} backbones refused (cap {ENUMERATION_EDGE_CAP} edges)"
-        )
-
-    w = np.asarray(scope_g.weights, dtype=float)
-    seg = scope_g.src if local else np.zeros(m, dtype=np.int64)
-    onehot = np.zeros((m, scope_g.num_nodes if local else 1))
-    onehot[np.arange(m), seg] = 1.0
-    n_seg, w_onehot = onehot.shape[1], w[:, None] * onehot
-    # each segment's totals, added in edge order whatever the other segments
-    k, s = onehot.sum(axis=0), np.bincount(seg, w, n_seg)
-    poisson = spec.family == "canonical" and spec.weight_model == "poisson"
-    wf = np.bincount(seg, _log2_factorial(scope_g.weights), n_seg) if poisson else 0.0
-
-    best_dl, best_Eb, best_bits = np.inf, np.inf, None
-    for bits in _enumerate_masks(m, chunk=1 << (12 if local else 16)):
-        dls = _dl_curve(k, s, bits @ onehot, bits @ w_onehot, spec, wf).sum(axis=1)
-        Eb = bits.sum(axis=1)
-        i = int(np.lexsort((Eb, dls))[0])
-        if (dls[i], Eb[i]) < (best_dl, best_Eb):
-            best_dl, best_Eb, best_bits = float(dls[i]), Eb[i], bits[i].astype(bool)
-    if local and spec.family == "microcanonical":
-        # a constant, added after the minimum as greedy_local adds it
-        best_dl += strength_prior_bits(scope_g.num_nodes, m, scope_g.total_weight)
-    parents = directed_parents(g) if local else np.arange(m)
-    flags = np.zeros(g.num_edges, dtype=bool)
-    flags[parents[best_bits]] = True
-    return _result(g, flags, best_dl, spec, "enumerate")
 
 
 def backbone_to_dict(bb):

@@ -22,14 +22,14 @@ CONCENTRATION_FLOOR = 1e-6
 CONCENTRATION_CAP = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantedInstance:
     graph: WeightedGraph
     planted: Backbone
     params: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DmInstance:
     graph: WeightedGraph
     params: dict

@@ -31,7 +31,7 @@ from mdlbackbone.percolation import (
     message_passing_cluster,
     nb_leading_eigenvalue,
 )
-from mdlbackbone.solver import enumerate_optimal, greedy_global, greedy_local
+from mdlbackbone.solver import greedy_global, greedy_local
 from mdlbackbone.synth import (
     dirichlet_multinomial_weights,
     plant_weights_canonical,
@@ -44,6 +44,7 @@ from conftest import (
     random_multigraph_free,
     real_star,
 )
+from oracles import enumerate_optimal
 
 MICRO_G = ObjectiveSpec("global", "microcanonical")
 MICRO_L = ObjectiveSpec("local", "microcanonical")

@@ -574,6 +574,12 @@ class TestNodeIndices:
         empty = np.zeros(0, dtype=np.int64)
         assert WeightedGraph(0, empty, empty, empty, True).num_edges == 0
 
+    def test_int32_indices_serialize_sorted(self):
+        # 30000 * 100000 + 0 overflows int32; the sort key is packed in int64
+        g = WeightedGraph(100000, np.array([30000, 1], dtype=np.int32),
+                          np.array([0, 2], dtype=np.int32), np.array([1, 2]), True)
+        assert serialize_edge_list(g) == "1\t2\t2\n30000\t0\t1\n"
+
     def test_no_edges_serialize_to_the_empty_string(self):
         empty = np.zeros(0, dtype=np.int64)
         assert serialize_edge_list(WeightedGraph(3, empty, empty, empty, True)) == ""

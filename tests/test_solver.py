@@ -18,16 +18,15 @@ from mdlbackbone.objectives import (
     strength_prior_bits,
 )
 from mdlbackbone.solver import (
-    ENUMERATION_EDGE_CAP,
     _curve,
     empty_backbone_dls,
-    enumerate_optimal,
     greedy_global,
     greedy_local,
     inverse_compression_ratio,
     result_to_dict,
 )
 
+import oracles
 from conftest import (
     INTEGER_RULE,
     assert_integer_objectives_refuse,
@@ -38,6 +37,7 @@ from conftest import (
     random_multigraph_free,
     small_graphs,
 )
+from oracles import ENUMERATION_EDGE_CAP, enumerate_optimal
 
 MICRO_G = ObjectiveSpec("global", "microcanonical")
 MICRO_L = ObjectiveSpec("local", "microcanonical")
@@ -366,10 +366,69 @@ class TestOracleGlobalMatchesLocalOnOneNeighborhood:
             return np.where((k_b == 1) | (k_b == 2), 0.0, 1.0)
 
         g = make_graph([0] * 17, range(1, 18), [1] * 17)
-        with mock.patch.object(solver, "_dl_curve", zero_at_one_or_two):
+        with mock.patch.object(oracles, "_dl_curve", zero_at_one_or_two):
             res = enumerate_optimal(g, MICRO_G)
         assert list(np.flatnonzero(res.backbone.member_flags)) == [0]
         assert res.dl == 0.0
+
+
+class TestCompareByIdentity:
+    """Graphs, backbones and results hold arrays, which have no truth value:
+    they compare and hash by identity."""
+
+    def test_equal_contents_compare_false(self):
+        text = "a b 3\nb c 1\na c 2\n"
+        g, h = parse_edge_list(text, directed=True), parse_edge_list(text, directed=True)
+        r, s = greedy_global(g), greedy_global(g)
+        for x, y in ((g, h), (r, s), (r.backbone, s.backbone)):
+            assert x == x
+            assert not x == y
+            assert x != y
+        assert len({g, h, g}) == 2
+
+
+INTEGER_SPECS = [ObjectiveSpec(scope, family, model) for scope in ("global", "local")
+                 for family, model in OBJECTIVES[:3]]
+
+
+@st.composite
+def dp_graphs(draw, scope):
+    """Up to 150 edges, weights up to 30, many of them 1; self-loops
+    and parallel edges allowed. Global scope: up to 20 nodes, either
+    direction. Local scope: directed, on up to 4 nodes, so that the
+    out-neighborhoods are long."""
+    n = draw(st.integers(1, 20 if scope == "global" else 4))
+    m = draw(st.integers(1, 150))
+    node = st.integers(0, n - 1)
+    src = draw(st.lists(node, min_size=m, max_size=m))
+    dst = draw(st.lists(node, min_size=m, max_size=m))
+    w = draw(st.lists(st.one_of(st.just(1), st.integers(1, 30)), min_size=m, max_size=m))
+    directed = scope == "local" or draw(st.booleans())
+    return make_graph(src, dst, w, num_nodes=n, directed=directed)
+
+
+class TestAgainstDP:
+    """Past the enumeration's 24 edges, the subset-sum DP oracle gives the
+    least DL over every backbone: the greedy reaches it, and the backbone
+    it returns scores it."""
+
+    @pytest.mark.parametrize("spec", INTEGER_SPECS, ids=objectives._objective_name)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_greedy_reaches_the_dp_minimum(self, spec, data):
+        g = data.draw(dp_graphs(spec.scope))
+        res = (greedy_global if spec.scope == "global" else greedy_local)(g, spec)
+        best = oracles.dp_optimal(g, spec)
+        assert res.dl == pytest.approx(best, abs=1e-9)
+        assert objectives._scope_dl(g, res.backbone.member_flags, spec) == pytest.approx(
+            best, abs=1e-9)
+
+    @pytest.mark.parametrize("spec", INTEGER_SPECS, ids=objectives._objective_name)
+    @given(g=small_graphs())
+    @settings(max_examples=20, deadline=None)
+    def test_dp_matches_enumeration(self, spec, g):
+        assert oracles.dp_optimal(g, spec) == pytest.approx(
+            enumerate_optimal(g, spec).dl, abs=1e-9)
 
 
 def random_graph(rng, directed, real):

@@ -2,7 +2,7 @@
 
 Usage: python tools/cli_artifacts.py OUT   (OUT must not exist yet)
 
-Runs the command-line front end of the checkout this file sits in on seven
+Runs the command-line front end of the checkout this file sits in on ten
 inputs, written into the new directory OUT so that every path recorded in
 the JSON artifacts is relative to OUT:
 
@@ -19,7 +19,15 @@ the JSON artifacts is relative to OUT:
   that no edge weighs 1 and no segment of the greedy sweep ends in a run of
   weight-1 edges, and ``contact-halves.tsv``, contact-1000 with every other
   weight-1 edge (the first, third, ... in file order) set to 0.5, so that
-  real weights lighter than 1 follow the weight-1 edges.
+  real weights lighter than 1 follow the weight-1 edges;
+- three copies of contact-1000 that take the parser's other paths:
+  ``contact-comments.tsv``, with CRLF line ends, a comment line first and a
+  blank and a comment line after every 100th edge, so that its lines are
+  bounded one by one; ``contact-unicode.tsv``, whose tokens are separated
+  by non-ASCII whitespace and whose lines end in LF, U+2028 and U+0085 by
+  turns, so that its lines are rewritten first; and
+  ``contact-long-labels.tsv``, every label prefixed with ``node-`` to 10
+  bytes, so that its labels are numbered through a dict.
 
 Artifacts, each input read directed (``dir``) and undirected (``und``):
 
@@ -32,7 +40,8 @@ Artifacts, each input read directed (``dir``) and undirected (``und``):
   canary mdl-global; on contact-real mdl-global and mdl-local under
   canonical-exponential, the one objective that reads real weights, and
   hss; on contact-plus1 mdl-global and mdl-local under micro, and on
-  contact-halves the same two under canonical-exponential;
+  contact-halves the same two under canonical-exponential; on the three
+  parser-path copies mdl-global;
 - ``compare`` JSON: the five contact-study backbones (micro mdl-global,
   mdl-local, hss, percolation, disparity-tope) on contact-1000, the
   three backbones on the DM file and the two on contact-real;
@@ -76,6 +85,9 @@ CANARY = "dm-canary.tsv"
 PADDED = "dm-canary-padded.tsv"
 PLUS1 = "contact-plus1.tsv"
 HALVES = "contact-halves.tsv"
+COMMENTS = "contact-comments.tsv"
+UNICODE = "contact-unicode.tsv"
+LONG_LABELS = "contact-long-labels.tsv"
 OBJECTIVES = ("micro", "canonical-geometric", "canonical-poisson", "canonical-exponential")
 STUDY_METHODS = ("mdl-global", "mdl-local", "hss", "percolation", "disparity-tope")
 DM_METHODS = ("mdl-global", "mdl-local", "percolation")
@@ -140,6 +152,23 @@ def write_shifted_files(out):
             halves.write(f"{a}\t{b}\t{w}\n")
 
 
+def write_parser_files(out):
+    with open(ROOT / "datasets" / CONTACT) as src:
+        edges = [line.split() for line in src]
+    seps, ends = ("\u3000", "\xa0", "\u2003 "), ("\n", "\u2028", "\x85")
+    with (open(out / COMMENTS, "w", newline="\r\n") as comments,
+          open(out / UNICODE, "w", encoding="utf-8", newline="") as uni,
+          open(out / LONG_LABELS, "w") as long_labels):
+        comments.write("# contact-1000, one edge per line\n")
+        for i, (a, b, w) in enumerate(edges):
+            comments.write(f"{a}\t{b}\t{w}\n")
+            if i % 100 == 99:
+                comments.write(f"\n# {i + 1} edges\n")
+            sep = seps[i % 3]
+            uni.write(f"{a}{sep}{b}{sep}{w}{ends[i % 3]}")
+            long_labels.write(f"node-{a}\tnode-{b}\t{w}\n")
+
+
 def run(*argv):
     code = cli.main([*argv, "--seed", SEED])
     if code != 0:
@@ -190,6 +219,8 @@ def write_artifacts():
         for src, objective in ((PLUS1, "micro"), (HALVES, "canonical-exponential")):
             for method in ("mdl-global", "mdl-local"):
                 backbone(src, method, way, objective)
+        for src in (COMMENTS, UNICODE, LONG_LABELS):
+            backbone(src, "mdl-global", way)
 
     for i, (grid, methods) in enumerate(PERCOLATION_STUDIES.items()):
         run("percolation", CONTACT, "--pgrid", grid,
@@ -221,9 +252,10 @@ def main(argv):
     write_padded_file(out)
     write_real_file(out)
     write_shifted_files(out)
+    write_parser_files(out)
     os.chdir(out)
     write_artifacts()
-    inputs = {CONTACT, REAL, DM, CANARY, PADDED, PLUS1, HALVES}
+    inputs = {CONTACT, REAL, DM, CANARY, PADDED, PLUS1, HALVES, COMMENTS, UNICODE, LONG_LABELS}
     for path in sorted(Path(".").iterdir()):
         if path.name not in inputs:
             print(f"{digest(path)}  {path.name}")
