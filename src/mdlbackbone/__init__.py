@@ -15,15 +15,7 @@ from .graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .objectives import (
-    ObjectiveSpec,
-    dl_global_canonical,
-    dl_global_micro,
-    dl_local_canonical,
-    dl_local_micro,
-    log2_binomial,
-    strength_prior_bits,
-)
+from .objectives import ObjectiveSpec, description_length
 from .solver import (
     BackboneResult,
     empty_backbone_dls,

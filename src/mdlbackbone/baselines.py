@@ -13,6 +13,7 @@ from .errors import DomainError
 from .graph import (
     _first_in_order,
     _out_sums,
+    _pair_key,
     _sample_nodes,
     backbone_from_flags,
     directed_parents,
@@ -67,7 +68,7 @@ def _pair_matrix(n, a, b, values):
     """n x n sparse matrix with one entry per distinct pair (a, b): the
     smallest of the pair's values (``csr_matrix`` would add them up)."""
     order = np.argsort(values, kind="stable")
-    key = (np.asarray(a, dtype=np.int64) * n + b)[order]
+    key = _pair_key(a, b, n)[order]
     # return_index sorts stably: each pair's first entry in value order
     keep = order[np.unique(key, return_index=True)[1]]
     return csr_matrix((values[keep], (a[keep], b[keep])), shape=(n, n))
@@ -140,7 +141,7 @@ def salience_table(g, sample_cap=10000, seed=0):
 
     # in-arcs of each node, sorted by (dst, src) so the first feasible
     # predecessor within a segment is the smallest-index one
-    in_order = np.argsort(arc_dst.astype(np.int64) * n + arc_src, kind="stable")
+    in_order = np.argsort(_pair_key(arc_dst, arc_src, n), kind="stable")
     in_dst = arc_dst[in_order]
     in_starts = np.searchsorted(in_dst, np.arange(n + 1))
     in_src = arc_src[in_order]

@@ -127,7 +127,7 @@ class WeightedGraph:
         in its stored orientation, sorted with ties by position, so the last
         edge of a pair sits rightmost. Built on the first
         :meth:`edge_index` call and kept with the graph."""
-        keys = np.asarray(self.src, dtype=np.int64) * self.num_nodes + self.dst
+        keys = _pair_key(self.src, self.dst, self.num_nodes)
         order = np.argsort(keys, kind="stable")
         return order, keys[order]
 
@@ -144,7 +144,7 @@ class WeightedGraph:
         inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
 
         def lookup(a, b):
-            query = a * n + b
+            query = _pair_key(a, b, n)
             at = np.searchsorted(sorted_keys, query, side="right") - 1
             hit = inside & (at >= 0)
             hit[hit] = sorted_keys[at[hit]] == query[hit]
@@ -202,6 +202,17 @@ class Backbone:
         """The backbone as a standalone WeightedGraph over the parent's nodes."""
         g, flags = self.parent, self.member_flags
         return replace(g, src=g.src[flags], dst=g.dst[flags], weights=g.weights[flags])
+
+
+def _pair_key(src, dst, n):
+    """The int64 key src * n + dst of each pair of node indices below ``n``."""
+    return np.asarray(src, dtype=np.int64) * n + np.asarray(dst, dtype=np.int64)
+
+
+def _require_parent(g, bb):
+    """Raise DomainError unless ``bb`` is a backbone of ``g`` itself."""
+    if bb.parent is not g:
+        raise DomainError("the backbone belongs to another graph")
 
 
 def _total_fits(w, src, dst, directed):
@@ -628,7 +639,7 @@ def parse_edge_list(text, directed, round_weights=False):
     num_nodes, labels = len(labels), tuple(labels)
     src, dst = codes[0::2], codes[1::2]
 
-    pair = src * num_nodes + dst
+    pair = _pair_key(src, dst, num_nodes)
     sorted_pair = np.sort(pair)
     if np.any(sorted_pair[1:] == sorted_pair[:-1]):
         # merged into the first occurrence; bincount adds in order of appearance
@@ -650,10 +661,9 @@ def serialize_edge_list(g):
     """Serialize to the tab-separated exchange format with original labels,
     one edge per line, sorted by (src, dst) dense index; a graph without
     edges gives the empty string."""
-    src, dst = (np.asarray(a, dtype=np.int64) for a in (g.src, g.dst))
-    order = np.argsort(src * g.num_nodes + dst, kind="stable")
+    order = np.argsort(_pair_key(g.src, g.dst, g.num_nodes), kind="stable")
     labels = np.array(g.labels, dtype=object)
-    rows = zip(labels[src[order]].tolist(), labels[dst[order]].tolist(),
+    rows = zip(labels[g.src[order]].tolist(), labels[g.dst[order]].tolist(),
                map(repr, g.weights[order].tolist()))
     return "\n".join(map("\t".join, rows)) + "\n" if g.num_edges else ""
 

@@ -10,7 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import DomainError
-from .graph import _sample_nodes
+from .graph import _require_parent, _sample_nodes
 
 __all__ = [
     "BackboneMetrics",
@@ -46,6 +46,7 @@ def jaccard_similarity(bb1, bb2):
 def hellinger_strength_distance(g, bb):
     """Hellinger distance between the normalized strength distributions of
     the graph and the backbone."""
+    _require_parent(g, bb)
     W = g.total_weight
     W_b = bb.total_weight
     if W <= 0 or W_b <= 0:
@@ -98,6 +99,7 @@ def reachability_ratio(g, bb, sample_cap=10000, seed=0):
     """Ratio of ordered reachable pairs in the backbone to those in the full
     graph; computed on a seeded random induced subgraph of ``sample_cap``
     (at least 1) nodes when the graph is larger than that."""
+    _require_parent(g, bb)
     nodes, denom = _sampled_reach(g, sample_cap, seed)
     if denom == 0:
         raise DomainError("graph has no reachable pairs")
@@ -112,6 +114,7 @@ def summarize(g, bb, sample_cap=10000, seed=0):
     """Bundle of all backbone metrics; fields that are undefined come back
     as None: ``hellinger`` for an empty backbone, ``reachability`` for a
     graph without reachable pairs."""
+    _require_parent(g, bb)
     E, W = g.num_edges, g.total_weight
     E_b, W_b = bb.num_edges, bb.total_weight
     nonisolated = np.zeros(g.num_nodes, dtype=bool)

@@ -18,28 +18,21 @@ Integer weights total below 2**53, which WeightedGraph enforces: every float
 sum of them is exact, and at 2**53 one ulp of ln Gamma(W + 1) is 64 nats.
 A DL is a sum over segments: the edge list at global scope, each
 out-neighborhood of the directed view at local scope. Their totals come from
-:func:`_segments` alone, for :func:`_scope_dl` and for the greedy sweep.
+:func:`_segments` alone, for :func:`description_length` and for the greedy
+sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .graph import _out_sums, _weight_sum
+from .graph import _out_sums, _require_parent, _weight_sum
 
-__all__ = [
-    "ObjectiveSpec",
-    "log2_binomial",
-    "dl_global_micro",
-    "dl_local_micro",
-    "dl_global_canonical",
-    "dl_local_canonical",
-    "strength_prior_bits",
-]
+__all__ = ["ObjectiveSpec", "description_length"]
 
 _LN2 = np.log(2.0)
 
@@ -113,15 +106,6 @@ def _log2_binom_raw(n, k, table=None):
             - _ln_factorial(n - k, table)) / _LN2
 
 
-def log2_binomial(n, k):
-    """log2 of the binomial coefficient C(n, k) for 0 <= k <= n, and of the
-    empty composition C(-1, -1) = 1; everything else is a domain error.
-    """
-    if not (0 <= k <= n or n == k == -1):
-        raise DomainError(f"binomial ({n}, {k}) outside domain")
-    return float(_log2_binom_raw(float(max(n, 0)), float(max(k, 0))))
-
-
 def _log2_factorial(n, table=None):
     return _ln_factorial(n, table) / _LN2
 
@@ -192,6 +176,8 @@ def dl_global_micro(E, W, E_b, W_b):
     out-neighborhood in the local DL, so its sum 2^-L over one
     neighborhood's states is 1 - 2(s - k)/((k + 1)(s - k + 1)), short of 1
     only through the forced boundary sizes k_b = 0 and k_b = k.
+
+    Kept for the benchmark harness in ``perfbench/``, which reads it.
     """
     _check_global_args(E, W, E_b, W_b)
     if E == 0:
@@ -199,16 +185,19 @@ def dl_global_micro(E, W, E_b, W_b):
     return float(dl_global_micro_arr(E, float(W), E_b, float(W_b)))
 
 
-def strength_prior_bits(N, E, W):
+def _strength_prior_bits(N, E, W):
     """log2 C(N + W - E - 1, W - E): cost of a uniform prior over node
     strength sequences with total excess weight W - E."""
-    return log2_binomial(N + W - E - 1, W - E)
+    n, k = N + W - E - 1, W - E
+    if not 0 <= k <= n:
+        raise DomainError(f"binomial ({n}, {k}) outside domain")
+    return float(_log2_binom_raw(float(n), float(k)))
 
 
 def dl_local_micro(g, bb):
-    """Microcanonical local description length of backbone ``bb``: strength
-    prior plus the sum of neighborhood terms over the directed view."""
-    return _scope_dl(g, bb.member_flags, ObjectiveSpec("local", "microcanonical"))
+    """:func:`description_length` of ``bb`` under the microcanonical local
+    objective. The benchmark harness in ``perfbench/`` reads it."""
+    return description_length(g, bb, ObjectiveSpec("local", "microcanonical"))
 
 
 def _segments(g, spec):
@@ -231,20 +220,22 @@ def _segments(g, spec):
                  else np.bincount(np.zeros(len(terms), dtype=np.intp), terms, 1))
     if local and spec.family == "microcanonical":
         # the directed view's edge count and total weight, both exact
-        const = strength_prior_bits(g.num_nodes, int(k.sum()), int(s.sum()))
+        const = _strength_prior_bits(g.num_nodes, int(k.sum()), int(s.sum()))
     return k, s, wfact, const
 
 
-def _scope_dl(g, flags, spec):
-    """Description length under ``spec`` of the backbone membership
-    ``flags`` over the edges of ``g``, None for the empty backbone: the sum
+def description_length(g, backbone, spec):
+    """Description length in bits under ``spec`` of ``backbone``, a
+    :class:`Backbone` of ``g``, or None for the empty backbone: the sum
     over the non-empty segments of :func:`_segments`, plus its constant."""
     k, s, wfact, const = _segments(g, spec)
     nz = k > 0
     k, s, wfact = k[nz], s[nz], wfact[nz]
     # the empty backbone is a valid state of every non-empty segment
     k_b = s_b = 0
-    if flags is not None:
+    if backbone is not None:
+        _require_parent(g, backbone)
+        flags = backbone.member_flags
         if spec.scope == "local":
             k_b, s_b = _out_sums(g, flags)[nz], _out_sums(g, flags, g.weights)[nz]
         else:
@@ -256,7 +247,7 @@ def _scope_dl(g, flags, spec):
 
 def _dl_curve(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
     """Vectorized description length of ``spec``'s family; scope is up to
-    the caller. ``log2_wfact`` as in :func:`dl_global_canonical`, ``table``
+    the caller. ``log2_wfact`` as in :func:`_dl_canonical_arr`, ``table``
     as in :func:`dl_global_micro_arr`. Every state must be valid
     (:func:`_check_global_args`): an invalid one comes back as a finite
     value of nothing or as -inf, not as an error, and a minimum would pick
@@ -294,34 +285,13 @@ def _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
             - _log2_factorial(Wt, table)
             + log2_wfact
         )
-    if model == "exponential":
-        return (
-            base
-            - 2.0 * np.log2(lam)
-            + (E_b + 1.0) * np.log2(W_b + lam)
-            - _log2_factorial(E_b, table)
-            + (Et + 1.0) * np.log2(Wt + lam)
-            - _log2_factorial(Et, table)
-        )
-    raise DomainError(f"unknown weight model {model!r}")
+    # exponential, the last model ObjectiveSpec admits
+    return (
+        base
+        - 2.0 * np.log2(lam)
+        + (E_b + 1.0) * np.log2(W_b + lam)
+        - _log2_factorial(E_b, table)
+        + (Et + 1.0) * np.log2(Wt + lam)
+        - _log2_factorial(Et, table)
+    )
 
-
-def dl_global_canonical(E, W, E_b, W_b, spec, log2_wfact=0.0):
-    """Canonical global description length (bits) under ``spec``'s weight
-    model. For poisson, pass sum_e log2(w_e!) over all E edges as
-    ``log2_wfact`` so that values are exact (it is constant across backbones
-    of the same graph)."""
-    if spec.family != "canonical":
-        raise DomainError("spec must be canonical")
-    _check_global_args(E, W, E_b, W_b, integer=not spec.continuous)
-    if E == 0:
-        return 0.0
-    return float(_dl_canonical_arr(E, float(W), E_b, float(W_b), spec, log2_wfact))
-
-
-def dl_local_canonical(g, bb, spec):
-    """Canonical local description length: sum of neighborhood terms over the
-    directed view (no strength prior in the canonical formulation)."""
-    if spec.family != "canonical":
-        raise DomainError("spec must be canonical")
-    return _scope_dl(g, bb.member_flags, replace(spec, scope="local"))

@@ -18,6 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError
+from .graph import _pair_key
 
 __all__ = [
     "MessageState",
@@ -74,8 +75,7 @@ class HalfEdgeSystem:
         dst = np.concatenate([v, u])
         weights = np.concatenate([w, w])
         rev = np.concatenate([np.arange(E, 2 * E), np.arange(E)])
-        key = np.asarray(src, dtype=np.int64) * g.num_nodes + dst
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(_pair_key(src, dst, g.num_nodes), kind="stable")
         inv = np.empty(2 * E, dtype=np.int64)
         inv[order] = np.arange(2 * E)
         src, dst, weights = src[order], dst[order], weights[order]

@@ -30,8 +30,8 @@ from .objectives import (
     _ln_factorial,
     _objective_name,
     _require_weights,
-    _scope_dl,
     _segments,
+    description_length,
 )
 
 __all__ = [
@@ -91,7 +91,7 @@ def empty_backbone_dls(g, spec):
     view."""
     if g.num_edges == 0:
         raise DomainError("empty graph has no description length")
-    return tuple(_scope_dl(g, None, replace(spec, scope=scope))
+    return tuple(description_length(g, None, replace(spec, scope=scope))
                  for scope in ("global", "local"))
 
 

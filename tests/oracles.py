@@ -1,4 +1,4 @@
-"""Exact optimizers the greedy solvers are tested against.
+"""Exact optimizers and scalar formulas the package is tested against.
 
 - :func:`enumerate_optimal` scores every one of the 2^E backbones, up to
   24 (directed-view) edges, at either scope; it is the anchor of
@@ -10,6 +10,12 @@
 
 Both add up their own segment totals, so neither shares the solvers'
 :func:`objectives._segments`.
+
+- :func:`log2_binomial`, :func:`strength_prior_bits` and
+  :func:`dl_global_canonical` are the scalar formulas, one binomial or one
+  state (E, W, E_b, W_b) at a time, each with its domain check. A backbone
+  DL summed over segments by ``objectives.description_length`` must match
+  them (with the package's scalar ``objectives.dl_global_micro``).
 """
 
 from __future__ import annotations
@@ -21,13 +27,43 @@ import numpy as np
 from mdlbackbone.errors import DomainError
 from mdlbackbone.graph import Backbone, directed_parents, directed_view
 from mdlbackbone.objectives import (
+    _check_global_args,
+    _dl_canonical_arr,
     _dl_curve,
+    _log2_binom_raw,
     _log2_factorial,
     _require_weights,
-    strength_prior_bits,
 )
 
 ENUMERATION_EDGE_CAP = 24
+
+
+def log2_binomial(n, k):
+    """log2 of the binomial coefficient C(n, k) for 0 <= k <= n, and of the
+    empty composition C(-1, -1) = 1; everything else is a domain error.
+    """
+    if not (0 <= k <= n or n == k == -1):
+        raise DomainError(f"binomial ({n}, {k}) outside domain")
+    return float(_log2_binom_raw(float(max(n, 0)), float(max(k, 0))))
+
+
+def strength_prior_bits(N, E, W):
+    """log2 C(N + W - E - 1, W - E): cost of a uniform prior over node
+    strength sequences with total excess weight W - E."""
+    return log2_binomial(N + W - E - 1, W - E)
+
+
+def dl_global_canonical(E, W, E_b, W_b, spec, log2_wfact=0.0):
+    """Canonical global description length (bits) under ``spec``'s weight
+    model. For poisson, pass sum_e log2(w_e!) over all E edges as
+    ``log2_wfact`` so that values are exact (it is constant across backbones
+    of the same graph)."""
+    if spec.family != "canonical":
+        raise DomainError("spec must be canonical")
+    _check_global_args(E, W, E_b, W_b, integer=not spec.continuous)
+    if E == 0:
+        return 0.0
+    return float(_dl_canonical_arr(E, float(W), E_b, float(W_b), spec, log2_wfact))
 
 
 class Optimum(NamedTuple):

@@ -19,11 +19,7 @@ from mdlbackbone.baselines import (
 )
 from mdlbackbone.graph import parse_edge_list
 from mdlbackbone.metrics import jaccard_similarity
-from mdlbackbone.objectives import (
-    ObjectiveSpec,
-    dl_global_canonical,
-    dl_global_micro,
-)
+from mdlbackbone.objectives import ObjectiveSpec, dl_global_micro
 from mdlbackbone.percolation import (
     HalfEdgeSystem,
     backbone_percolation_study,
@@ -44,7 +40,7 @@ from conftest import (
     random_multigraph_free,
     real_star,
 )
-from oracles import enumerate_optimal
+from oracles import dl_global_canonical, enumerate_optimal
 
 MICRO_G = ObjectiveSpec("global", "microcanonical")
 MICRO_L = ObjectiveSpec("local", "microcanonical")

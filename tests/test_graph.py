@@ -647,3 +647,13 @@ class TestEdgeIndex:
     def test_empty_subset(self):
         g = make_graph([0, 1], [1, 2], [3, 4], directed=False)
         assert backbone_from_edge_subset(g, []).num_edges == 0
+
+    def test_uint64_indices_pack_into_int64_keys(self):
+        # 2**26 * n + 1 is 2**53 + 2**26 + 1: as a float64 it rounds to the
+        # key of (2**26, 0), and the two edges would share one key
+        n, hub = 2**27 + 1, np.uint64(2**26)
+        src, dst = np.array([hub, hub]), np.array([1, 0], dtype=np.uint64)
+        g = WeightedGraph(n, src, dst, np.array([1, 2]), True, labels=())
+        assert g.edge_index(src, dst).tolist() == [0, 1]
+        assert g._key_index[1].dtype == np.int64
+        assert graph._pair_key(src, dst, n).tolist() == [2**53 + 2**26 + 1, 2**53 + 2**26]

@@ -1,4 +1,5 @@
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from mdlbackbone.metrics import (
     reachability_ratio,
     summarize,
 )
+from mdlbackbone.objectives import ObjectiveSpec, description_length, dl_local_micro
 from mdlbackbone.solver import greedy_global
 
 from conftest import make_graph
@@ -211,3 +213,29 @@ class TestSummarize:
         m = summarize(star_graph, res.backbone)
         assert m.edge_fraction == pytest.approx(0.25)
         assert m.weight_fraction == pytest.approx(0.625)
+
+
+class TestForeignBackbone:
+    """Every scorer of a backbone of ``g`` refuses a backbone of another
+    graph, of the same edge count as ``g`` or of fewer edges."""
+
+    SCORERS = {
+        "summarize": summarize,
+        "hellinger": hellinger_strength_distance,
+        "reachability": reachability_ratio,
+        "dl-global": partial(description_length,
+                             spec=ObjectiveSpec("global", "microcanonical")),
+        "dl-local": partial(description_length,
+                            spec=ObjectiveSpec("local", "canonical", "geometric")),
+        "dl-local-micro": dl_local_micro,
+    }
+
+    @pytest.mark.parametrize("name", SCORERS)
+    @pytest.mark.parametrize("other", [
+        make_graph([0, 1, 2], [1, 2, 3], [5, 2, 2]),
+        make_graph([0, 1], [1, 2], [2, 2]),
+    ], ids=["3-edges", "2-edges"])
+    def test_refused(self, name, other):
+        bb = backbone_from_flags(other, [True] * other.num_edges)
+        with pytest.raises(DomainError, match="another graph"):
+            self.SCORERS[name](PATH_GRAPH, bb)

@@ -14,17 +14,15 @@ from mdlbackbone.objectives import (
     _dl_curve,
     _log2_binom_raw,
     _log2_factorial,
-    _scope_dl,
-    dl_global_canonical,
+    _strength_prior_bits,
+    description_length,
     dl_global_micro,
-    dl_local_canonical,
     dl_local_micro,
-    log2_binomial,
-    strength_prior_bits,
 )
 from mdlbackbone.solver import empty_backbone_dls
 
 from conftest import graphs_with_backbones, make_graph
+from oracles import dl_global_canonical, log2_binomial, strength_prior_bits
 
 GEOM = ObjectiveSpec("global", "canonical", "geometric")
 POIS = ObjectiveSpec("global", "canonical", "poisson")
@@ -259,7 +257,8 @@ class TestGlobalScopeDL:
     def test_scope_dl_matches_scalar(self, spec, real, data):
         g, flags = data.draw(graphs_with_backbones(real=real))
         flags = np.array(flags)
-        assert _scope_dl(g, flags, spec).hex() == global_scalar(g, flags, spec).hex()
+        got = description_length(g, backbone_from_flags(g, flags), spec)
+        assert got.hex() == global_scalar(g, flags, spec).hex()
 
     @pytest.mark.parametrize("spec, real", SCOPE_SPECS)
     @given(data=st.data())
@@ -280,18 +279,20 @@ class TestGlobalScopeDL:
         want = global_scalar(ORDER_STAR, empty, spec)
         assert pairwise != want
         assert empty_backbone_dls(ORDER_STAR, spec)[0] == want
-        assert _scope_dl(ORDER_STAR, empty, spec) == want
+        assert description_length(ORDER_STAR, backbone_from_flags(ORDER_STAR, empty),
+                                  spec) == want
 
 
 class TestStrengthPrior:
     def test_values(self):
-        assert strength_prior_bits(1, 4, 8) == 0.0
-        assert strength_prior_bits(2, 8, 16) == pytest.approx(
-            np.log2(9), abs=1e-9
-        )
-        assert strength_prior_bits(10, 5, 5) == 0.0
-        with pytest.raises(DomainError):
-            strength_prior_bits(0, 0, 0)  # no nodes to carry a strength
+        # the oracle and the package's own prior, which description_length adds
+        for prior in (strength_prior_bits, _strength_prior_bits):
+            assert prior(1, 4, 8) == 0.0
+            assert prior(2, 8, 16) == pytest.approx(np.log2(9), abs=1e-9)
+            assert prior(2, 8, 16) == strength_prior_bits(2, 8, 16)
+            assert prior(10, 5, 5) == 0.0
+            with pytest.raises(DomainError):
+                prior(0, 0, 0)  # no nodes to carry a strength
 
 
 class TestLocalMicro:
@@ -352,7 +353,7 @@ class TestLocalMatchesPerNodeLoop:
     def test_canonical(self, model, case):
         g, flags = case
         spec = ObjectiveSpec("local", "canonical", model, lam=0.7)
-        got = dl_local_canonical(g, backbone_from_flags(g, flags), spec)
+        got = description_length(g, backbone_from_flags(g, flags), spec)
         assert got == pytest.approx(local_dl_reference(g, flags, spec), rel=1e-9)
 
     @given(graphs_with_backbones(real=True))
@@ -360,7 +361,7 @@ class TestLocalMatchesPerNodeLoop:
     def test_exponential_real_weights(self, case):
         g, flags = case
         spec = ObjectiveSpec("local", "canonical", "exponential")
-        got = dl_local_canonical(g, backbone_from_flags(g, flags), spec)
+        got = description_length(g, backbone_from_flags(g, flags), spec)
         assert got == pytest.approx(local_dl_reference(g, flags, spec), rel=1e-9)
 
     def test_invalid_neighborhood_rejected(self):
@@ -404,7 +405,7 @@ class TestCanonical:
     def test_local_canonical_sums_neighborhoods(self, star_selfloops):
         spec = ObjectiveSpec("local", "canonical", "geometric")
         bb = backbone_from_flags(star_selfloops, [True, False, False, False])
-        assert dl_local_canonical(star_selfloops, bb, spec) == pytest.approx(
+        assert description_length(star_selfloops, bb, spec) == pytest.approx(
             11.2288, abs=1e-4
         )
 

@@ -28,13 +28,12 @@ from mdlbackbone.objectives import (
     _check_global_args,
     _dl_curve,
     _log2_factorial,
-    dl_local_canonical,
-    dl_local_micro,
-    strength_prior_bits,
+    description_length,
 )
 from mdlbackbone.solver import empty_backbone_dls, greedy_global
 
 from conftest import graphs_with_backbones
+from oracles import strength_prior_bits
 
 SPECS = [ObjectiveSpec("local", "microcanonical")] + [
     ObjectiveSpec("local", "canonical", model, lam=0.7)
@@ -90,10 +89,7 @@ def view_disparity_pvalues(g):
 
 
 def local_dl(g, flags, spec):
-    bb = backbone_from_flags(g, flags)
-    if spec.family == "microcanonical":
-        return dl_local_micro(g, bb)
-    return dl_local_canonical(g, bb, spec)
+    return description_length(g, backbone_from_flags(g, flags), spec)
 
 
 class TestMatchesDirectedView:

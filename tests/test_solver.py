@@ -13,9 +13,8 @@ from mdlbackbone.objectives import (
     ObjectiveSpec,
     _dl_curve,
     _log2_factorial,
-    dl_local_canonical,
+    description_length,
     dl_local_micro,
-    strength_prior_bits,
 )
 from mdlbackbone.solver import (
     _curve,
@@ -37,7 +36,7 @@ from conftest import (
     random_multigraph_free,
     small_graphs,
 )
-from oracles import ENUMERATION_EDGE_CAP, enumerate_optimal
+from oracles import ENUMERATION_EDGE_CAP, enumerate_optimal, strength_prior_bits
 
 MICRO_G = ObjectiveSpec("global", "microcanonical")
 MICRO_L = ObjectiveSpec("local", "microcanonical")
@@ -420,8 +419,7 @@ class TestAgainstDP:
         res = (greedy_global if spec.scope == "global" else greedy_local)(g, spec)
         best = oracles.dp_optimal(g, spec)
         assert res.dl == pytest.approx(best, abs=1e-9)
-        assert objectives._scope_dl(g, res.backbone.member_flags, spec) == pytest.approx(
-            best, abs=1e-9)
+        assert description_length(g, res.backbone, spec) == pytest.approx(best, abs=1e-9)
 
     @pytest.mark.parametrize("spec", INTEGER_SPECS, ids=objectives._objective_name)
     @given(g=small_graphs())
@@ -629,10 +627,7 @@ class TestIntegerWeightBound:
                 glob = greedy_global(star, glob_spec)
                 assert got.tobytes() == glob.curves[0].tobytes()
         # the scorer accepts the backbone and gives it the solver's DL
-        if model is None:
-            dl = dl_local_micro(g, res.backbone)
-        else:
-            dl = dl_local_canonical(g, res.backbone, spec)
+        dl = description_length(g, res.backbone, spec)
         assert dl == pytest.approx(res.dl, abs=1e-9)
 
     def test_poisson_star_global_curve_is_its_local_curve(self):
