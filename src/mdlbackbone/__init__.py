@@ -2,16 +2,14 @@
 baselines, evaluation metrics, synthetic generators, and percolation
 analytics."""
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, EmptyEdgeList, ParseError
 from .graph import (
     Backbone,
     WeightedGraph,
     backbone_from_edge_subset,
     backbone_from_flags,
-    collapse_to_undirected,
     directed_parents,
     directed_view,
-    neighborhoods,
     parse_edge_list,
     serialize_edge_list,
 )

@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baselines, metrics, percolation, solver, synth
-from .errors import DomainError, ParseError
+from .errors import DomainError, EmptyEdgeList, ParseError
 from .graph import (
-    _edge_spans,
     backbone_from_edge_subset,
     backbone_from_flags,
     parse_edge_list,
@@ -33,14 +32,18 @@ OBJECTIVES = {
     "canonical-exponential": ("canonical", "exponential"),
 }
 
-METHODS = (
-    "mdl-global",
-    "mdl-local",
-    "disparity-alpha",
-    "disparity-tope",
-    "hss",
-    "percolation",
-)
+# each entry looks its function up when called, so a rebound attribute runs
+SOLVERS = {
+    "mdl-global": lambda g, spec: solver.greedy_global(g, spec),
+    "mdl-local": lambda g, spec: solver.greedy_local(g, spec),
+}
+BASELINES = {
+    "disparity-alpha": lambda g, args: baselines.disparity_filter(g, alpha=args.alpha),
+    "disparity-tope": lambda g, args: baselines.disparity_filter_top_e(g, args.etarget),
+    "hss": lambda g, args: baselines.high_salience_skeleton(g, seed=args.seed),
+    "percolation": lambda g, args: baselines.percolation_backbone(g),
+}
+METHODS = (*SOLVERS, *BASELINES)
 
 
 def _load_graph(path, directed, round_weights):
@@ -59,39 +62,18 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _output_prefix(args, default_stem):
-    if args.output:
-        return Path(args.output)
-    return Path(default_stem)
-
-
 def cmd_backbone(args):
     # every method checks the objective, as its JSON records lam
     scope = "local" if args.method == "mdl-local" else "global"
     spec = ObjectiveSpec(scope, *OBJECTIVES[args.objective], args.lam)
     g = _load_graph(args.input, not args.undirected, args.round_weights)
-    if args.method == "mdl-global":
-        result = solver.greedy_global(g, spec)
-    elif args.method == "mdl-local":
-        result = solver.greedy_local(g, spec)
+    if args.method == "disparity-tope" and args.etarget is None:
+        raise DomainError("disparity-tope requires --etarget")
+    if args.method in SOLVERS:
+        result = SOLVERS[args.method](g, spec)
+        bb, doc = result.backbone, solver.result_to_dict(result)
     else:
-        result = None
-        if args.method == "disparity-alpha":
-            bb = baselines.disparity_filter(g, alpha=args.alpha)
-        elif args.method == "disparity-tope":
-            if args.etarget is None:
-                raise DomainError("disparity-tope requires --etarget")
-            bb = baselines.disparity_filter_top_e(g, args.etarget)
-        elif args.method == "hss":
-            bb = baselines.high_salience_skeleton(g, seed=args.seed)
-        else:
-            bb = baselines.percolation_backbone(g)
-
-    prefix = _output_prefix(args, Path(args.input).stem + "." + args.method)
-    if result is not None:
-        bb = result.backbone
-        doc = solver.result_to_dict(result)
-    else:
+        bb = BASELINES[args.method](g, args)
         doc = dict(solver.backbone_to_dict(bb), method=args.method)
         if args.method == "disparity-alpha":
             doc["alpha"] = args.alpha
@@ -107,21 +89,18 @@ def cmd_backbone(args):
         version=__version__,
     )
 
+    prefix = Path(args.output or Path(args.input).stem + "." + args.method)
     _write_text(str(prefix) + ".tsv", serialize_edge_list(bb.subgraph()))
     _write_json(str(prefix) + ".json", doc)
     return 0
 
 
 def _backbone_from_file(g, path):
-    with open(path, "rb") as fh:
-        try:
-            bb_graph = parse_edge_list(fh, directed=g.directed)
-        except DomainError:
-            fh.seek(0)
-            if len(_edge_spans(fh.read())[1]):
-                raise
-            # `backbone` writes an empty backbone as a file without edge lines
-            return backbone_from_flags(g, np.zeros(g.num_edges, dtype=bool))
+    try:
+        bb_graph = _load_graph(path, g.directed, False)
+    except EmptyEdgeList:
+        # `backbone` writes an empty backbone as a file without edge lines
+        return backbone_from_flags(g, np.zeros(g.num_edges, dtype=bool))
     label_idx = {lab: i for i, lab in enumerate(g.labels)}
     # parent index of each backbone-file label, -1 where the parent lacks it
     idx = np.array([label_idx.get(lab, -1) for lab in bb_graph.labels], dtype=np.int64)
@@ -155,35 +134,31 @@ def cmd_compare(args):
             [metrics.jaccard_similarity(a, b) for b in backbones]
             for a in backbones
         ]
-    prefix = _output_prefix(args, Path(args.input).stem + ".compare")
+    prefix = Path(args.output or Path(args.input).stem + ".compare")
     _write_json(str(prefix) + ".json", doc)
     return 0
 
 
 def cmd_synth(args):
-    prefix = _output_prefix(args, f"synth-{args.kind}")
-    if args.kind == "regular":
-        g = synth.random_regular_directed(args.N, args.k, seed=args.seed)
-        params = {"kind": "regular", "N": args.N, "k": args.k, "seed": args.seed}
-        planted = None
-    elif args.kind == "planted":
-        base = synth.random_regular_directed(args.N, args.k, seed=args.seed)
-        inst = synth.plant_weights_canonical(
-            base, gamma=args.gamma, scope=args.scope, seed=args.seed
-        )
-        g, planted = inst.graph, inst.planted
-        params = dict(inst.params, kind="planted", k=args.k)
-    else:
+    prefix = Path(args.output or f"synth-{args.kind}")
+    if args.kind == "dm":
         inst = synth.dirichlet_multinomial_weights(
             args.N, args.k, args.W, args.hstr, args.hneig, seed=args.seed
         )
-        g, planted = inst.graph, None
-        params = dict(inst.params, kind="dm")
+        g, params = inst.graph, dict(inst.params, kind="dm")
+    else:
+        g = synth.random_regular_directed(args.N, args.k, seed=args.seed)
+        params = {"kind": "regular", "N": args.N, "k": args.k, "seed": args.seed}
+    if args.kind == "planted":
+        inst = synth.plant_weights_canonical(
+            g, gamma=args.gamma, scope=args.scope, seed=args.seed
+        )
+        g, params = inst.graph, dict(inst.params, kind="planted", k=args.k)
     _write_text(str(prefix) + ".tsv", serialize_edge_list(g))
     _write_json(str(prefix) + ".params.json", params)
-    if planted is not None:
+    if args.kind == "planted":
         _write_text(
-            str(prefix) + ".planted.tsv", serialize_edge_list(planted.subgraph())
+            str(prefix) + ".planted.tsv", serialize_edge_list(inst.planted.subgraph())
         )
     return 0
 
@@ -219,7 +194,7 @@ def cmd_percolation(args):
     }
     for entry in doc["graphs"]:
         del entry["p_grid"]  # the grid is written once, at the top
-    prefix = _output_prefix(args, Path(args.input).stem + ".percolation")
+    prefix = Path(args.output or Path(args.input).stem + ".percolation")
     _write_json(str(prefix) + ".json", doc)
     return 0
 

@@ -5,6 +5,10 @@ class DomainError(ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
+class EmptyEdgeList(DomainError):
+    """An edge list without edge lines."""
+
+
 class ParseError(ValueError):
     """Malformed edge-list input."""
 

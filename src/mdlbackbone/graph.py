@@ -13,13 +13,14 @@ direct-address table, without a sort.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, EmptyEdgeList, ParseError
 
 __all__ = [
     "WeightedGraph",
@@ -28,8 +29,6 @@ __all__ = [
     "serialize_edge_list",
     "directed_view",
     "directed_parents",
-    "collapse_to_undirected",
-    "neighborhoods",
     "backbone_from_flags",
     "backbone_from_edge_subset",
 ]
@@ -230,7 +229,13 @@ def _total_fits(w, src, dst, directed):
 
 def _weight_sum(w):
     """Sum of the weights ``w``: an int for integer weights, a float for
-    real ones, 0 or 0.0 for none."""
+    real ones, 0 or 0.0 for none. Real weights are summed correctly rounded,
+    so a subset never sums above the whole set, whatever the order."""
+    if w.dtype.kind == "f":
+        try:
+            return math.fsum(w.tolist())
+        except OverflowError:  # positive weights: the total is past the float range
+            return math.inf
     return w.sum().item()
 
 
@@ -568,7 +573,8 @@ def parse_edge_list(text, directed, round_weights=False):
     rejects, raises ParseError; a weight that is not positive and finite
     raises DomainError. Both name the first offending line, counted from 1.
     So does the ParseError of bytes that are not valid UTF-8. An input
-    without edge lines raises DomainError.
+    without edge lines, only comment and blank lines or none, raises
+    EmptyEdgeList, a DomainError.
 
     The tokens are found once on the UTF-8 bytes: ASCII bytes are read as
     they are, a str is encoded. A weight of at most 8 ASCII digits is read
@@ -591,7 +597,7 @@ def parse_edge_list(text, directed, round_weights=False):
     if w is None or not np.all(np.isfinite(w) & (w > 0)):
         _check_lines(text)  # raises at the first bad line
     if n == 0:
-        raise DomainError("empty edge list")
+        raise EmptyEdgeList("empty edge list")
     del text  # a file's text is freed here; only buf is read from now on
 
     # src and dst interleaved, so labels number in order of first appearance

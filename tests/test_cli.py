@@ -334,6 +334,11 @@ class TestBackboneCommand:
             main(["backbone", "--method", "bogus", str(star_file)])
         assert exc.value.code == 2
 
+    def test_methods_solvers_first(self):
+        # the order argparse lists them in
+        assert METHODS == ("mdl-global", "mdl-local", "disparity-alpha",
+                           "disparity-tope", "hss", "percolation")
+
 
 class TestCompareCommand:
     def test_metrics_and_jaccard(self, star_file, tmp_path):
@@ -389,6 +394,24 @@ class TestCompareCommand:
                      "--output", str(cmp)]) == 0
         assert '"W_b": 0.0,' in (tmp_path / "cmp.json").read_text()
         assert read_json(f"{cmp}.json")["backbones"][0]["W_b"] == 0.0
+
+    def test_backbone_file_of_comments_is_empty(self, star_file, tmp_path):
+        # the parser alone decides that a file holds no edge lines
+        comments = tmp_path / "comments.tsv"
+        comments.write_text("# no edges\n\n   \n# kept\n")
+        cmp = tmp_path / "cmp"
+        assert main(["compare", str(star_file), "--backbones", str(comments),
+                     "--output", str(cmp)]) == 0
+        row = read_json(f"{cmp}.json")["backbones"][0]
+        assert (row["E_b"], row["W_b"], row["edge_fraction"]) == (0, 0, 0.0)
+
+    def test_backbone_file_with_a_bad_line_exit_1(self, star_file, tmp_path, capsys):
+        # only an empty edge list is the empty backbone; other errors still raise
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("# header\na\tb\n")
+        assert main(["compare", str(star_file), "--backbones", str(bad),
+                     "--output", str(tmp_path / "c")]) == 1
+        assert "line 2" in capsys.readouterr().err
 
     def test_foreign_edge_exit_1(self, star_file, tmp_path):
         bad = tmp_path / "bad.tsv"

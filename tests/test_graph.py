@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdlbackbone import graph
-from mdlbackbone.errors import DomainError, ParseError
+from mdlbackbone.errors import DomainError, EmptyEdgeList, ParseError
 from mdlbackbone.graph import (
     _UNICODE_SPACES,
     Backbone,
@@ -23,6 +23,8 @@ from mdlbackbone.graph import (
     parse_edge_list,
     serialize_edge_list,
 )
+from mdlbackbone.metrics import summarize
+from mdlbackbone.objectives import ObjectiveSpec, description_length
 from mdlbackbone.solver import greedy_global
 from mdlbackbone.synth import dirichlet_multinomial_weights
 
@@ -75,6 +77,13 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(DomainError):
             parse_edge_list("# nothing\n", directed=True)
+
+    @pytest.mark.parametrize("text", ["", "\n", "# nothing\n\n  # more\n\t\n",
+                                      b"# bytes\n", io.BytesIO(b"\n# file\n")])
+    def test_no_edge_lines_raise_empty_edge_list(self, text):
+        # the one error a reader of backbone files takes as the empty backbone
+        with pytest.raises(EmptyEdgeList, match="^empty edge list$"):
+            parse_edge_list(text, directed=True)
 
     def test_fractional_weight_without_rounding(self):
         g = parse_edge_list("a b 1.5\na c 1", directed=True)
@@ -234,7 +243,7 @@ def parse_edge_list_reference(text, directed, round_weights=False):
         weights.append(w)
 
     if not src:
-        raise DomainError("empty edge list")
+        raise EmptyEdgeList("empty edge list")
 
     src, dst, weights = _merge_multi_edges_reference(src, dst, weights)
 
@@ -543,6 +552,52 @@ class TestWeightKind:
     def test_weights_outside_their_kind_rejected(self, weights, message):
         with pytest.raises(DomainError, match=message):
             WeightedGraph(3, np.array([0, 0]), np.array([1, 2]), np.asarray(weights), True)
+
+
+# numpy's pairwise sum of the kept weights exceeded that of all eight; random
+# draws of 8 to 16 such weights hit a case like it about once in 10,000
+_OVER_SUM = ([9.375, 0.15000000000000002, 6755399441055746.0, 0.75, 6755399441055746.0,
+              6755399441055746.0, 3.0, 1.1258999068426242e+16], [1, 0, 1, 0, 1, 1, 1, 1])
+
+
+@st.composite
+def real_backbones(draw):
+    """``(weights, flags, directed)``: up to 16 real weights, small ones and
+    whole ones past 2**52, where adding a small one rounds."""
+    weights = draw(st.lists(st.floats(0.1, 20.0) | st.integers(2**52, 2**54).map(float),
+                            min_size=1, max_size=16))
+    m = len(weights)
+    return weights, draw(st.lists(st.booleans(), min_size=m, max_size=m)), draw(st.booleans())
+
+
+class TestRealWeightSum:
+    """A backbone of real weights never weighs more than its graph, so its
+    weight fraction is at most 1 and its global DL is defined."""
+
+    def test_subset_does_not_sum_above_the_graph(self):
+        weights, flags = _OVER_SUM
+        g = make_graph(range(8), range(1, 9), weights, weight_kind="real")
+        bb = backbone_from_flags(g, np.array(flags, dtype=bool))
+        assert bb.total_weight <= g.total_weight == 3.1525197391593492e+16
+        assert summarize(g, bb).weight_fraction <= 1.0
+        description_length(g, bb, ObjectiveSpec("global", "canonical", "exponential"))
+
+    def test_total_past_the_float_range_is_inf(self):
+        g = make_graph([0, 1], [1, 2], [1e308, 1e308], weight_kind="real")
+        assert g.total_weight == float("inf")
+        assert backbone_from_flags(g, [True, False]).total_weight == 1e308
+
+    @given(real_backbones())
+    @example((*_OVER_SUM, True))
+    @settings(max_examples=200, deadline=None)
+    def test_subset_sums_are_bounded(self, case):
+        weights, flags, directed = case
+        m = len(weights)
+        g = make_graph(range(m), range(1, m + 1), weights, directed=directed,
+                       weight_kind="real")
+        bb = backbone_from_flags(g, np.array(flags, dtype=bool))
+        assert bb.total_weight <= g.total_weight
+        description_length(g, bb, ObjectiveSpec("global", "canonical", "exponential"))
 
 
 class TestNodeIndices:
