@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,18 +32,35 @@ OBJECTIVES = {
     "canonical-exponential": ("canonical", "exponential"),
 }
 
-# each entry looks its function up when called, so a rebound attribute runs
-SOLVERS = {
-    "mdl-global": lambda g, spec: solver.greedy_global(g, spec),
-    "mdl-local": lambda g, spec: solver.greedy_local(g, spec),
+
+def _solved(result):
+    return result.backbone, solver.result_to_dict(result)
+
+
+def _baseline(bb, **keys):
+    return bb, dict(solver.backbone_to_dict(bb), **keys)
+
+
+def _top_e(g, etarget):
+    if etarget is None:
+        raise DomainError("disparity-tope requires --etarget")
+    return _baseline(baselines.disparity_filter_top_e(g, etarget))
+
+
+# method -> (graph, global-scope spec, args) -> (backbone, JSON doc of its own
+# keys); each looks its functions up when called, so a rebound attribute runs
+BACKBONES = {
+    "mdl-global": lambda g, spec, args: _solved(solver.greedy_global(g, spec)),
+    "mdl-local": lambda g, spec, args: _solved(
+        solver.greedy_local(g, replace(spec, scope="local"))),
+    "disparity-alpha": lambda g, spec, args: _baseline(
+        baselines.disparity_filter(g, alpha=args.alpha), alpha=args.alpha),
+    "disparity-tope": lambda g, spec, args: _top_e(g, args.etarget),
+    "hss": lambda g, spec, args: _baseline(
+        baselines.high_salience_skeleton(g, seed=args.seed)),
+    "percolation": lambda g, spec, args: _baseline(baselines.percolation_backbone(g)),
 }
-BASELINES = {
-    "disparity-alpha": lambda g, args: baselines.disparity_filter(g, alpha=args.alpha),
-    "disparity-tope": lambda g, args: baselines.disparity_filter_top_e(g, args.etarget),
-    "hss": lambda g, args: baselines.high_salience_skeleton(g, seed=args.seed),
-    "percolation": lambda g, args: baselines.percolation_backbone(g),
-}
-METHODS = (*SOLVERS, *BASELINES)
+METHODS = tuple(BACKBONES)
 
 
 def _load_graph(path, directed, round_weights):
@@ -64,21 +81,12 @@ def _write_text(path, text):
 
 def cmd_backbone(args):
     # every method checks the objective, as its JSON records lam
-    scope = "local" if args.method == "mdl-local" else "global"
-    spec = ObjectiveSpec(scope, *OBJECTIVES[args.objective], args.lam)
+    spec = ObjectiveSpec("global", *OBJECTIVES[args.objective], args.lam)
     g = _load_graph(args.input, not args.undirected, args.round_weights)
-    if args.method == "disparity-tope" and args.etarget is None:
-        raise DomainError("disparity-tope requires --etarget")
-    if args.method in SOLVERS:
-        result = SOLVERS[args.method](g, spec)
-        bb, doc = result.backbone, solver.result_to_dict(result)
-    else:
-        bb = BASELINES[args.method](g, args)
-        doc = dict(solver.backbone_to_dict(bb), method=args.method)
-        if args.method == "disparity-alpha":
-            doc["alpha"] = args.alpha
+    bb, doc = BACKBONES[args.method](g, spec, args)
     # with the method's own keys, enough to re-run the command
     doc.update(
+        method=args.method,
         seed=args.seed,
         input=str(args.input),
         directed=not args.undirected,
@@ -157,9 +165,8 @@ def cmd_synth(args):
     _write_text(str(prefix) + ".tsv", serialize_edge_list(g))
     _write_json(str(prefix) + ".params.json", params)
     if args.kind == "planted":
-        _write_text(
-            str(prefix) + ".planted.tsv", serialize_edge_list(inst.planted.subgraph())
-        )
+        _write_text(str(prefix) + ".planted.tsv",
+                    serialize_edge_list(inst.planted.subgraph()))
     return 0
 
 
@@ -208,9 +215,7 @@ def _seed(text):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="mdlbackbone",
-        description="Parameter-free MDL network backbones and baselines.",
-    )
+        prog="mdlbackbone", description="Parameter-free MDL network backbones and baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -245,8 +250,7 @@ def build_parser():
         kp.add_argument("--k", type=int, required=True)
         if kind == "planted":
             kp.add_argument("--gamma", type=float, required=True)
-            kp.add_argument("--scope", choices=("global", "local"),
-                            default="global")
+            kp.add_argument("--scope", choices=("global", "local"), default="global")
         if kind == "dm":
             kp.add_argument("--W", type=int, required=True)
             kp.add_argument("--hstr", type=float, required=True)
@@ -256,8 +260,7 @@ def build_parser():
 
     p = sub.add_parser("percolation", help="message-passing percolation study")
     p.add_argument("input")
-    p.add_argument("--pgrid", default="log:1e-4:1:25",
-                   help="log:a:b:n or lin:a:b:n")
+    p.add_argument("--pgrid", default="log:1e-4:1:25", help="log:a:b:n or lin:a:b:n")
     p.add_argument("--backbones", nargs="*", default=[])
     p.add_argument("--round-weights", action="store_true")
     common(p)
@@ -267,8 +270,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, DomainError, OSError) as exc:

@@ -100,7 +100,7 @@ class WeightedGraph:
     def num_edges(self):
         return len(self.src)
 
-    @property
+    @cached_property
     def total_weight(self):
         return _weight_sum(self.weights)
 
@@ -233,7 +233,7 @@ def _weight_sum(w):
     so a subset never sums above the whole set, whatever the order."""
     if w.dtype.kind == "f":
         try:
-            return math.fsum(w.tolist())
+            return math.fsum(w)
         except OverflowError:  # positive weights: the total is past the float range
             return math.inf
     return w.sum().item()

@@ -140,9 +140,9 @@ def _curve(w, segments, spec, last):
     k[i] weights ``w[starts[i]:starts[i + 1]]``, sorted heaviest first,
     where ``starts`` is the cumulative sum of ``k`` from 0.
 
-    Prefix weights are differences of one float cumulative sum. Integer
-    weights total below 2**53 (:class:`WeightedGraph`), so every such sum
-    is exact, and every prefix state is valid.
+    Prefix weights are differences of one float cumulative sum, exact for
+    integer weights (their total is below 2**53); real ones round, and are
+    clipped to the segment's strength, so every prefix state is valid.
 
     Log-factorials are read from one table of ln n! over n in 0..m, built
     here. With integer weights and every segment strength below the
@@ -181,7 +181,7 @@ def _curve(w, segments, spec, last):
         overlap = np.diff(np.clip(curve_starts[first:last_seg + 2], lo, hi))
         seg = np.repeat(np.arange(first, last_seg + 1), overlap)
         j = np.arange(lo, hi) - curve_starts[seg]
-        w_b = cum[starts[seg] + j] - cum[starts[seg]]
+        w_b = np.minimum(cum[starts[seg] + j] - cum[starts[seg]], strength[seg])
         curve[lo:hi] = _dl_curve(k[seg], strength[seg], j, w_b, spec, wfact[seg], table)
     # the full segment has the empty backbone's DL (bit-flip symmetry); copy
     # it so rounding never ranks the full segment below the empty backbone

@@ -405,14 +405,6 @@ class TestCompareCommand:
         row = read_json(f"{cmp}.json")["backbones"][0]
         assert (row["E_b"], row["W_b"], row["edge_fraction"]) == (0, 0, 0.0)
 
-    def test_backbone_file_with_a_bad_line_exit_1(self, star_file, tmp_path, capsys):
-        # only an empty edge list is the empty backbone; other errors still raise
-        bad = tmp_path / "bad.tsv"
-        bad.write_text("# header\na\tb\n")
-        assert main(["compare", str(star_file), "--backbones", str(bad),
-                     "--output", str(tmp_path / "c")]) == 1
-        assert "line 2" in capsys.readouterr().err
-
     def test_foreign_edge_exit_1(self, star_file, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("x\ty\t1\n")

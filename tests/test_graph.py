@@ -25,7 +25,7 @@ from mdlbackbone.graph import (
 )
 from mdlbackbone.metrics import summarize
 from mdlbackbone.objectives import ObjectiveSpec, description_length
-from mdlbackbone.solver import greedy_global
+from mdlbackbone.solver import greedy_global, greedy_local
 from mdlbackbone.synth import dirichlet_multinomial_weights
 
 from conftest import assert_integer_objectives_refuse, make_graph
@@ -570,9 +570,25 @@ def real_backbones(draw):
     return weights, draw(st.lists(st.booleans(), min_size=m, max_size=m)), draw(st.booleans())
 
 
+# heaviest first, the running sum of the first three rounds to 2**53 + 8,
+# above the correctly rounded total 2**53 + 6
+_OVER_PREFIX = [9007199254740992.0, 3.0, 3.0, 0.1]
+
+
+def _greedy_on_real_weights(g):
+    """Both greedies under canonical-exponential, which take real weights;
+    each scored prefix must be a valid state (a RuntimeWarning fails)."""
+    spec = ObjectiveSpec("global", "canonical", "exponential")
+    result = greedy_global(g, spec)
+    assert result.backbone.total_weight <= g.total_weight
+    greedy_local(g, ObjectiveSpec("local", "canonical", "exponential"))
+    return result
+
+
 class TestRealWeightSum:
     """A backbone of real weights never weighs more than its graph, so its
-    weight fraction is at most 1 and its global DL is defined."""
+    weight fraction is at most 1 and its global DL is defined; neither does
+    any heavy prefix the greedy sweep scores."""
 
     def test_subset_does_not_sum_above_the_graph(self):
         weights, flags = _OVER_SUM
@@ -582,6 +598,13 @@ class TestRealWeightSum:
         assert summarize(g, bb).weight_fraction <= 1.0
         description_length(g, bb, ObjectiveSpec("global", "canonical", "exponential"))
 
+    def test_greedy_prefix_does_not_sum_above_the_graph(self):
+        g = make_graph([0, 2, 4, 6], [1, 3, 5, 7], _OVER_PREFIX, weight_kind="real")
+        assert g.total_weight == 2.0**53 + 6
+        result = _greedy_on_real_weights(g)
+        assert result.backbone.num_edges == 1
+        assert result.tie_counts.tolist() == [1]
+
     def test_total_past_the_float_range_is_inf(self):
         g = make_graph([0, 1], [1, 2], [1e308, 1e308], weight_kind="real")
         assert g.total_weight == float("inf")
@@ -589,6 +612,7 @@ class TestRealWeightSum:
 
     @given(real_backbones())
     @example((*_OVER_SUM, True))
+    @example((_OVER_PREFIX, [1, 0, 0, 0], True))
     @settings(max_examples=200, deadline=None)
     def test_subset_sums_are_bounded(self, case):
         weights, flags, directed = case
@@ -598,6 +622,7 @@ class TestRealWeightSum:
         bb = backbone_from_flags(g, np.array(flags, dtype=bool))
         assert bb.total_weight <= g.total_weight
         description_length(g, bb, ObjectiveSpec("global", "canonical", "exponential"))
+        _greedy_on_real_weights(g)
 
 
 class TestNodeIndices:
