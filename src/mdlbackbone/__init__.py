@@ -25,6 +25,7 @@ from .solver import (
 from .baselines import (
     disparity_filter,
     disparity_filter_top_e,
+    edge_disparity_pvalues,
     high_salience_skeleton,
     percolation_backbone,
     salience_table,

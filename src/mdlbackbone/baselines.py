@@ -20,15 +20,6 @@ from .graph import (
     directed_view,
 )
 
-__all__ = [
-    "disparity_filter",
-    "disparity_filter_top_e",
-    "edge_disparity_pvalues",
-    "high_salience_skeleton",
-    "salience_table",
-    "percolation_backbone",
-]
-
 
 def edge_disparity_pvalues(g):
     """Minimum disparity p-value per parent edge over the incident
@@ -64,13 +55,18 @@ def disparity_filter_top_e(g, e_target):
     return backbone_from_flags(g, _first_in_order(e_target, (pvals, -w, g.src, g.dst)))
 
 
-def _pair_matrix(n, a, b, values):
-    """n x n sparse matrix with one entry per distinct pair (a, b): the
-    smallest of the pair's values (``csr_matrix`` would add them up)."""
+def _pair_shortest(n, a, b, values):
+    """Position of each distinct pair (a, b)'s smallest value, ties by position."""
     order = np.argsort(values, kind="stable")
     key = _pair_key(a, b, n)[order]
     # return_index sorts stably: each pair's first entry in value order
-    keep = order[np.unique(key, return_index=True)[1]]
+    return order[np.unique(key, return_index=True)[1]]
+
+
+def _pair_matrix(n, a, b, values):
+    """n x n sparse matrix with one entry per distinct pair (a, b): the
+    smallest of the pair's values (``csr_matrix`` would add them up)."""
+    keep = _pair_shortest(n, a, b, values)
     return csr_matrix((values[keep], (a[keep], b[keep])), shape=(n, n))
 
 
@@ -117,7 +113,9 @@ def salience_table(g, sample_cap=10000, seed=0):
     """Saliency of every parent edge, as an array: its occurrence frequency
     in shortest-path trees rooted at each of up to ``sample_cap`` (at least
     1) nodes, with distances d = 1/w. Parent choice on equal-length paths is
-    the smallest predecessor index. The search skips the arcs that a
+    the smallest predecessor index. Of parallel arcs, only the shortest, the
+    heaviest edge's (the first by position among equals), joins a tree: a
+    longer one can tie it in float sums. The search skips the arcs that a
     landmark path bound proves longer than their endpoints' distance (see
     :func:`_arcs_on_shortest_paths`); they lie on no shortest-path tree, so
     the saliencies are those of the full search."""
@@ -127,16 +125,16 @@ def salience_table(g, sample_cap=10000, seed=0):
     dg = directed_view(g)
     n = g.num_nodes
     d_edge = 1.0 / np.asarray(dg.weights, dtype=float)
-    # of parallel edges, the shortest, the heaviest edge's, stands for the pair
-    dist_mat = _pair_matrix(n, dg.src, dg.dst, d_edge)
 
-    arcs = np.arange(dg.num_edges)
-    if dg.num_edges:
+    def arc_matrix(arcs):  # one arc per pair, so no entries are added up
+        return csr_matrix((d_edge[arcs], (dg.src[arcs], dg.dst[arcs])), shape=(n, n))
+
+    arcs = _pair_shortest(n, dg.src, dg.dst, d_edge)
+    if len(arcs):
         landmarks = roots[::-(-len(roots) // _LANDMARKS)]
-        arcs = np.flatnonzero(_arcs_on_shortest_paths(
-            dist_mat, dg.src, dg.dst, d_edge, landmarks, not g.directed))
-        if len(arcs) < dg.num_edges:
-            dist_mat = _pair_matrix(n, dg.src[arcs], dg.dst[arcs], d_edge[arcs])
+        arcs = arcs[_arcs_on_shortest_paths(arc_matrix(arcs), dg.src[arcs], dg.dst[arcs],
+                                            d_edge[arcs], landmarks, not g.directed)]
+    dist_mat = arc_matrix(arcs)
     arc_src, arc_dst, arc_d = dg.src[arcs], dg.dst[arcs], d_edge[arcs]
 
     # in-arcs of each node, sorted by (dst, src) so the first feasible

@@ -23,13 +23,11 @@ from .graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .objectives import ObjectiveSpec
+from .objectives import WEIGHT_MODELS, ObjectiveSpec
 
 OBJECTIVES = {
     "micro": ("microcanonical", None),
-    "canonical-geometric": ("canonical", "geometric"),
-    "canonical-poisson": ("canonical", "poisson"),
-    "canonical-exponential": ("canonical", "exponential"),
+    **{f"canonical-{model}": ("canonical", model) for model in WEIGHT_MODELS},
 }
 
 

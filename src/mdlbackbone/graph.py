@@ -22,17 +22,6 @@ import numpy as np
 
 from .errors import DomainError, EmptyEdgeList, ParseError
 
-__all__ = [
-    "WeightedGraph",
-    "Backbone",
-    "parse_edge_list",
-    "serialize_edge_list",
-    "directed_view",
-    "directed_parents",
-    "backbone_from_flags",
-    "backbone_from_edge_subset",
-]
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
@@ -44,8 +33,9 @@ class WeightedGraph:
     :attr:`weight_kind`. Integer weights are each >= 1 and the total weight of
     :func:`directed_view` (on an undirected graph every non-loop weight
     counts twice) is below 2**53; below that bound every float sum of them
-    is exact. Float ("real") weights are positive and finite. Arrays
-    breaking these rules, or weights of any other dtype, raise DomainError.
+    is exact. Float ("real") weights are positive and finite, and so is
+    their correctly rounded total, :attr:`total_weight`. Arrays breaking
+    these rules, or weights of any other dtype, raise DomainError.
     Undirected graphs store each edge once with ``src <= dst`` not enforced;
     duplication into both orientations happens in :func:`directed_view`.
     Graphs compare and hash by identity.
@@ -78,6 +68,8 @@ class WeightedGraph:
             if bad.any():
                 raise DomainError("real weights must be positive and finite, "
                                   f"got {w[bad][0]}")
+            if self.total_weight == math.inf:
+                raise DomainError("real weights must total below the float range")
         elif len(w):
             if w.min() < 1:
                 raise DomainError(f"integer weights must be >= 1, got {w.min()}")

@@ -12,15 +12,6 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from .errors import DomainError
 from .graph import _require_parent, _sample_nodes
 
-__all__ = [
-    "BackboneMetrics",
-    "jaccard_similarity",
-    "hellinger_strength_distance",
-    "reachable_pair_count",
-    "reachability_ratio",
-    "summarize",
-]
-
 
 @dataclass(frozen=True)
 class BackboneMetrics:

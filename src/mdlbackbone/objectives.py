@@ -32,8 +32,6 @@ from scipy.special import gammaln
 from .errors import DomainError
 from .graph import _out_sums, _require_parent, _weight_sum
 
-__all__ = ["ObjectiveSpec", "description_length"]
-
 _LN2 = np.log(2.0)
 
 WEIGHT_MODELS = ("geometric", "poisson", "exponential")

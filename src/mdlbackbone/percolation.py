@@ -20,17 +20,6 @@ from scipy.sparse.csgraph import connected_components
 from .errors import DomainError
 from .graph import _pair_key
 
-__all__ = [
-    "MessageState",
-    "PercolationReport",
-    "HalfEdgeSystem",
-    "contact_transmission",
-    "message_passing_cluster",
-    "nb_leading_eigenvalue",
-    "critical_probability",
-    "backbone_percolation_study",
-]
-
 
 def contact_transmission(w, p):
     """Probability that at least one of w independent contacts transmits:
@@ -232,8 +221,11 @@ def critical_probability(g, tolerance=1e-7):
     solved again from the eigenvector plus ones / sqrt(2E), which keeps at
     least half of a cold start's share of the leading eigenvector. A
     reading above 1 needs no check: a hidden core only raises it. Stops when
-    |lambda(p) - 1| < ``tolerance`` or the bracket is below 1e-15. Returns
-    None when the graph never percolates (radius below 1 even at p = 1)."""
+    |lambda(p) - 1| < ``tolerance``, which must be positive, or the bracket
+    is below 1e-15. Returns None when the graph never percolates (radius
+    below 1 even at p = 1)."""
+    if not tolerance > 0:
+        raise DomainError(f"tolerance must be positive, got {tolerance}")
     sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
     if sys_.acyclic:
         return None

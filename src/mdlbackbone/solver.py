@@ -34,16 +34,6 @@ from .objectives import (
     description_length,
 )
 
-__all__ = [
-    "BackboneResult",
-    "greedy_global",
-    "greedy_local",
-    "inverse_compression_ratio",
-    "empty_backbone_dls",
-    "backbone_to_dict",
-    "result_to_dict",
-]
-
 
 @dataclass(eq=False)
 class BackboneResult:

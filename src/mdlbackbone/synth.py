@@ -10,13 +10,6 @@ import numpy as np
 from .errors import DomainError
 from .graph import Backbone, WeightedGraph, backbone_from_flags
 
-__all__ = [
-    "PlantedInstance",
-    "DmInstance",
-    "random_regular_directed",
-    "plant_weights_canonical",
-    "dirichlet_multinomial_weights",
-]
 
 CONCENTRATION_FLOOR = 1e-6
 CONCENTRATION_CAP = 1e6

@@ -142,6 +142,16 @@ class TestSalience:
         g = parse_edge_list("a b 3\nb a 2\nb c 1", directed=False)
         assert salience_table(g).tolist() == [1.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("src, dst, weights, saliency", [
+        ([0, 1, 2], [1, 2, 1], [1.0, 9.12e14, 1e15], [1.0, 0.0, 1.0]),
+        ([0, 2, 1], [1, 1, 2], [1.0, 1e15, 9.12e14], [1.0, 1.0, 0.0]),
+    ], ids=["longer-first", "shorter-first"])
+    def test_longer_parallel_arc_joins_no_tree(self, src, dst, weights, saliency):
+        # behind the unit edge 1 + 1/9.12e14 and 1 + 1/1e15 round to one
+        # float, so the longer parallel arc ties the shorter one there
+        g = make_graph(src, dst, weights, directed=False, weight_kind="real")
+        assert salience_table(g).tolist() == saliency
+
     def test_sampling_cap_deterministic(self):
         rng = np.random.default_rng(1)
         n = 30
@@ -162,7 +172,9 @@ class TestSalience:
 
 def salience_reference(g, sample_cap=10000, seed=0):
     """The per-root loop of ``salience_table`` over every arc of the
-    directed view, without the landmark pruning, kept as its reference."""
+    directed view that stands for its pair, without the landmark pruning,
+    kept as its reference. Of parallel arcs only the shortest, the first
+    by position among equals, stands for the pair."""
     dg = directed_view(g)
     n = g.num_nodes
     d_edge = 1.0 / np.asarray(dg.weights, dtype=float)
@@ -173,13 +185,18 @@ def salience_reference(g, sample_cap=10000, seed=0):
         rng = np.random.default_rng(seed)
         roots = np.sort(rng.choice(n, size=sample_cap, replace=False))
     # in-edges of each node in the directed view, sorted by (dst, src) so the
-    # first feasible predecessor within a segment is the smallest-index one
+    # first feasible predecessor within a segment is the smallest-index one;
+    # an arc that does not stand for its pair is never feasible
     in_key = np.asarray(dg.dst, dtype=np.int64) * n + dg.src
+    by_length = np.lexsort((np.arange(dg.num_edges), d_edge, in_key))
+    stands = np.zeros(dg.num_edges, dtype=bool)
+    stands[by_length] = np.diff(in_key[by_length], prepend=-1) != 0
     in_order = np.argsort(in_key, kind="stable")
     in_dst = dg.dst[in_order]
     in_starts = np.searchsorted(in_dst, np.arange(n + 1))
     in_src = dg.src[in_order]
     in_d = d_edge[in_order]
+    in_stands = stands[in_order]
     M = dg.num_edges
     to_parent_edge = directed_parents(g)[in_order]
     has_in = in_starts[1:] > in_starts[:-1]
@@ -192,7 +209,7 @@ def salience_reference(g, sample_cap=10000, seed=0):
         chunk = roots[lo:lo + 256]
         dist = np.atleast_2d(dijkstra(dist_mat, directed=True, indices=chunk))
         for r, drow in zip(chunk, dist):
-            feas = (drow[in_src] + in_d) == drow[in_dst]
+            feas = ((drow[in_src] + in_d) == drow[in_dst]) & in_stands
             fpos = np.where(feas, positions, M)
             first = np.minimum.reduceat(fpos, starts_nz) if len(starts_nz) else fpos[:0]
             valid = (first < M) & (nodes_nz != r) & np.isfinite(drow[nodes_nz])

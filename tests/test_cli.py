@@ -143,6 +143,19 @@ class TestBackboneCommand:
             "with the directed view's total weight below 2**53")
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("command", ["backbone", "compare"])
+    def test_total_past_the_float_range_exit_1(self, tmp_path, capsys, command):
+        # finite weights whose total is not: no JSON with W = Infinity
+        path = tmp_path / "huge.tsv"
+        path.write_text("a b 1e308\nc d 1e308\n")
+        flags = {"backbone": ["--method", "mdl-global", "--objective", "canonical-exponential"],
+                 "compare": ["--backbones", str(path)]}[command]
+        code = main([command, str(path), *flags, "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "mdlbackbone: error: real weights must total below the float range\n")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_round_weights_with_real_weights(self, tmp_path):
         # rounded, the weights are whole ones, which every objective reads
         path, whole = tmp_path / "real.tsv", tmp_path / "star.tsv"

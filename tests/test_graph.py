@@ -498,6 +498,16 @@ class TestGraph:
         assert bb2.edge_set() == {(0, 1)}
         assert collapse_to_undirected(set(), g).num_edges == 0
 
+    def test_collapse_needs_an_undirected_parent(self):
+        g = make_graph([0, 1], [1, 2], [3, 4], directed=True)
+        with pytest.raises(DomainError, match="parent graph must be undirected"):
+            collapse_to_undirected({(0, 1)}, g)
+
+    @pytest.mark.parametrize("dst, weights", [([1], [3, 4]), ([1, 2], [3])])
+    def test_edge_arrays_of_unequal_length_rejected(self, dst, weights):
+        with pytest.raises(DomainError, match="edge arrays must have equal length"):
+            WeightedGraph(3, np.array([0, 1]), np.array(dst), np.array(weights), True)
+
     def test_backbone_from_edge_subset_rejects_foreign(self):
         g = make_graph([0], [1], [3], directed=True)
         with pytest.raises(DomainError):
@@ -573,6 +583,7 @@ def real_backbones(draw):
 # heaviest first, the running sum of the first three rounds to 2**53 + 8,
 # above the correctly rounded total 2**53 + 6
 _OVER_PREFIX = [9007199254740992.0, 3.0, 3.0, 0.1]
+_MAX = np.finfo(float).max
 
 
 def _greedy_on_real_weights(g):
@@ -605,10 +616,19 @@ class TestRealWeightSum:
         assert result.backbone.num_edges == 1
         assert result.tie_counts.tolist() == [1]
 
-    def test_total_past_the_float_range_is_inf(self):
-        g = make_graph([0, 1], [1, 2], [1e308, 1e308], weight_kind="real")
-        assert g.total_weight == float("inf")
-        assert backbone_from_flags(g, [True, False]).total_weight == 1e308
+    @pytest.mark.parametrize("weights", [[1e308, 1e308], [_MAX, 2.0**970]],
+                             ids=["twice-1e308", "max-and-half-ulp"])
+    def test_total_past_the_float_range_rejected(self, weights):
+        # each weight is finite; their correctly rounded total is not: the
+        # largest float plus half its ulp, 2**971, rounds to even, to inf
+        with pytest.raises(DomainError, match="total below the float range"):
+            make_graph([0, 1], [1, 2], weights, weight_kind="real")
+
+    def test_total_at_the_largest_float_accepted(self):
+        # a quarter ulp past the largest float rounds down to it
+        g = make_graph([0, 1], [1, 2], [_MAX, 2.0**969], weight_kind="real")
+        assert g.total_weight == _MAX
+        assert backbone_from_flags(g, [False, True]).total_weight == 2.0**969
 
     @given(real_backbones())
     @example((*_OVER_SUM, True))
@@ -687,6 +707,11 @@ class TestNeighborhoods:
         sel = order[starts[0]:starts[1]]
         assert len(sel) == 1
         assert list(g.weights[sel]) == [2]
+
+    def test_undirected_graph_rejected(self):
+        g = make_graph([0], [1], [2], directed=False)
+        with pytest.raises(DomainError, match="defined on directed graphs"):
+            neighborhoods(g)
 
 
 class TestEdgeIndex:

@@ -452,6 +452,10 @@ class TestCanonical:
         with pytest.raises(DomainError):
             dl_global_canonical(4, 8, 1, 5, MICRO)
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(DomainError, match="unknown family 'grand'"):
+            ObjectiveSpec("global", "grand")
+
     @pytest.mark.parametrize("model", ["poisson", "exponential"])
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_non_finite_lam_rejected(self, model, lam):

@@ -289,6 +289,10 @@ class TestEigenvalue:
     def test_tree_zero(self):
         assert nb_leading_eigenvalue(path_graph(5), 0.9) == 0.0
 
+    def test_no_transmission_zero(self):
+        # at p = 0 every bond is closed, so B is the zero operator
+        assert nb_leading_eigenvalue(complete_graph(3), 0.0) == 0.0
+
     def test_weights_enter_through_phi(self):
         g = complete_graph(4, weight=2)
         phi = 1 - (1 - 0.3) ** 2
@@ -323,6 +327,20 @@ class TestCriticalProbability:
 
     def test_tree_none(self):
         assert critical_probability(path_graph(8)) is None
+
+    def test_stops_on_the_bracket(self):
+        # a 4-cycle with a pendant edge: lambda is the cycle's geometric mean
+        # of phi, which reaches 1 only at p = 1; under a tolerance no step
+        # meets, the search narrows the bracket below 1e-15 and returns its
+        # midpoint
+        g = make_graph([0, 1, 2, 3, 3], [1, 2, 3, 0, 4], [2, 1, 3, 1, 7],
+                       directed=False)
+        assert 1.0 - 1e-15 < critical_probability(g, tolerance=1e-300) < 1.0
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-7, float("nan")])
+    def test_tolerance_must_be_positive(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            critical_probability(complete_graph(3), tolerance=tolerance)
 
     def test_bipartite_grid(self):
         g = grid_graph(3, 3)

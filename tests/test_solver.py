@@ -68,6 +68,12 @@ class TestGreedyGlobal:
         with pytest.raises(DomainError):
             greedy_global(g, MICRO_G)
 
+    @pytest.mark.parametrize("solve, spec, scope", [
+        (greedy_global, MICRO_L, "global"), (greedy_local, MICRO_G, "local")])
+    def test_spec_of_the_other_scope_rejected(self, star_graph, solve, spec, scope):
+        with pytest.raises(DomainError, match=f"needs a {scope}-scope spec"):
+            solve(star_graph, spec)
+
     def test_eta_star(self, star_selfloops):
         res = greedy_global(star_selfloops, MICRO_G)
         assert res.dl_empty_global == pytest.approx(9.7731, abs=1e-4)
@@ -976,3 +982,8 @@ class TestReporting:
         g = make_graph([0, 1], [0, 1], [0.5, 0.5], weight_kind="real")
         with pytest.raises(DomainError, match="requires integer weights"):
             empty_backbone_dls(g, spec)
+
+    def test_empty_backbone_dls_refuses_an_empty_graph(self):
+        g = make_graph([], [], [], num_nodes=3)
+        with pytest.raises(DomainError, match="empty graph has no description length"):
+            empty_backbone_dls(g, MICRO_G)

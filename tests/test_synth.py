@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,17 @@ class TestPlanted:
             plant_weights_canonical(base, 0.0, "global")
         with pytest.raises(DomainError):
             plant_weights_canonical(base, 1.5, "global")
+
+    def test_unknown_scope_rejected(self):
+        base = random_regular_directed(5, 2, seed=0)
+        with pytest.raises(DomainError, match="unknown scope 'middle'"):
+            plant_weights_canonical(base, 0.5, "middle")
+
+    def test_undirected_graph_rejected(self):
+        base = random_regular_directed(5, 2, seed=0)
+        undirected = replace(base, directed=False)
+        with pytest.raises(DomainError, match="planted instances use directed graphs"):
+            plant_weights_canonical(undirected, 0.5, "global")
 
 
 class TestDirichletMultinomial:
