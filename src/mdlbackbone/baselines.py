@@ -115,8 +115,9 @@ def salience_table(g, sample_cap=10000, seed=0):
     1) nodes, with distances d = 1/w. Parent choice on equal-length paths is
     the smallest predecessor index. Of parallel arcs, only the shortest, the
     heaviest edge's (the first by position among equals), joins a tree: a
-    longer one can tie it in float sums. The search skips the arcs that a
-    landmark path bound proves longer than their endpoints' distance (see
+    longer one can tie it in float sums. Loops never join a tree, however
+    short. The search skips the arcs that a landmark path bound proves
+    longer than their endpoints' distance (see
     :func:`_arcs_on_shortest_paths`); they lie on no shortest-path tree, so
     the saliencies are those of the full search."""
     roots = _sample_nodes(g.num_nodes, sample_cap, seed)
@@ -130,6 +131,7 @@ def salience_table(g, sample_cap=10000, seed=0):
         return csr_matrix((d_edge[arcs], (dg.src[arcs], dg.dst[arcs])), shape=(n, n))
 
     arcs = _pair_shortest(n, dg.src, dg.dst, d_edge)
+    arcs = arcs[dg.src[arcs] != dg.dst[arcs]]  # a loop is on no tree
     if len(arcs):
         landmarks = roots[::-(-len(roots) // _LANDMARKS)]
         arcs = arcs[_arcs_on_shortest_paths(arc_matrix(arcs), dg.src[arcs], dg.dst[arcs],

@@ -167,32 +167,40 @@ class Backbone:
                               "flag per parent edge")
         flags.setflags(write=False)
 
+    @cached_property
+    def _members(self):
+        """The member edges' positions, ascending, so sums over them add in
+        edge order; read-only, and what every per-backbone read gathers."""
+        members = np.flatnonzero(self.member_flags)
+        members.setflags(write=False)
+        return members
+
     @property
     def num_edges(self):
-        return int(self.member_flags.sum())
+        return len(self._members)
 
-    @property
+    @cached_property
     def total_weight(self):
-        return _weight_sum(self.parent.weights[self.member_flags])
+        return _weight_sum(self.parent.weights[self._members])
 
     def retained_strengths(self):
-        return _out_sums(self.parent, self.member_flags, self.parent.weights)
+        return _out_sums(self.parent, self._members, self.parent.weights)
 
     def edge_set(self):
         """Set of the members' (src, dst) index pairs; undirected edges
         normalized to (min, max). Parallel undirected edges, such as
         ``a b 3`` and ``b a 2``, fold into one pair, so ``len(edge_set())``
         can be below :attr:`num_edges`."""
-        src = self.parent.src[self.member_flags]
-        dst = self.parent.dst[self.member_flags]
+        src = self.parent.src[self._members]
+        dst = self.parent.dst[self._members]
         if not self.parent.directed:
             src, dst = np.minimum(src, dst), np.maximum(src, dst)
         return set(zip(src.tolist(), dst.tolist()))
 
     def subgraph(self):
         """The backbone as a standalone WeightedGraph over the parent's nodes."""
-        g, flags = self.parent, self.member_flags
-        return replace(g, src=g.src[flags], dst=g.dst[flags], weights=g.weights[flags])
+        g, m = self.parent, self._members
+        return replace(g, src=g.src[m], dst=g.dst[m], weights=g.weights[m])
 
 
 def _pair_key(src, dst, n):
@@ -234,11 +242,11 @@ def _weight_sum(w):
 def _out_sums(g, flags=None, weights=None):
     """Per-node sums, as floats, of ``weights`` (one value per edge of
     ``g``; without them, integer counts) over the out-neighborhoods of
-    :func:`directed_view`, restricted to the edges ``flags`` marks. The view
-    is not built: every src, then, for an undirected graph, every dst of a
-    non-loop edge, is added in that order, the order of the view's edges.
-    The out-degrees, without flags or weights, are the graph's own
-    read-only array."""
+    :func:`directed_view`, restricted to the edges ``flags`` selects, by
+    mask or by ascending positions. The view is not built: every src, then,
+    for an undirected graph, every dst of a non-loop edge, is added in that
+    order, the order of the view's edges. The out-degrees, without flags or
+    weights, are the graph's own read-only array."""
     if flags is None and weights is None:
         return g._node_sums[0]
     return _view_sums(g, flags, weights)

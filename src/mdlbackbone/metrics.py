@@ -86,6 +86,13 @@ def _sampled_reach(g, sample_cap, seed):
     return memo[sample_cap, seed]
 
 
+def _endpoint_count(g, edges=slice(None)):
+    """How many nodes of ``g`` are an endpoint of one of its ``edges``."""
+    touched = np.zeros(g.num_nodes, dtype=bool)
+    touched[g.src[edges]] = touched[g.dst[edges]] = True
+    return int(np.count_nonzero(touched))
+
+
 def reachability_ratio(g, bb, sample_cap=10000, seed=0):
     """Ratio of ordered reachable pairs in the backbone to those in the full
     graph; computed on a seeded random induced subgraph of ``sample_cap``
@@ -94,9 +101,8 @@ def reachability_ratio(g, bb, sample_cap=10000, seed=0):
     nodes, denom = _sampled_reach(g, sample_cap, seed)
     if denom == 0:
         raise DomainError("graph has no reachable pairs")
-    flags = bb.member_flags
     num = reachable_pair_count(
-        g.num_nodes, g.src[flags], g.dst[flags], g.directed, nodes
+        g.num_nodes, g.src[bb._members], g.dst[bb._members], g.directed, nodes
     )
     return num / denom
 
@@ -108,13 +114,10 @@ def summarize(g, bb, sample_cap=10000, seed=0):
     _require_parent(g, bb)
     E, W = g.num_edges, g.total_weight
     E_b, W_b = bb.num_edges, bb.total_weight
-    nonisolated = np.zeros(g.num_nodes, dtype=bool)
-    nonisolated[g.src] = True
-    nonisolated[g.dst] = True
-    n_ref = int(nonisolated.sum())
-    retained = np.zeros(g.num_nodes, dtype=bool)
-    retained[g.src[bb.member_flags]] = True
-    retained[g.dst[bb.member_flags]] = True
+    memo = vars(g)  # the graph is immutable: its count is kept, as in _sampled_reach
+    if "_nonisolated_count" not in memo:
+        memo["_nonisolated_count"] = _endpoint_count(g)
+    n_ref, retained = memo["_nonisolated_count"], _endpoint_count(g, bb._members)
     try:
         hell = hellinger_strength_distance(g, bb)
     except DomainError:
@@ -126,7 +129,7 @@ def summarize(g, bb, sample_cap=10000, seed=0):
     return BackboneMetrics(
         edge_fraction=E_b / E if E else 0.0,
         weight_fraction=W_b / W if W else 0.0,
-        nonisolated_fraction=int(retained.sum()) / n_ref if n_ref else 0.0,
+        nonisolated_fraction=retained / n_ref if n_ref else 0.0,
         hellinger=hell,
         reachability=reach,
     )

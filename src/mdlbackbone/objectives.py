@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .graph import _out_sums, _require_parent, _weight_sum
+from .graph import _out_sums, _require_parent
 
 _LN2 = np.log(2.0)
 
@@ -233,12 +233,11 @@ def description_length(g, backbone, spec):
     k_b = s_b = 0
     if backbone is not None:
         _require_parent(g, backbone)
-        flags = backbone.member_flags
+        bb = backbone
         if spec.scope == "local":
-            k_b, s_b = _out_sums(g, flags)[nz], _out_sums(g, flags, g.weights)[nz]
+            k_b, s_b = _out_sums(g, bb._members)[nz], bb.retained_strengths()[nz]
         else:
-            k_b = np.array([np.count_nonzero(flags)])
-            s_b = np.array([_weight_sum(g.weights[flags])])
+            k_b, s_b = np.array([bb.num_edges]), np.array([bb.total_weight])
         _check_global_args(k, s, k_b, s_b, integer=not spec.continuous)
     return float(const + np.sum(_dl_curve(k, s, k_b, s_b, spec, wfact)))
 

@@ -78,11 +78,16 @@ def empty_backbone_dls(g, spec):
     """(global, local) description lengths of the empty backbone under the
     family/weight-model of ``spec``, whatever its scope. The global value
     uses the graph's own edge list; the local value uses the directed
-    view."""
+    view. The pair is kept on the immutable graph per family, weight model
+    and lam, as in ``metrics._sampled_reach``, so both scopes share it."""
     if g.num_edges == 0:
         raise DomainError("empty graph has no description length")
-    return tuple(description_length(g, None, replace(spec, scope=scope))
-                 for scope in ("global", "local"))
+    memo = vars(g).setdefault("_empty_backbone_dls", {})
+    key = spec.family, spec.weight_model, spec.lam
+    if key not in memo:
+        memo[key] = tuple(description_length(g, None, replace(spec, scope=scope))
+                          for scope in ("global", "local"))
+    return memo[key]
 
 
 def inverse_compression_ratio(dl_opt, dl_empty_global, dl_empty_local):
@@ -260,6 +265,19 @@ def greedy_global(g, spec=None):
                    lambda: _curve(w_sorted, segments, spec, segments[0]))
 
 
+def _weight_classes(w):
+    """``(distinct, cls)``: the distinct weights, heaviest first, and each
+    weight's class among them. Integer weights up to twice their count are
+    ranked by a counting sort, its table then O(E); others by ``np.unique``."""
+    if w.dtype.kind in "iu" and w.max() <= 2 * len(w):
+        present = np.zeros(w.max() + 1, dtype=bool)
+        present[w] = True
+        rank = np.cumsum(present[::-1])[::-1] - 1
+        return np.flatnonzero(present)[::-1].astype(w.dtype), rank[w]
+    distinct, cls = np.unique(w, return_inverse=True)
+    return distinct[::-1], len(distinct) - 1 - cls
+
+
 def greedy_local(g, spec=None):
     """MDL-optimal local backbone: the greedy sweep applied independently to
     every out-neighborhood of the directed view, union of the neighborhood
@@ -277,9 +295,8 @@ def greedy_local(g, spec=None):
     ties in directed-view order."""
     spec = _checked_spec(g, spec, "local")
 
-    distinct, cls = np.unique(g.weights, return_inverse=True)
+    distinct, cls = _weight_classes(g.weights)
     R = len(distinct)
-    distinct, cls = distinct[::-1], R - 1 - cls
     # the view's edges: every src, then every dst of a non-loop undirected edge
     rev = np.zeros(0, dtype=int) if g.directed else np.flatnonzero(g.src != g.dst)
     keys = np.empty(g.num_edges + len(rev), dtype=np.int64)

@@ -11,6 +11,11 @@
 Both add up their own segment totals, so neither shares the solvers'
 :func:`objectives._segments`.
 
+- :func:`mask_reads` and :func:`mask_description_length` read a backbone
+  through its member mask, scanning every parent edge, as ``Backbone`` did
+  before it kept its member positions; those reads must match these bit
+  for bit.
+
 - :func:`log2_binomial`, :func:`strength_prior_bits` and
   :func:`dl_global_canonical` are the scalar formulas, one binomial or one
   state (E, W, E_b, W_b) at a time, each with its domain check. A backbone
@@ -20,12 +25,14 @@ Both add up their own segment totals, so neither shares the solvers'
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from mdlbackbone.errors import DomainError
-from mdlbackbone.graph import Backbone, directed_parents, directed_view
+from mdlbackbone.graph import Backbone, _sample_nodes, directed_parents, directed_view
+from mdlbackbone.metrics import reachable_pair_count
 from mdlbackbone.objectives import (
     _check_global_args,
     _dl_canonical_arr,
@@ -33,6 +40,7 @@ from mdlbackbone.objectives import (
     _log2_binom_raw,
     _log2_factorial,
     _require_weights,
+    _segments,
 )
 
 ENUMERATION_EDGE_CAP = 24
@@ -165,3 +173,88 @@ def dp_optimal(g, spec):
     if local and spec.family == "microcanonical":
         dl += strength_prior_bits(g.num_nodes, g.num_edges, g.total_weight)
     return dl
+
+
+def masked_view_sums(g, flags, weights=None):
+    """Per-node sums of ``weights`` (without them, counts) over the
+    out-neighborhoods of the directed view, restricted to the edges the
+    bool mask ``flags`` marks: every src, then every dst of an undirected
+    non-loop edge, added in that order."""
+    src, dst = g.src[flags], g.dst[flags]
+    if weights is not None:
+        weights = weights[flags]
+    if not g.directed:
+        rev = src != dst
+        src = np.concatenate([src, dst[rev]])
+        if weights is not None:
+            weights = np.concatenate([weights, weights[rev]])
+    return np.bincount(src, weights=weights, minlength=g.num_nodes)
+
+
+def masked_total(g, flags):
+    """Total weight of the masked edges: an exact int for integer weights,
+    the correctly rounded float sum for real ones."""
+    w = g.weights[flags]
+    return math.fsum(w) if w.dtype.kind == "f" else int(w.sum())
+
+
+class MaskReads(NamedTuple):
+    num_edges: int
+    total_weight: object
+    retained_strengths: np.ndarray
+    subgraph: tuple  # (src, dst, weights)
+    edge_set: set
+    summary: tuple  # the fields of metrics.BackboneMetrics, in order
+
+
+def mask_reads(g, flags, sample_cap=10000, seed=0):
+    """What a backbone of ``g`` with the bool member mask ``flags`` reports,
+    each read scanning all E flags; ``summary`` as ``metrics.summarize``
+    gives it with ``sample_cap`` and ``seed``."""
+    flags = np.asarray(flags, dtype=bool)
+    E_b, W_b = int(np.count_nonzero(flags)), masked_total(g, flags)
+    strengths = masked_view_sums(g, flags, g.weights)
+    src, dst = g.src[flags], g.dst[flags]
+    pairs = zip(*((np.minimum(src, dst), np.maximum(src, dst))
+                  if not g.directed else (src, dst)))
+    every = np.ones(g.num_edges, dtype=bool)
+    E, W = g.num_edges, masked_total(g, every)
+
+    def touched(mask):
+        nodes = np.zeros(g.num_nodes, dtype=bool)
+        nodes[g.src[mask]] = nodes[g.dst[mask]] = True
+        return int(np.count_nonzero(nodes))
+
+    hellinger = None
+    if W > 0 and W_b > 0:
+        p = masked_view_sums(g, every, g.weights) / W
+        q = strengths / W_b
+        hellinger = float(np.sqrt(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)))
+    nodes = _sample_nodes(g.num_nodes, sample_cap, seed)
+    denom = reachable_pair_count(g.num_nodes, g.src, g.dst, g.directed, nodes)
+    reach = None
+    if denom:
+        reach = reachable_pair_count(g.num_nodes, src, dst, g.directed, nodes) / denom
+    n_ref = touched(every)
+    summary = (E_b / E if E else 0.0, W_b / W if W else 0.0,
+               touched(flags) / n_ref if n_ref else 0.0, hellinger, reach)
+    return MaskReads(E_b, W_b, strengths, (src, dst, g.weights[flags]),
+                     {(int(a), int(b)) for a, b in pairs}, summary)
+
+
+def mask_description_length(g, flags, spec):
+    """``objectives.description_length`` of the backbone with the bool
+    member mask ``flags``, its segment totals summed over the mask. The
+    graph's own segments come from ``objectives._segments``."""
+    flags = np.asarray(flags, dtype=bool)
+    k, s, wfact, const = _segments(g, spec)
+    nz = k > 0
+    k, s, wfact = k[nz], s[nz], wfact[nz]
+    if spec.scope == "local":
+        k_b = masked_view_sums(g, flags)[nz]
+        s_b = masked_view_sums(g, flags, g.weights)[nz]
+    else:
+        k_b = np.array([np.count_nonzero(flags)])
+        s_b = np.array([masked_total(g, flags)])
+    _check_global_args(k, s, k_b, s_b, integer=not spec.continuous)
+    return float(const + np.sum(_dl_curve(k, s, k_b, s_b, spec, wfact)))

@@ -152,6 +152,11 @@ class TestSalience:
         g = make_graph(src, dst, weights, directed=False, weight_kind="real")
         assert salience_table(g).tolist() == saliency
 
+    def test_loop_joins_no_tree(self):
+        # 1 + 1e-17 rounds to 1, so the loop at node 0 ties the arc 2 -> 0
+        g = make_graph([2, 0, 0], [0, 0, 1], [1.0, 1e17, 1.0], weight_kind="real")
+        assert salience_table(g).tolist() == [1 / 3, 0.0, 2 / 3]
+
     def test_sampling_cap_deterministic(self):
         rng = np.random.default_rng(1)
         n = 30
@@ -174,7 +179,8 @@ def salience_reference(g, sample_cap=10000, seed=0):
     """The per-root loop of ``salience_table`` over every arc of the
     directed view that stands for its pair, without the landmark pruning,
     kept as its reference. Of parallel arcs only the shortest, the first
-    by position among equals, stands for the pair."""
+    by position among equals, stands for the pair; a loop stands for
+    none."""
     dg = directed_view(g)
     n = g.num_nodes
     d_edge = 1.0 / np.asarray(dg.weights, dtype=float)
@@ -191,6 +197,7 @@ def salience_reference(g, sample_cap=10000, seed=0):
     by_length = np.lexsort((np.arange(dg.num_edges), d_edge, in_key))
     stands = np.zeros(dg.num_edges, dtype=bool)
     stands[by_length] = np.diff(in_key[by_length], prepend=-1) != 0
+    stands &= dg.src != dg.dst
     in_order = np.argsort(in_key, kind="stable")
     in_dst = dg.dst[in_order]
     in_starts = np.searchsorted(in_dst, np.arange(n + 1))

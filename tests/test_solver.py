@@ -987,3 +987,65 @@ class TestReporting:
         g = make_graph([], [], [], num_nodes=3)
         with pytest.raises(DomainError, match="empty graph has no description length"):
             empty_backbone_dls(g, MICRO_G)
+
+    def test_empty_backbone_dls_scored_once_per_objective(self, star_graph, monkeypatch):
+        calls = []
+
+        def counting(g, bb, spec):
+            calls.append(spec.scope)
+            return description_length(g, bb, spec)
+
+        monkeypatch.setattr(solver, "description_length", counting)
+        greedy_global(star_graph, MICRO_G)
+        greedy_local(star_graph, MICRO_L)
+        assert calls == ["global", "local"]
+        a = empty_backbone_dls(star_graph, ObjectiveSpec("global", "canonical",
+                                                         "poisson", lam=0.5))
+        b = empty_backbone_dls(star_graph, ObjectiveSpec("local", "canonical",
+                                                         "poisson", lam=2.0))
+        assert len(calls) == 6 and a != b
+        # the scope of the spec is not part of the key
+        assert empty_backbone_dls(star_graph, ObjectiveSpec("local", "canonical",
+                                                            "poisson", lam=0.5)) == a
+        assert len(calls) == 6
+
+    def test_empty_backbone_dls_keeps_no_error(self, monkeypatch):
+        calls = []
+
+        def counting(g, bb, spec):
+            calls.append(spec.scope)
+            return description_length(g, bb, spec)
+
+        monkeypatch.setattr(solver, "description_length", counting)
+        g = make_graph([0, 1], [0, 1], [0.5, 0.5], weight_kind="real")
+        for _ in range(2):
+            with pytest.raises(DomainError, match="requires integer weights"):
+                empty_backbone_dls(g, MICRO_G)
+        assert calls == ["global", "global"]
+
+
+def unique_classes(w):
+    """``(distinct, cls)`` of ``solver._weight_classes`` from ``np.unique``."""
+    distinct, inverse = np.unique(w, return_inverse=True)
+    return distinct[::-1], len(distinct) - 1 - inverse
+
+
+class TestWeightClasses:
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=20),
+           st.sampled_from([np.int64, np.int32, np.uint16]))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_table_matches_unique(self, w, dtype):
+        # the largest weight is at most twice the count: the counting sort
+        w = np.array(w + [1] * 15, dtype=dtype)
+        got, want = solver._weight_classes(w), unique_classes(w)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+    @given(st.lists(st.integers(1, 10**15), min_size=1, max_size=20), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_other_weights_match_unique(self, w, real):
+        # beyond twice the count, or real: np.unique ranks the weights
+        w = np.array(w + [2 * len(w) + 3], dtype=float if real else np.int64)
+        got, want = solver._weight_classes(w), unique_classes(w)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
