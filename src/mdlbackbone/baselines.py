@@ -15,6 +15,7 @@ from .graph import (
     _out_sums,
     _pair_key,
     _sample_nodes,
+    _weight_classes,
     backbone_from_flags,
     directed_parents,
     directed_view,
@@ -181,7 +182,7 @@ def percolation_backbone(g):
     n, E = g.num_nodes, g.num_edges
     # class ranks, 1 the heaviest class, so a minimum spanning tree on ranks
     # is a maximum spanning forest on weights
-    rank = np.unique(-np.asarray(g.weights, dtype=float), return_inverse=True)[1] + 1
+    rank = _weight_classes(g.weights)[1] + 1
     heaviest = np.full(n, E + 1)
     np.minimum.at(heaviest, g.src, rank)
     np.minimum.at(heaviest, g.dst, rank)

@@ -23,12 +23,9 @@ from .graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .objectives import WEIGHT_MODELS, ObjectiveSpec
+from .objectives import MODELS, ObjectiveSpec, _objective_label
 
-OBJECTIVES = {
-    "micro": ("microcanonical", None),
-    **{f"canonical-{model}": ("canonical", model) for model in WEIGHT_MODELS},
-}
+OBJECTIVES = {_objective_label(model): model for model in MODELS}
 
 
 def _solved(result):
@@ -79,7 +76,7 @@ def _write_text(path, text):
 
 def cmd_backbone(args):
     # every method checks the objective, as its JSON records lam
-    spec = ObjectiveSpec("global", *OBJECTIVES[args.objective], args.lam)
+    spec = ObjectiveSpec("global", OBJECTIVES[args.objective], args.lam)
     g = _load_graph(args.input, not args.undirected, args.round_weights)
     bb, doc = BACKBONES[args.method](g, spec, args)
     # with the method's own keys, enough to re-run the command
@@ -194,11 +191,9 @@ def cmd_percolation(args):
         "backbones": list(args.backbones),
         "round_weights": args.round_weights,
         "version": __version__,
-        "p_grid": reports[0].p_grid.tolist(),
+        "p_grid": grid.tolist(),
         "graphs": [dict(asdict(r), S=r.S.tolist()) for r in reports],
     }
-    for entry in doc["graphs"]:
-        del entry["p_grid"]  # the grid is written once, at the top
     prefix = Path(args.output or Path(args.input).stem + ".percolation")
     _write_json(str(prefix) + ".json", doc)
     return 0

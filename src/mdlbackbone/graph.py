@@ -286,6 +286,19 @@ def _first_in_order(n, keys):
     return flags
 
 
+def _weight_classes(w):
+    """``(distinct, cls)``: the distinct weights, heaviest first, and each
+    weight's class among them. Integer weights up to twice their count are
+    ranked by a counting sort, its table then O(E); others by ``np.unique``."""
+    if w.dtype.kind in "iu" and w.max(initial=0) <= 2 * len(w):
+        present = np.zeros(w.max(initial=0) + 1, dtype=bool)
+        present[w] = True
+        rank = np.cumsum(present[::-1])[::-1] - 1
+        return np.flatnonzero(present)[::-1].astype(w.dtype), rank[w]
+    distinct, cls = np.unique(w, return_inverse=True)
+    return distinct[::-1], len(distinct) - 1 - cls
+
+
 def _sample_nodes(num_nodes, sample_cap, seed):
     """The sorted seeded draw of ``sample_cap`` (at least 1, or DomainError)
     distinct nodes, as a read-only array, or None where there are no more

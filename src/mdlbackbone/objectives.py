@@ -1,15 +1,16 @@
 """Closed-form description-length evaluators.
 
-Four objective families are supported: microcanonical and canonical, each at
-global (whole edge list) and local (per out-neighborhood) scope. Canonical
-objectives take a weight model (geometric, poisson or exponential); the
-poisson and exponential models carry a rate hyperparameter ``lam`` for their
-maximum-entropy exponential prior. All values are in bits (base-2 logs), and
-all combinatorics go through ln n! = gammaln(n + 1). Where the greedy sweep
-scores many states, ln n! of every integer argument is read from one table
-of gammaln over 0..m instead, which holds the same doubles: m covers every
-edge count, and also every weight where the largest segment strength is
-below the curve's length; other weights are floats and go through gammaln.
+An objective is one of four models at global (whole edge list) or local
+(per out-neighborhood) scope: the microcanonical code fixes the total weight
+exactly, the canonical weight models (geometric, poisson, exponential) in
+expectation. The poisson and exponential models carry a rate hyperparameter
+``lam`` for their maximum-entropy exponential prior. All values are in bits
+(base-2 logs), and all combinatorics go through ln n! = gammaln(n + 1).
+Where the greedy sweep scores many states, ln n! of every integer argument
+is read from one table of gammaln over 0..m instead, which holds the same
+doubles: m covers every edge count, and also every weight where the largest
+segment strength is below the curve's length; other weights are floats and
+go through gammaln.
 Against exact integer arithmetic the global microcanonical curve is off by
 up to about 6e-7 bits at W ~ 1e7, 8e-6 at 1e8, 9e-5 at 1e9 and 1e-2 at 1e11
 (random curves of up to 14 edges), so from W ~ 3e7 on, two backbone sizes
@@ -24,6 +25,7 @@ sweep.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,48 +36,42 @@ from .graph import _out_sums, _require_parent
 
 _LN2 = np.log(2.0)
 
-WEIGHT_MODELS = ("geometric", "poisson", "exponential")
+MODELS = ("microcanonical", "geometric", "poisson", "exponential")
 
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Which description length to optimize.
 
-    scope: "global" or "local"; family: "microcanonical" or "canonical";
-    weight_model applies to canonical objectives only. lam must be finite
-    and positive in every spec; only the poisson and exponential models
-    read it.
-    """
+    scope: "global" or "local"; model: one of :data:`MODELS`, the
+    microcanonical code (the total weight fixed exactly) or a canonical
+    weight model; lam: a finite positive real number in every spec, which
+    only the poisson and exponential models read."""
 
     scope: str
-    family: str
-    weight_model: str = None
+    model: str
     lam: float = 1.0
 
     def __post_init__(self):
         if self.scope not in ("global", "local"):
             raise DomainError(f"unknown scope {self.scope!r}")
-        if self.family not in ("microcanonical", "canonical"):
-            raise DomainError(f"unknown family {self.family!r}")
-        if self.family == "canonical":
-            if self.weight_model not in WEIGHT_MODELS:
-                raise DomainError(
-                    f"canonical family needs weight_model in {WEIGHT_MODELS}"
-                )
-        elif self.weight_model is not None:
-            raise DomainError("weight_model only applies to the canonical family")
-        if not 0 < self.lam < np.inf:
+        if self.model not in MODELS:
+            raise DomainError(f"unknown model {self.model!r}; use one of {MODELS}")
+        if not (isinstance(self.lam, numbers.Real) and 0 < self.lam < np.inf):
             raise DomainError(f"lam must be finite and positive, got {self.lam}")
 
     @property
     def continuous(self):
-        return self.family == "canonical" and self.weight_model == "exponential"
+        return self.model == "exponential"
+
+
+def _objective_label(model):
+    """The objective's name without its scope: "micro" or "canonical-<model>"."""
+    return "micro" if model == "microcanonical" else f"canonical-{model}"
 
 
 def _objective_name(spec):
-    if spec.family == "microcanonical":
-        return f"micro-{spec.scope}"
-    return f"canonical-{spec.weight_model}-{spec.scope}"
+    return f"{_objective_label(spec.model)}-{spec.scope}"
 
 
 def _require_weights(g, spec):
@@ -211,12 +207,12 @@ def _segments(g, spec):
     k = _out_sums(g) if local else np.array([g.num_edges])
     s = g.strengths() if local else np.array([float(g.total_weight)])
     wfact, const = np.zeros(len(k)), 0.0
-    if spec.family == "canonical" and spec.weight_model == "poisson":
+    if spec.model == "poisson":
         # added in edge order: np.sum's pairwise order would move the last bits
         terms = _log2_factorial(g.weights)
         wfact = (_out_sums(g, weights=terms) if local
                  else np.bincount(np.zeros(len(terms), dtype=np.intp), terms, 1))
-    if local and spec.family == "microcanonical":
+    if local and spec.model == "microcanonical":
         # the directed view's edge count and total weight, both exact
         const = _strength_prior_bits(g.num_nodes, int(k.sum()), int(s.sum()))
     return k, s, wfact, const
@@ -243,13 +239,13 @@ def description_length(g, backbone, spec):
 
 
 def _dl_curve(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
-    """Vectorized description length of ``spec``'s family; scope is up to
+    """Vectorized description length of ``spec``'s model; scope is up to
     the caller. ``log2_wfact`` as in :func:`_dl_canonical_arr`, ``table``
     as in :func:`dl_global_micro_arr`. Every state must be valid
     (:func:`_check_global_args`): an invalid one comes back as a finite
     value of nothing or as -inf, not as an error, and a minimum would pick
     it."""
-    if spec.family == "microcanonical":
+    if spec.model == "microcanonical":
         return dl_global_micro_arr(E, W, E_b, W_b, table)
     return _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact, table)
 
@@ -262,7 +258,7 @@ def _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
     Et = E - E_b
     Wt = W - W_b
     base = np.log2(E + 1.0) + _log2_binom_raw(E, E_b, table)
-    model = spec.weight_model
+    model = spec.model
     if model == "geometric":
         return (
             base
@@ -282,7 +278,7 @@ def _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
             - _log2_factorial(Wt, table)
             + log2_wfact
         )
-    # exponential, the last model ObjectiveSpec admits
+    # exponential, the last of the MODELS
     return (
         base
         - 2.0 * np.log2(lam)

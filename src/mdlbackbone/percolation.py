@@ -217,21 +217,21 @@ def critical_probability(g, tolerance=1e-7):
     carry almost no weight on a core that leads only at the new p (in
     another component, or at the end of a long path); the estimate then
     settles below the radius. A step reading lambda < 1 + ``tolerance`` is
-    trusted only where the iteration's upper bound agrees, and is otherwise
-    solved again from the eigenvector plus ones / sqrt(2E), which keeps at
-    least half of a cold start's share of the leading eigenvector. A
-    reading above 1 needs no check: a hidden core only raises it. Stops when
-    |lambda(p) - 1| < ``tolerance``, which must be positive, or the bracket
-    is below 1e-15. Returns None when the graph never percolates (radius
-    below 1 even at p = 1)."""
+    trusted only where the iteration's upper bound agrees, or else solved
+    again from the eigenvector plus ones / sqrt(2E), half of a cold start's
+    share of the leading eigenvector at least. The solve at p = 1 is a cold
+    start, from ones, and a reading above 1 only rises with a hidden core:
+    neither takes the check. Stops when |lambda(p) - 1| < ``tolerance``
+    (positive), when the bracket is below 1e-15, or at p = 1 if lambda(1) <
+    1 + ``tolerance`` (a cycle gives lambda(1) >= 1). None means no cycle."""
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
     sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
     if sys_.acyclic:
         return None
     lam, x, _ = _power_iteration(sys_, 1.0, np.ones(sys_.num_half_edges))
-    if lam < 1.0:
-        return None
+    if lam < 1.0 + tolerance:
+        return 1.0
     lo, f_lo, hi, f_hi = 0.0, -1.0, 1.0, lam - 1.0
     side = 0  # the end that moved last: -1 lo, +1 hi
     while hi - lo >= 1e-15:
@@ -259,16 +259,15 @@ def critical_probability(g, tolerance=1e-7):
 
 @dataclass(eq=False)
 class PercolationReport:
-    """Cluster curve and threshold of one graph. ``iterations`` holds the
-    message-passing sweeps of each grid point. ``eig_seconds`` is the wall
-    time of its whole threshold search (:func:`critical_probability`: the
-    check at p = 1 and the regula falsi); ``runtime_ratio`` is that time
-    over the full graph's."""
+    """Cluster curve over the study's sorted grid, and threshold, of one
+    graph. ``iterations`` holds the message-passing sweeps of each grid point.
+    ``eig_seconds`` is the wall time of its whole threshold search
+    (:func:`critical_probability`: the check at p = 1 and the regula falsi);
+    ``runtime_ratio`` is that time over the full graph's."""
 
     label: str
-    p_grid: np.ndarray
     S: np.ndarray
-    p_crit: float  # None when the graph never percolates
+    p_crit: float  # None when the graph has no cycle
     iterations: list = field(default_factory=list)
     eig_seconds: float = None
     mean_abs_error: float = None
@@ -310,7 +309,7 @@ def backbone_percolation_study(g, backbones, p_grid):
         p_c = critical_probability(sys_)
         eig_sec = time.perf_counter() - t0
         rep = PercolationReport(
-            label=label, p_grid=p_grid, S=S_vals, p_crit=p_c,
+            label=label, S=S_vals, p_crit=p_c,
             iterations=iters, eig_seconds=eig_sec,
         )
         if S_full is None:

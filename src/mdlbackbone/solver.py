@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .graph import Backbone, _first_in_order, backbone_from_flags
+from .graph import Backbone, _first_in_order, _weight_classes, backbone_from_flags
 from .objectives import (
     ObjectiveSpec,
     _dl_curve,
@@ -42,8 +42,8 @@ class BackboneResult:
     eta: float
     dl_empty_global: float
     dl_empty_local: float
-    method: str
-    objective: str
+    # the objective solved, lam included; its scope names the method
+    spec: ObjectiveSpec
     # per segment of the greedy sweep (the edge list for mdl-global, each
     # out-neighborhood for mdl-local): how many of its sizes 0..k_i reach
     # the minimum of its DL curve
@@ -76,14 +76,14 @@ def _checked_spec(g, spec, scope):
 
 def empty_backbone_dls(g, spec):
     """(global, local) description lengths of the empty backbone under the
-    family/weight-model of ``spec``, whatever its scope. The global value
-    uses the graph's own edge list; the local value uses the directed
-    view. The pair is kept on the immutable graph per family, weight model
-    and lam, as in ``metrics._sampled_reach``, so both scopes share it."""
+    model of ``spec``, whatever its scope. The global value uses the graph's
+    own edge list; the local value uses the directed view. The pair is kept
+    on the immutable graph per model and lam, as in
+    ``metrics._sampled_reach``, so both scopes share it."""
     if g.num_edges == 0:
         raise DomainError("empty graph has no description length")
     memo = vars(g).setdefault("_empty_backbone_dls", {})
-    key = spec.family, spec.weight_model, spec.lam
+    key = spec.model, spec.lam
     if key not in memo:
         memo[key] = tuple(description_length(g, None, replace(spec, scope=scope))
                           for scope in ("global", "local"))
@@ -104,7 +104,7 @@ def inverse_compression_ratio(dl_opt, dl_empty_global, dl_empty_local):
     return float(dl_opt / denom)
 
 
-def _result(g, flags, dl, spec, method, tie_counts, curves):
+def _result(g, flags, dl, spec, tie_counts, curves):
     """BackboneResult of the parent-edge membership ``flags`` with DL ``dl``
     and the sweep's per-segment ``tie_counts``; ``curves`` computes the
     result's curves."""
@@ -115,8 +115,7 @@ def _result(g, flags, dl, spec, method, tie_counts, curves):
         eta=inverse_compression_ratio(dl, dl_eg, dl_el),
         dl_empty_global=dl_eg,
         dl_empty_local=dl_el,
-        method=method,
-        objective=_objective_name(spec),
+        spec=spec,
         tie_counts=tie_counts,
         _curves=curves,
     )
@@ -190,9 +189,9 @@ def _sweep(w, segments, spec):
     of :func:`objectives._segments`, the weights ``w`` laid out as in
     :func:`_curve`; global scope is the case of one segment.
 
-    A segment of k edges is scored under ``spec``'s family at its heavy
+    A segment of k edges is scored under ``spec``'s model at its heavy
     prefixes. At fixed size the DL is concave in the backbone weight for
-    every supported family, so the per-size optimum sits at an extreme: the
+    every model, so the per-size optimum sits at an extreme: the
     heaviest or the lightest edges. The light suffix of size j has the DL
     of the heavy prefix of size k - j (bit-flip symmetry), so the prefix
     curve f over sizes 0..k covers both. Ties: the smallest minimizing size
@@ -261,21 +260,8 @@ def greedy_global(g, spec=None):
     w_sorted, segments = np.sort(g.weights)[::-1], _segments(g, spec)
     n_keep, dl, ties = _sweep(w_sorted, segments, spec)
     flags = _first_in_order(int(n_keep[0]), (-w, g.src, g.dst))
-    return _result(g, flags, dl, spec, "mdl-global", ties,
+    return _result(g, flags, dl, spec, ties,
                    lambda: _curve(w_sorted, segments, spec, segments[0]))
-
-
-def _weight_classes(w):
-    """``(distinct, cls)``: the distinct weights, heaviest first, and each
-    weight's class among them. Integer weights up to twice their count are
-    ranked by a counting sort, its table then O(E); others by ``np.unique``."""
-    if w.dtype.kind in "iu" and w.max() <= 2 * len(w):
-        present = np.zeros(w.max() + 1, dtype=bool)
-        present[w] = True
-        rank = np.cumsum(present[::-1])[::-1] - 1
-        return np.flatnonzero(present)[::-1].astype(w.dtype), rank[w]
-    distinct, cls = np.unique(w, return_inverse=True)
-    return distinct[::-1], len(distinct) - 1 - cls
 
 
 def greedy_local(g, spec=None):
@@ -334,7 +320,7 @@ def greedy_local(g, spec=None):
     at, parent = at[ranked], parent[ranked]
     rank = np.arange(len(at)) - np.searchsorted(at, at)
     flags[parent[rank < need[at]]] = True
-    return _result(g, flags, dl, spec, "mdl-local", ties,
+    return _result(g, flags, dl, spec, ties,
                    lambda: _curve(w, segments, spec, segments[0]))
 
 
@@ -356,15 +342,16 @@ def result_to_dict(result):
     result is summarized as ``trace``: its length, argmin (E_b), minimum
     (the DL) and the number of sizes that reach the minimum."""
     doc = backbone_to_dict(result.backbone)
+    scope = result.spec.scope
     doc.update({
-        "method": result.method,
-        "objective": result.objective,
+        "method": f"mdl-{scope}",
+        "objective": _objective_name(result.spec),
         "dl_bits": result.dl,
         "dl_empty_global_bits": result.dl_empty_global,
         "dl_empty_local_bits": result.dl_empty_local,
         "eta": result.eta,
     })
-    if result.method == "mdl-global":
+    if scope == "global":
         doc["trace"] = {"length": doc["E"] + 1, "argmin": doc["E_b"], "min_bits": result.dl,
                         "tie_count": int(result.tie_counts[0])}
     return doc

@@ -31,11 +31,10 @@ def make_graph(src, dst, weights, num_nodes=None, directed=True,
 def assert_integer_objectives_refuse(g):
     """Every objective but the exponential one, at either scope, refuses
     the real weights of ``g`` and states the integer rule."""
-    for family, model in [("microcanonical", None), ("canonical", "geometric"),
-                          ("canonical", "poisson")]:
+    for model in ("microcanonical", "geometric", "poisson"):
         for scope, solve in (("global", greedy_global), ("local", greedy_local)):
             with pytest.raises(DomainError, match=INTEGER_RULE):
-                solve(g, ObjectiveSpec(scope, family, model))
+                solve(g, ObjectiveSpec(scope, model))
 
 
 def real_star(weights):

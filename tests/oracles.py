@@ -66,7 +66,7 @@ def dl_global_canonical(E, W, E_b, W_b, spec, log2_wfact=0.0):
     model. For poisson, pass sum_e log2(w_e!) over all E edges as
     ``log2_wfact`` so that values are exact (it is constant across backbones
     of the same graph)."""
-    if spec.family != "canonical":
+    if spec.model == "microcanonical":
         raise DomainError("spec must be canonical")
     _check_global_args(E, W, E_b, W_b, integer=not spec.continuous)
     if E == 0:
@@ -112,7 +112,7 @@ def enumerate_optimal(g, spec):
     n_seg, w_onehot = onehot.shape[1], w[:, None] * onehot
     # each segment's totals, added in edge order whatever the other segments
     k, s = onehot.sum(axis=0), np.bincount(seg, w, n_seg)
-    poisson = spec.family == "canonical" and spec.weight_model == "poisson"
+    poisson = spec.model == "poisson"
     wf = np.bincount(seg, _log2_factorial(scope_g.weights), n_seg) if poisson else 0.0
 
     best_dl, best_Eb, best_bits = np.inf, np.inf, None
@@ -122,7 +122,7 @@ def enumerate_optimal(g, spec):
         i = int(np.lexsort((Eb, dls))[0])
         if (dls[i], Eb[i]) < (best_dl, best_Eb):
             best_dl, best_Eb, best_bits = float(dls[i]), Eb[i], bits[i].astype(bool)
-    if local and spec.family == "microcanonical":
+    if local and spec.model == "microcanonical":
         # a constant, added after the minimum as greedy_local adds it
         best_dl += strength_prior_bits(scope_g.num_nodes, m, scope_g.total_weight)
     parents = directed_parents(g) if local else np.arange(m)
@@ -163,14 +163,14 @@ def dp_optimal(g, spec):
     if local and not g.directed:
         raise DomainError("the DP oracle splits local scope only on directed graphs")
     seg = g.src if local else np.zeros(g.num_edges, dtype=np.int64)
-    poisson = spec.family == "canonical" and spec.weight_model == "poisson"
+    poisson = spec.model == "poisson"
     dl = 0.0
     for i in np.unique(seg).tolist():
         w = g.weights[seg == i].tolist()
         E_b, W_b = _reachable(w)
         wf = float(np.sum(_log2_factorial(np.array(w)))) if poisson else 0.0
         dl += float(np.min(_dl_curve(float(len(w)), float(sum(w)), E_b, W_b, spec, wf)))
-    if local and spec.family == "microcanonical":
+    if local and spec.model == "microcanonical":
         dl += strength_prior_bits(g.num_nodes, g.num_edges, g.total_weight)
     return dl
 

@@ -44,9 +44,9 @@ from oracles import dl_global_canonical, enumerate_optimal
 
 MICRO_G = ObjectiveSpec("global", "microcanonical")
 MICRO_L = ObjectiveSpec("local", "microcanonical")
-GEOM_G = ObjectiveSpec("global", "canonical", "geometric")
-GEOM_L = ObjectiveSpec("local", "canonical", "geometric")
-POIS_G = ObjectiveSpec("global", "canonical", "poisson")
+GEOM_G = ObjectiveSpec("global", "geometric")
+GEOM_L = ObjectiveSpec("local", "geometric")
+POIS_G = ObjectiveSpec("global", "poisson")
 
 DATASET = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "datasets",

@@ -343,6 +343,11 @@ class TestPercolationBackbone:
         bb = percolation_backbone(g)
         assert bb.edge_set() == {(0, 1), (0, 2)}
 
+    @pytest.mark.parametrize("weight_kind", ["integer", "real"])
+    def test_no_edges(self, weight_kind):
+        g = make_graph([], [], [], num_nodes=3, weight_kind=weight_kind)
+        assert percolation_backbone(g).num_edges == 0
+
 
 class _DisjointSet:
     def __init__(self, n):

@@ -300,7 +300,7 @@ class TestBackboneCommand:
                      "--objective", "canonical-exponential", "--output", str(out)]) == 0
         with open(path) as fh:
             g = parse_edge_list(fh, directed=True)
-        bb = greedy_global(g, ObjectiveSpec("global", "canonical", "exponential")).backbone
+        bb = greedy_global(g, ObjectiveSpec("global", "exponential")).backbone
         assert bb.num_edges
         with open(tmp_path / "out.tsv") as fh:
             back = parse_edge_list(fh, directed=True)

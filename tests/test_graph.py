@@ -15,6 +15,7 @@ from mdlbackbone.graph import (
     WeightedGraph,
     _first_appearance,
     _span_digits,
+    _weight_classes,
     backbone_from_edge_subset,
     backbone_from_flags,
     collapse_to_undirected,
@@ -589,10 +590,10 @@ _MAX = np.finfo(float).max
 def _greedy_on_real_weights(g):
     """Both greedies under canonical-exponential, which take real weights;
     each scored prefix must be a valid state (a RuntimeWarning fails)."""
-    spec = ObjectiveSpec("global", "canonical", "exponential")
+    spec = ObjectiveSpec("global", "exponential")
     result = greedy_global(g, spec)
     assert result.backbone.total_weight <= g.total_weight
-    greedy_local(g, ObjectiveSpec("local", "canonical", "exponential"))
+    greedy_local(g, ObjectiveSpec("local", "exponential"))
     return result
 
 
@@ -607,7 +608,7 @@ class TestRealWeightSum:
         bb = backbone_from_flags(g, np.array(flags, dtype=bool))
         assert bb.total_weight <= g.total_weight == 3.1525197391593492e+16
         assert summarize(g, bb).weight_fraction <= 1.0
-        description_length(g, bb, ObjectiveSpec("global", "canonical", "exponential"))
+        description_length(g, bb, ObjectiveSpec("global", "exponential"))
 
     def test_greedy_prefix_does_not_sum_above_the_graph(self):
         g = make_graph([0, 2, 4, 6], [1, 3, 5, 7], _OVER_PREFIX, weight_kind="real")
@@ -641,7 +642,7 @@ class TestRealWeightSum:
                        weight_kind="real")
         bb = backbone_from_flags(g, np.array(flags, dtype=bool))
         assert bb.total_weight <= g.total_weight
-        description_length(g, bb, ObjectiveSpec("global", "canonical", "exponential"))
+        description_length(g, bb, ObjectiveSpec("global", "exponential"))
         _greedy_on_real_weights(g)
 
 
@@ -762,3 +763,30 @@ class TestEdgeIndex:
         assert g.edge_index(src, dst).tolist() == [0, 1]
         assert g._key_index[1].dtype == np.int64
         assert graph._pair_key(src, dst, n).tolist() == [2**53 + 2**26 + 1, 2**53 + 2**26]
+
+
+def unique_classes(w):
+    """``(distinct, cls)`` of ``_weight_classes`` from ``np.unique``."""
+    distinct, inverse = np.unique(w, return_inverse=True)
+    return distinct[::-1], len(distinct) - 1 - inverse
+
+
+class TestWeightClasses:
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=20),
+           st.sampled_from([np.int64, np.int32, np.uint16]))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_table_matches_unique(self, w, dtype):
+        # the largest weight is at most twice the count: the counting sort
+        w = np.array(w + [1] * 15, dtype=dtype)
+        got, want = _weight_classes(w), unique_classes(w)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+    @given(st.lists(st.integers(1, 10**15), min_size=1, max_size=20), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_other_weights_match_unique(self, w, real):
+        # beyond twice the count, or real: np.unique ranks the weights
+        w = np.array(w + [2 * len(w) + 3], dtype=float if real else np.int64)
+        got, want = _weight_classes(w), unique_classes(w)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())

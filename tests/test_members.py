@@ -18,7 +18,7 @@ from conftest import graphs_with_backbones
 from oracles import mask_description_length, mask_reads
 
 SPECS = [ObjectiveSpec(scope, "microcanonical") for scope in ("global", "local")] + [
-    ObjectiveSpec(scope, "canonical", model, lam=0.7)
+    ObjectiveSpec(scope, model, lam=0.7)
     for scope in ("global", "local")
     for model in ("geometric", "poisson", "exponential")
 ]

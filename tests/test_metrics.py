@@ -226,7 +226,7 @@ class TestForeignBackbone:
         "dl-global": partial(description_length,
                              spec=ObjectiveSpec("global", "microcanonical")),
         "dl-local": partial(description_length,
-                            spec=ObjectiveSpec("local", "canonical", "geometric")),
+                            spec=ObjectiveSpec("local", "geometric")),
         "dl-local-micro": dl_local_micro,
     }
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,10 +24,12 @@ from mdlbackbone.solver import empty_backbone_dls
 from conftest import graphs_with_backbones, make_graph
 from oracles import dl_global_canonical, log2_binomial, strength_prior_bits
 
-GEOM = ObjectiveSpec("global", "canonical", "geometric")
-POIS = ObjectiveSpec("global", "canonical", "poisson")
-EXPO = ObjectiveSpec("global", "canonical", "exponential")
+GEOM = ObjectiveSpec("global", "geometric")
+POIS = ObjectiveSpec("global", "poisson")
+EXPO = ObjectiveSpec("global", "exponential")
 MICRO = ObjectiveSpec("global", "microcanonical")
+# what the message of an unknown model says after its name
+MODELS_LISTED = r"use one of \('microcanonical', 'geometric', 'poisson', 'exponential'\)"
 
 
 def valid_tuples(rng, count, max_e=30, max_excess=60):
@@ -149,22 +151,22 @@ def oracle_binom(n, k):
 
 
 def oracle_curve(E, W, E_b, W_b, spec, log2_wfact):
-    """Every family's closed form, each binomial through ``oracle_binom``."""
+    """Every model's closed form, each binomial through ``oracle_binom``."""
     E, W, E_b, W_b = (np.asarray(x, dtype=float) for x in (E, W, E_b, W_b))
     Et, Wt = E - E_b, W - W_b
-    if spec.family == "microcanonical":
+    if spec.model == "microcanonical":
         return (
             np.log2(E + 1.0) + np.log2(W - E + 1.0) + oracle_binom(E, E_b)
             + oracle_binom(W_b - 1.0, E_b - 1.0) + oracle_binom(Wt - 1.0, Et - 1.0)
         )
     base = np.log2(E + 1.0) + oracle_binom(E, E_b)
     lam = spec.lam
-    if spec.weight_model == "geometric":
+    if spec.model == "geometric":
         return (
             base + np.log2(W_b + 1.0) + np.log2(Wt + 1.0)
             + oracle_binom(W_b, E_b) + oracle_binom(Wt, Et)
         )
-    if spec.weight_model == "poisson":
+    if spec.model == "poisson":
         return (
             base - 2.0 * np.log2(lam)
             + (W_b + 1.0) * np.log2(E_b + lam) - _log2_factorial(W_b)
@@ -203,8 +205,8 @@ def valid_states(draw, real):
 ORACLE_SPECS = [
     (MICRO, False),
     (GEOM, False),
-    (ObjectiveSpec("global", "canonical", "poisson", lam=0.7), False),
-    (ObjectiveSpec("global", "canonical", "exponential", lam=0.7), True),
+    (ObjectiveSpec("global", "poisson", lam=0.7), False),
+    (ObjectiveSpec("global", "exponential", lam=0.7), True),
 ]
 
 
@@ -230,10 +232,10 @@ def global_scalar(g, flags, spec):
     after another."""
     bb = backbone_from_flags(g, flags)
     state = (g.num_edges, g.total_weight, bb.num_edges, bb.total_weight)
-    if spec.family == "microcanonical":
+    if spec.model == "microcanonical":
         return dl_global_micro(*state)
     wfact = 0.0
-    if spec.weight_model == "poisson":
+    if spec.model == "poisson":
         for term in _log2_factorial(g.weights):
             wfact += term
     return dl_global_canonical(*state, spec, wfact)
@@ -352,7 +354,7 @@ class TestLocalMatchesPerNodeLoop:
     @settings(max_examples=40, deadline=None)
     def test_canonical(self, model, case):
         g, flags = case
-        spec = ObjectiveSpec("local", "canonical", model, lam=0.7)
+        spec = ObjectiveSpec("local", model, lam=0.7)
         got = description_length(g, backbone_from_flags(g, flags), spec)
         assert got == pytest.approx(local_dl_reference(g, flags, spec), rel=1e-9)
 
@@ -360,7 +362,7 @@ class TestLocalMatchesPerNodeLoop:
     @settings(max_examples=40, deadline=None)
     def test_exponential_real_weights(self, case):
         g, flags = case
-        spec = ObjectiveSpec("local", "canonical", "exponential")
+        spec = ObjectiveSpec("local", "exponential")
         got = description_length(g, backbone_from_flags(g, flags), spec)
         assert got == pytest.approx(local_dl_reference(g, flags, spec), rel=1e-9)
 
@@ -386,7 +388,7 @@ class TestCanonical:
         )
 
     def test_exponential_reference(self):
-        spec = ObjectiveSpec("global", "canonical", "exponential", lam=1.0)
+        spec = ObjectiveSpec("global", "exponential", lam=1.0)
         got = dl_global_canonical(2, 3.0, 0, 0.0, spec)
         expect = np.log2(3) + 3 * np.log2(4) - np.log2(2)
         assert got == pytest.approx(expect, abs=1e-9)
@@ -403,7 +405,7 @@ class TestCanonical:
         )
 
     def test_local_canonical_sums_neighborhoods(self, star_selfloops):
-        spec = ObjectiveSpec("local", "canonical", "geometric")
+        spec = ObjectiveSpec("local", "geometric")
         bb = backbone_from_flags(star_selfloops, [True, False, False, False])
         assert description_length(star_selfloops, bb, spec) == pytest.approx(
             11.2288, abs=1e-4
@@ -439,28 +441,37 @@ class TestCanonical:
                 assert a == pytest.approx(b, abs=1e-9)
 
     def test_spec_validation(self):
+        # a family with its weight model, the spec's old two fields, or a
+        # command-line objective name is not a model
+        for args in (("canonical",), ("canonical", "geometric"), ("canonical-geometric",)):
+            with pytest.raises(DomainError, match=f"unknown model '{args[0]}'; {MODELS_LISTED}"):
+                ObjectiveSpec("global", *args)
         with pytest.raises(DomainError):
-            ObjectiveSpec("global", "canonical")
+            ObjectiveSpec("sideways", "geometric")
         with pytest.raises(DomainError):
-            ObjectiveSpec("global", "microcanonical", "geometric")
-        with pytest.raises(DomainError):
-            ObjectiveSpec("sideways", "canonical", "geometric")
-        with pytest.raises(DomainError):
-            ObjectiveSpec("global", "canonical", "poisson", lam=0.0)
+            ObjectiveSpec("global", "poisson", lam=0.0)
         with pytest.raises(DomainError, match="lam must be finite and positive"):
             ObjectiveSpec("global", "microcanonical", lam=math.nan)
+        # the old spec's weight model, passed after microcanonical, lands
+        # in the lam slot: not a number
+        for lam in ("geometric", None):
+            with pytest.raises(DomainError, match="lam must be finite and positive"):
+                ObjectiveSpec("global", "microcanonical", lam)
         with pytest.raises(DomainError):
             dl_global_canonical(4, 8, 1, 5, MICRO)
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(DomainError, match="unknown family 'grand'"):
+    def test_unknown_model_rejected(self):
+        with pytest.raises(DomainError, match=f"unknown model 'grand'; {MODELS_LISTED}"):
             ObjectiveSpec("global", "grand")
+
+    def test_fields(self):
+        assert [f.name for f in fields(ObjectiveSpec)] == ["scope", "model", "lam"]
 
     @pytest.mark.parametrize("model", ["poisson", "exponential"])
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_non_finite_lam_rejected(self, model, lam):
         with pytest.raises(DomainError, match="lam must be finite and positive"):
-            ObjectiveSpec("global", "canonical", model, lam=lam)
+            ObjectiveSpec("global", model, lam=lam)
 
 
 @st.composite
@@ -471,7 +482,7 @@ def interior_states(draw):
     model = draw(st.sampled_from([None, "geometric", "poisson", "exponential"]))
     lam = draw(st.floats(1e-3, 1e3))
     spec = (MICRO if model is None
-            else ObjectiveSpec("global", "canonical", model, lam=lam))
+            else ObjectiveSpec("global", model, lam=lam))
     E = draw(st.integers(2, 1000))
     E_b = draw(st.integers(1, E - 1))
     W = draw(st.integers(E + 2, 10**6))
@@ -488,14 +499,14 @@ class TestDelta:
 
     @staticmethod
     def dl(spec, E, W, E_b, W_b):
-        if spec.family == "microcanonical":
+        if spec.model == "microcanonical":
             return dl_global_micro(E, W, E_b, W_b)
         return dl_global_canonical(E, W, E_b, W_b, spec)
 
     @settings(max_examples=300, deadline=None)
     @given(interior_states())
     def test_concave_in_backbone_weight(self, state):
-        # the greedy's premise: at a fixed size every family's DL is concave
+        # the greedy's premise: at a fixed size every model's DL is concave
         # in W_b, so the optimum sits at the heaviest or lightest edges
         spec, E, W, E_b, W_b = state
         lo, mid, hi = (self.dl(spec, E, W, E_b, W_b + d) for d in (-1, 0, 1))

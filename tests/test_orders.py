@@ -28,7 +28,7 @@ from mdlbackbone.graph import (
     neighborhood_order,
     neighborhoods,
 )
-from mdlbackbone.objectives import ObjectiveSpec
+from mdlbackbone.objectives import MODELS, ObjectiveSpec
 from mdlbackbone.percolation import HalfEdgeSystem
 from mdlbackbone.solver import greedy_global, greedy_local
 
@@ -39,10 +39,6 @@ from conftest import (
     make_graph,
     small_graphs,
 )
-
-SPECS = [("microcanonical", None), ("canonical", "geometric"),
-         ("canonical", "poisson"), ("canonical", "exponential")]
-
 
 def graphs(directed=None, real=None):
     """small_graphs in either direction, with integer or real weights."""
@@ -81,9 +77,9 @@ class TestGlobalFlags:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_first_n_keep_of_lexsort(self, data):
-        family, model = data.draw(st.sampled_from(SPECS))
+        model = data.draw(st.sampled_from(MODELS))
         g = data.draw(graphs(real=model == "exponential"))
-        res = greedy_global(g, ObjectiveSpec("global", family, model))
+        res = greedy_global(g, ObjectiveSpec("global", model))
         flags = res.backbone.member_flags
         oracle = lexsort_global_flags(g, int(np.argmin(res.curves[0])))
         assert flags.tolist() == oracle.tolist()
@@ -93,10 +89,10 @@ class TestLocalFlags:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_first_n_keep_of_lexsort(self, data):
-        family, model = data.draw(st.sampled_from(SPECS))
+        model = data.draw(st.sampled_from(MODELS))
         real = model == "exponential" and data.draw(st.booleans())
         g = data.draw(graphs(real=real))
-        res = greedy_local(g, ObjectiveSpec("local", family, model))
+        res = greedy_local(g, ObjectiveSpec("local", model))
         flags = res.backbone.member_flags
         assert flags.tolist() == lexsort_local_flags(g, res.curves).tolist()
 
@@ -113,8 +109,8 @@ class TestLocalFlags:
         src, dst = (rng.integers(0, n, size=(2, blocks, m)) + base).reshape(2, -1)
         w = rng.integers(1, 10, size=blocks * m)
         g = make_graph(src, dst, w, num_nodes=blocks * n, directed=directed)
-        for family, model in SPECS:
-            res = greedy_local(g, ObjectiveSpec("local", family, model))
+        for model in MODELS:
+            res = greedy_local(g, ObjectiveSpec("local", model))
             flags = res.backbone.member_flags
             assert flags.tolist() == lexsort_local_flags(g, res.curves).tolist()
 
@@ -133,8 +129,8 @@ def test_greedy_local_builds_no_directed_view(monkeypatch):
     for directed in (True, False):
         g = make_graph([0, 1, 1, 0, 2, 2], [1, 0, 2, 2, 2, 0], [3, 2, 1, 4, 2, 3],
                        num_nodes=3, directed=directed)
-        for family, model in SPECS:
-            greedy_local(g, ObjectiveSpec("local", family, model))
+        for model in MODELS:
+            greedy_local(g, ObjectiveSpec("local", model))
 
 
 class TestDisparityTopE:
@@ -224,7 +220,7 @@ class TestPackedKeysAt63Bits:
         for n in range(g.num_edges + 1):
             flags = _first_in_order(n, (-w, g.src, g.dst))
             assert flags.tolist() == lexsort_global_flags(g, n).tolist()
-        res = greedy_global(g, ObjectiveSpec("global", "canonical", "exponential"))
+        res = greedy_global(g, ObjectiveSpec("global", "exponential"))
         assert 0 < res.backbone.num_edges < g.num_edges
         assert res.backbone.member_flags.tolist() == lexsort_global_flags(
             g, res.backbone.num_edges).tolist()

@@ -36,7 +36,7 @@ from conftest import graphs_with_backbones
 from oracles import strength_prior_bits
 
 SPECS = [ObjectiveSpec("local", "microcanonical")] + [
-    ObjectiveSpec("local", "canonical", model, lam=0.7)
+    ObjectiveSpec("local", model, lam=0.7)
     for model in ("geometric", "poisson", "exponential")
 ]
 
@@ -67,10 +67,10 @@ def view_local_dl(g, flags, spec):
     k = k[nz]
     _check_global_args(k, s, k_b, s_b, integer=not spec.continuous)
     wfact = 0.0
-    if spec.weight_model == "poisson":
+    if spec.model == "poisson":
         wfact = np.bincount(dg.src, weights=_log2_factorial(w), minlength=n)[nz]
     terms = np.sum(_dl_curve(k, s, k_b, s_b, spec, wfact))
-    if spec.family == "canonical":
+    if spec.model != "microcanonical":
         return float(terms)
     prior = strength_prior_bits(n, dg.num_edges, dg.total_weight)
     return float(prior + terms)
@@ -176,5 +176,5 @@ def test_sums_build_no_directed_view(monkeypatch):
     for spec in SPECS:
         local_dl(g, bb.member_flags, spec)
         empty_backbone_dls(g, spec)
-        greedy_global(g, ObjectiveSpec("global", spec.family, spec.weight_model))
+        greedy_global(g, ObjectiveSpec("global", spec.model))
     edge_disparity_pvalues(g)

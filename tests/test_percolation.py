@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from mdlbackbone import cli, percolation
 from mdlbackbone.errors import DomainError
@@ -328,6 +330,20 @@ class TestCriticalProbability:
     def test_tree_none(self):
         assert critical_probability(path_graph(8)) is None
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_one_cycle_is_critical_at_one(self, n):
+        # a unit-weight n-cycle with a pendant path of 0-3 edges: its 2-core
+        # is the cycle, lambda(p) = p, and the threshold is 1 however the
+        # power iteration rounds lambda(1); a path alone never percolates
+        for pendant in range(4):
+            chain = [0, *range(n, n + pendant)]
+            g = make_graph([*range(n), *chain[:-1]],
+                           [*range(1, n), 0, *chain[1:]],
+                           [1] * (n + pendant), directed=False)
+            p_c = critical_probability(g)
+            assert p_c is not None and 1.0 - 1e-4 < p_c <= 1.0
+        assert critical_probability(path_graph(n)) is None
+
     def test_stops_on_the_bracket(self):
         # a 4-cycle with a pendant edge: lambda is the cycle's geometric mean
         # of phi, which reaches 1 only at p = 1; under a tolerance no step
@@ -379,9 +395,17 @@ class TestCriticalProbability:
     def test_matches_bisection(self, g):
         p_c = critical_probability(g)
         expected = bisection_threshold(g)
+        # only a forest never percolates (self-loops do not count): a
+        # parallel pair or any other cycle gives more edges than the N - C
+        # of a spanning forest
+        pair = g.src != g.dst
+        adj = csr_matrix((np.ones(pair.sum()), (g.src[pair], g.dst[pair])),
+                         (g.num_nodes,) * 2)
+        n_comp = connected_components(adj, directed=False)[0]
+        assert (p_c is None) == (pair.sum() == g.num_nodes - n_comp)
         if p_c is None or expected is None:
-            # a graph critical at p = 1 itself (its 2-core one cycle) may
-            # fall on either side of "never percolates"
+            # the bisection may round a graph critical at p = 1 itself (its
+            # 2-core one cycle) to "never percolates"
             assert p_c is expected or abs(dense_nb_radius(g, 1.0) - 1.0) < 1e-9
             return
         assert dense_nb_radius(g, p_c) == pytest.approx(1.0, abs=1e-6)
@@ -435,7 +459,7 @@ class TestStudy:
         sys_ = HalfEdgeSystem.build(g)
         fresh = [
             message_passing_cluster(sys_, p, init="random", seed=1)[0]
-            for p in report.p_grid
+            for p in grid
         ]
         np.testing.assert_allclose(report.S, fresh, rtol=0, atol=1e-9)
         assert max(report.S) > 0.5
@@ -461,6 +485,6 @@ class TestStudy:
         sys_ = HalfEdgeSystem.build(g)
         cold = [
             message_passing_cluster(sys_, p, init="random", seed=seed)[0]
-            for p in report.p_grid
+            for p in sorted(grid)
         ]
         np.testing.assert_allclose(report.S, cold, rtol=0, atol=1e-9)

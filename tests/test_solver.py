@@ -1,3 +1,4 @@
+from dataclasses import fields
 from math import comb
 from unittest import mock
 
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdlbackbone import objectives, solver
+from mdlbackbone import cli, objectives, solver
 from mdlbackbone.errors import DomainError
 from mdlbackbone.graph import _out_sums, directed_view, parse_edge_list
 from mdlbackbone.objectives import (
+    MODELS,
     ObjectiveSpec,
     _dl_curve,
     _log2_factorial,
@@ -17,6 +19,7 @@ from mdlbackbone.objectives import (
     dl_local_micro,
 )
 from mdlbackbone.solver import (
+    BackboneResult,
     _curve,
     empty_backbone_dls,
     greedy_global,
@@ -40,9 +43,9 @@ from oracles import ENUMERATION_EDGE_CAP, enumerate_optimal, strength_prior_bits
 
 MICRO_G = ObjectiveSpec("global", "microcanonical")
 MICRO_L = ObjectiveSpec("local", "microcanonical")
-GEOM_G = ObjectiveSpec("global", "canonical", "geometric")
-GEOM_L = ObjectiveSpec("local", "canonical", "geometric")
-POIS_G = ObjectiveSpec("global", "canonical", "poisson")
+GEOM_G = ObjectiveSpec("global", "geometric")
+GEOM_L = ObjectiveSpec("local", "geometric")
+POIS_G = ObjectiveSpec("global", "poisson")
 
 
 class TestGreedyGlobal:
@@ -148,13 +151,13 @@ class TestGlobalMatchesLocalOnOneNeighborhood:
     backbone, the same DL up to the local strength prior, and the same
     curve."""
 
-    def check(self, g, family, model=None):
-        glob = greedy_global(g, ObjectiveSpec("global", family, model))
-        loc = greedy_local(g, ObjectiveSpec("local", family, model))
+    def check(self, g, model):
+        glob = greedy_global(g, ObjectiveSpec("global", model))
+        loc = greedy_local(g, ObjectiveSpec("local", model))
         assert np.array_equal(loc.backbone.member_flags,
                               glob.backbone.member_flags)
         prior = 0.0
-        if family == "microcanonical":
+        if model == "microcanonical":
             prior = strength_prior_bits(g.num_nodes, g.num_edges, g.total_weight)
         assert loc.dl - prior == pytest.approx(glob.dl, abs=1e-9)
         values, starts = loc.curves
@@ -170,16 +173,18 @@ class TestGlobalMatchesLocalOnOneNeighborhood:
     @given(g=small_graphs(one_neighborhood=True))
     @settings(max_examples=60, deadline=None)
     def test_canonical(self, model, g):
-        self.check(g, "canonical", model)
+        self.check(g, model)
 
     @given(small_graphs(real=True, one_neighborhood=True))
     @settings(max_examples=60, deadline=None)
     def test_exponential_real_weights(self, g):
-        self.check(g, "canonical", "exponential")
+        self.check(g, "exponential")
 
 
-OBJECTIVES = [("microcanonical", None), ("canonical", "geometric"),
-              ("canonical", "poisson"), ("canonical", "exponential")]
+# the ids and seeds of the tests parametrized by model
+OBJECTIVE_ID = {"microcanonical": "microcanonical-None", "geometric": "canonical-geometric",
+                "poisson": "canonical-poisson", "exponential": "canonical-exponential"}
+SEED = {"microcanonical": 14, "geometric": 18, "poisson": 16, "exponential": 20}
 
 
 class TestTraceIsTheCurve:
@@ -187,12 +192,12 @@ class TestTraceIsTheCurve:
     both scopes the first minimum is the returned backbone size and DL."""
 
     @pytest.mark.parametrize("directed", [True, False])
-    @pytest.mark.parametrize("family, model", OBJECTIVES)
+    @pytest.mark.parametrize("model", MODELS, ids=OBJECTIVE_ID.get)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_global(self, family, model, directed, data):
+    def test_global(self, model, directed, data):
         g = data.draw(small_graphs(directed, real=model == "exponential"))
-        res = greedy_global(g, ObjectiveSpec("global", family, model))
+        res = greedy_global(g, ObjectiveSpec("global", model))
         values, starts = res.curves
         assert list(starts) == [0, g.num_edges + 1]
         assert len(values) == g.num_edges + 1
@@ -200,12 +205,12 @@ class TestTraceIsTheCurve:
         assert values[res.backbone.num_edges] == res.dl
 
     @pytest.mark.parametrize("directed", [True, False])
-    @pytest.mark.parametrize("family, model", OBJECTIVES)
+    @pytest.mark.parametrize("model", MODELS, ids=OBJECTIVE_ID.get)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_local(self, family, model, directed, data):
+    def test_local(self, model, directed, data):
         g = data.draw(small_graphs(directed, real=model == "exponential"))
-        res = greedy_local(g, ObjectiveSpec("local", family, model))
+        res = greedy_local(g, ObjectiveSpec("local", model))
         values, starts = res.curves
         N = g.num_nodes
         assert len(starts) == N + 1
@@ -214,7 +219,7 @@ class TestTraceIsTheCurve:
             kept = np.bincount(g.src[res.backbone.member_flags], minlength=N)
             assert [int(np.argmin(v)) for v in slices] == list(kept)
         dl = sum(v.min() for v in slices)
-        if family == "microcanonical":
+        if model == "microcanonical":
             dg = directed_view(g)
             dl += strength_prior_bits(N, dg.num_edges, dg.total_weight)
         assert dl == pytest.approx(res.dl, abs=1e-9)
@@ -225,8 +230,8 @@ class TestNonDyadicRealWeights:
     forms round; the empty and the full backbone tie exactly all the same,
     and the empty one wins."""
 
-    EXP_G = ObjectiveSpec("global", "canonical", "exponential")
-    EXP_L = ObjectiveSpec("local", "canonical", "exponential")
+    EXP_G = ObjectiveSpec("global", "exponential")
+    EXP_L = ObjectiveSpec("local", "exponential")
 
     @given(st.lists(st.integers(10, 200), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
@@ -257,7 +262,8 @@ class TestNonDyadicRealWeights:
 class TestAgainstEnumeration:
     @pytest.mark.parametrize("spec", [MICRO_G, GEOM_G, POIS_G])
     def test_global(self, spec):
-        rng = np.random.default_rng(int(1000 * spec.lam) + len(spec.family))
+        family = "microcanonical" if spec.model == "microcanonical" else "canonical"
+        rng = np.random.default_rng(int(1000 * spec.lam) + len(family))
         for _ in range(40):
             g = random_multigraph_free(rng)
             greedy = greedy_global(g, spec)
@@ -265,7 +271,7 @@ class TestAgainstEnumeration:
             assert greedy.dl == pytest.approx(exact.dl, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "spec", [MICRO_L, GEOM_L, ObjectiveSpec("local", "canonical", "poisson")]
+        "spec", [MICRO_L, GEOM_L, ObjectiveSpec("local", "poisson")]
     )
     def test_local(self, spec):
         rng = np.random.default_rng(99)
@@ -298,7 +304,7 @@ class TestAgainstEnumeration:
 
     @pytest.mark.parametrize("m", [13, 14])
     @pytest.mark.parametrize(
-        "spec", [MICRO_L, GEOM_L, ObjectiveSpec("local", "canonical", "poisson")]
+        "spec", [MICRO_L, GEOM_L, ObjectiveSpec("local", "poisson")]
     )
     def test_local_across_mask_chunks(self, spec, m):
         # 2**12 masks per chunk: 2 or 4 chunks
@@ -351,15 +357,15 @@ class TestOracleGlobalMatchesLocalOnOneNeighborhood:
     where every edge leaves node 0, the enumeration at local scope scores
     one non-empty segment, the edge list, as it does at global scope."""
 
-    @pytest.mark.parametrize("family, model", OBJECTIVES)
+    @pytest.mark.parametrize("model", MODELS, ids=OBJECTIVE_ID.get)
     @given(g=small_graphs(one_neighborhood=True))
     @settings(max_examples=30, deadline=None)
-    def test_same_flags_and_dl(self, family, model, g):
-        glob = enumerate_optimal(g, ObjectiveSpec("global", family, model))
-        loc = enumerate_optimal(g, ObjectiveSpec("local", family, model))
+    def test_same_flags_and_dl(self, model, g):
+        glob = enumerate_optimal(g, ObjectiveSpec("global", model))
+        loc = enumerate_optimal(g, ObjectiveSpec("local", model))
         assert np.array_equal(loc.backbone.member_flags, glob.backbone.member_flags)
         prior = 0.0
-        if family == "microcanonical":
+        if model == "microcanonical":
             prior = strength_prior_bits(g.num_nodes, g.num_edges, g.total_weight)
         assert loc.dl - prior == pytest.approx(glob.dl, abs=1e-9)
 
@@ -392,8 +398,8 @@ class TestCompareByIdentity:
         assert len({g, h, g}) == 2
 
 
-INTEGER_SPECS = [ObjectiveSpec(scope, family, model) for scope in ("global", "local")
-                 for family, model in OBJECTIVES[:3]]
+INTEGER_SPECS = [ObjectiveSpec(scope, model) for scope in ("global", "local")
+                 for model in MODELS[:3]]
 
 
 @st.composite
@@ -475,10 +481,10 @@ class TestRelabelAndPermute:
         return sorted(zip(nodes.tolist(), bb.parent.weights[bb.member_flags].tolist()))
 
     @pytest.mark.parametrize("directed", [True, False])
-    @pytest.mark.parametrize("family, model", OBJECTIVES)
-    def test_global(self, family, model, directed):
-        rng = np.random.default_rng(len(family) + len(model or "") + directed)
-        spec = ObjectiveSpec("global", family, model)
+    @pytest.mark.parametrize("model", MODELS, ids=OBJECTIVE_ID.get)
+    def test_global(self, model, directed):
+        rng = np.random.default_rng(SEED[model] + directed)
+        spec = ObjectiveSpec("global", model)
         for _ in range(40):
             g = random_graph(rng, directed, real=model == "exponential")
             h, _ = self.relabeled(g, rng)
@@ -487,10 +493,10 @@ class TestRelabelAndPermute:
             assert self.kept(a) == self.kept(b)
             assert b.dl == pytest.approx(a.dl, rel=0, abs=1e-9)
 
-    @pytest.mark.parametrize("family, model", OBJECTIVES)
-    def test_directed_local(self, family, model):
-        rng = np.random.default_rng(len(family) + len(model or ""))
-        spec = ObjectiveSpec("local", family, model)
+    @pytest.mark.parametrize("model", MODELS, ids=OBJECTIVE_ID.get)
+    def test_directed_local(self, model):
+        rng = np.random.default_rng(SEED[model])
+        spec = ObjectiveSpec("local", model)
         for _ in range(40):
             g = random_graph(rng, True, real=model == "exponential")
             h, perm = self.relabeled(g, rng)
@@ -504,10 +510,10 @@ class TestDisjointUnion:
     and the strength prior does not depend on the backbone: the flags of
     G1 + G2, side by side, are G1's flags followed by G2's."""
 
-    @pytest.mark.parametrize("family, model", OBJECTIVES)
-    def test_flags_concatenate(self, family, model):
-        rng = np.random.default_rng(3 + len(family) + len(model or ""))
-        spec = ObjectiveSpec("local", family, model)
+    @pytest.mark.parametrize("model", MODELS, ids=OBJECTIVE_ID.get)
+    def test_flags_concatenate(self, model):
+        rng = np.random.default_rng(3 + SEED[model])
+        spec = ObjectiveSpec("local", model)
         real = model == "exponential"
         for _ in range(40):
             g1, g2 = (random_graph(rng, True, real) for _ in range(2))
@@ -547,7 +553,7 @@ class TestInvariants:
             r"eta is undefined: .* -0\.119\d* bits \(global\) "
             r"and -0\.119\d* bits \(local\)"
         )):
-            solve(g, ObjectiveSpec(scope, "canonical", "exponential"))
+            solve(g, ObjectiveSpec(scope, "exponential"))
 
 
 # Graphs whose totals pass 2**53, where float sums of integer weights round:
@@ -594,7 +600,7 @@ class TestIntegerWeightBound:
         with pytest.raises(DomainError, match=r"total weight below 2\*\*53"):
             make_graph(src, dst, w, directed=directed)
 
-    @given(g=graphs_near_the_bound(), model=st.sampled_from([None, "geometric", "poisson"]))
+    @given(g=graphs_near_the_bound(), model=st.sampled_from(MODELS[:3]))
     @settings(max_examples=60, deadline=None)
     def test_local_scope_is_exact_near_the_bound(self, g, model):
         exact = [0] * g.num_nodes
@@ -602,9 +608,8 @@ class TestIntegerWeightBound:
             exact[i] += w
         assert g.strengths().tolist() == exact
 
-        family = "microcanonical" if model is None else "canonical"
-        spec = ObjectiveSpec("local", family, model)
-        glob_spec = ObjectiveSpec("global", family, model)
+        spec = ObjectiveSpec("local", model)
+        glob_spec = ObjectiveSpec("global", model)
         # Here one ulp of ln Gamma(W + 1) is 32 or 64 nats, and the two
         # empty-backbone DLs can both round below 0, where eta is undefined
         # and raises. Eta enters none of the values checked below.
@@ -641,8 +646,8 @@ class TestIntegerWeightBound:
         # order than the node's edge order; here that shows in the first byte.
         star = make_graph([0] * 8, range(1, 9), [2**52, 1, 1, 1, 1, 1, 2, 8])
         with mock.patch.object(solver, "inverse_compression_ratio", lambda *dls: np.nan):
-            loc = greedy_local(star, ObjectiveSpec("local", "canonical", "poisson"))
-            glob = greedy_global(star, ObjectiveSpec("global", "canonical", "poisson"))
+            loc = greedy_local(star, ObjectiveSpec("local", "poisson"))
+            glob = greedy_global(star, ObjectiveSpec("global", "poisson"))
         values, starts = loc.curves
         assert values[starts[0]:starts[1]].tobytes() == glob.curves[0].tobytes()
 
@@ -671,7 +676,7 @@ class TestRoundedWeightSums:
         assert res.dl == enumerate_optimal(g, spec).dl
 
     @pytest.mark.parametrize("spec", [
-        MICRO_L, GEOM_L, ObjectiveSpec("local", "canonical", "poisson"),
+        MICRO_L, GEOM_L, ObjectiveSpec("local", "poisson"),
     ])
     def test_small_neighborhood_after_a_heavy_one(self, spec):
         # The prefix sums of c's neighborhood are differences of a running
@@ -685,11 +690,11 @@ class TestRoundedWeightSums:
         alone = parse_edge_list("c d 1\nc e 1\nc f 5\n", directed=True)
         kept = greedy_local(heavy, spec).backbone.member_flags
         assert kept[1:].tolist() == greedy_local(alone, spec).backbone.member_flags.tolist()
-        keeps_heaviest = spec.family == "microcanonical" or spec.weight_model == "geometric"
+        keeps_heaviest = spec.model in ("microcanonical", "geometric")
         assert kept[1:].tolist() == [False, False, keeps_heaviest]
 
     @pytest.mark.parametrize("spec", [
-        MICRO_L, GEOM_L, ObjectiveSpec("local", "canonical", "poisson"),
+        MICRO_L, GEOM_L, ObjectiveSpec("local", "poisson"),
     ])
     @pytest.mark.parametrize("exact", [False, True])
     def test_node_totals_from_the_prefix_sums(self, spec, exact):
@@ -710,7 +715,7 @@ class TestRoundedWeightSums:
         assert np.isfinite(res.dl)
         values, starts = res.curves
         dg = directed_view(g)
-        glob_spec = ObjectiveSpec("global", spec.family, spec.weight_model)
+        glob_spec = ObjectiveSpec("global", spec.model)
         for i in range(g.num_nodes):
             out = dg.src == i
             star = make_graph(np.zeros(out.sum()), np.arange(1, out.sum() + 1),
@@ -750,14 +755,13 @@ class TestSweepTable:
     curve must be the bits of the closed form evaluated through gammaln,
     state by state, on both sides of that rule."""
 
-    @pytest.mark.parametrize("family, model, real", [
-        *((family, model, False) for family, model in OBJECTIVES),
-        ("canonical", "exponential", True),
-    ])
+    @pytest.mark.parametrize("model, real", [
+        *((model, False) for model in MODELS), ("exponential", True),
+    ], ids=OBJECTIVE_ID.get)
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_bit_identical_to_gammaln(self, family, model, real, data):
-        spec = ObjectiveSpec("local", family, model)
+    def test_bit_identical_to_gammaln(self, model, real, data):
+        spec = ObjectiveSpec("local", model)
         for fits in (True,) if real else (True, False):
             self.check_curve(data.draw(sweep_segments(real, fits)), spec, real, fits)
 
@@ -835,7 +839,7 @@ class TestWeightOneTail:
         k, W = len(weights), float(sum(weights))
         assert W <= 1e6
         prefix = np.concatenate([[0.0], np.cumsum(weights, dtype=float)])
-        spec = ObjectiveSpec("global", "canonical", model, lam)
+        spec = ObjectiveSpec("global", model, lam)
         curve = _dl_curve(k, W, np.arange(k + 1), prefix, spec)
         assert (curve[k - u + 1:k] > curve[:k - u + 1].min()).all()
 
@@ -886,15 +890,14 @@ class TestSolversAgainstFullCurves:
 
     @pytest.mark.parametrize("scope", ["global", "local"])
     @pytest.mark.parametrize("directed", [True, False])
-    @pytest.mark.parametrize("family, model, real", [
-        *((family, model, False) for family, model in OBJECTIVES),
-        ("canonical", "exponential", True),
-    ])
+    @pytest.mark.parametrize("model, real", [
+        *((model, False) for model in MODELS), ("exponential", True),
+    ], ids=OBJECTIVE_ID.get)
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_same_result(self, scope, directed, family, model, real, data):
+    def test_same_result(self, scope, directed, model, real, data):
         g = data.draw(graphs_with_ones(directed, real))
-        spec = ObjectiveSpec(scope, family, model)
+        spec = ObjectiveSpec(scope, model)
         solve = greedy_global if scope == "global" else greedy_local
         res, scored = self.scored_values(solve, g, spec)
 
@@ -914,7 +917,7 @@ class TestSolversAgainstFullCurves:
                 for a, b, low in zip(starts[:-1], starts[1:], mins)]
         assert res.tie_counts.tolist() == ties
         prior = 0.0
-        if scope == "local" and family == "microcanonical":
+        if scope == "local" and model == "microcanonical":
             prior = strength_prior_bits(g.num_nodes, dg.num_edges, dg.total_weight)
         assert res.dl == float(np.sum(mins[k > 0])) + prior
         flags = res.backbone.member_flags
@@ -969,6 +972,24 @@ class TestReporting:
                                 "min_bits": res.dl, "tie_count": 1}
         assert "trace" not in result_to_dict(greedy_local(star_graph, MICRO_L))
 
+    @pytest.mark.parametrize("scope", ["global", "local"])
+    @pytest.mark.parametrize("name, model", [
+        ("micro", "microcanonical"), ("canonical-geometric", "geometric"),
+        ("canonical-poisson", "poisson"), ("canonical-exponential", "exponential"),
+    ])
+    def test_names_come_from_the_spec(self, star_graph, name, model, scope):
+        # every --objective name, solved at both scopes
+        assert cli.OBJECTIVES[name] == model
+        spec = ObjectiveSpec(scope, model, lam=0.7)
+        res = (greedy_global if scope == "global" else greedy_local)(star_graph, spec)
+        assert res.spec is spec and res.spec.lam == 0.7
+        doc = result_to_dict(res)
+        assert (doc["objective"], doc["method"]) == (f"{name}-{scope}", f"mdl-{scope}")
+
+    def test_result_holds_the_spec_not_its_names(self):
+        names = [f.name for f in fields(BackboneResult)]
+        assert "spec" in names and not {"method", "objective"} & set(names)
+
     def test_empty_backbone_dls_poisson_constant(self, star_graph):
         # poisson DLs include the per-graph sum of log2 w_e! so empty DLs
         # are comparable with optimized ones
@@ -999,14 +1020,11 @@ class TestReporting:
         greedy_global(star_graph, MICRO_G)
         greedy_local(star_graph, MICRO_L)
         assert calls == ["global", "local"]
-        a = empty_backbone_dls(star_graph, ObjectiveSpec("global", "canonical",
-                                                         "poisson", lam=0.5))
-        b = empty_backbone_dls(star_graph, ObjectiveSpec("local", "canonical",
-                                                         "poisson", lam=2.0))
+        a = empty_backbone_dls(star_graph, ObjectiveSpec("global", "poisson", lam=0.5))
+        b = empty_backbone_dls(star_graph, ObjectiveSpec("local", "poisson", lam=2.0))
         assert len(calls) == 6 and a != b
         # the scope of the spec is not part of the key
-        assert empty_backbone_dls(star_graph, ObjectiveSpec("local", "canonical",
-                                                            "poisson", lam=0.5)) == a
+        assert empty_backbone_dls(star_graph, ObjectiveSpec("local", "poisson", lam=0.5)) == a
         assert len(calls) == 6
 
     def test_empty_backbone_dls_keeps_no_error(self, monkeypatch):
@@ -1022,30 +1040,3 @@ class TestReporting:
             with pytest.raises(DomainError, match="requires integer weights"):
                 empty_backbone_dls(g, MICRO_G)
         assert calls == ["global", "global"]
-
-
-def unique_classes(w):
-    """``(distinct, cls)`` of ``solver._weight_classes`` from ``np.unique``."""
-    distinct, inverse = np.unique(w, return_inverse=True)
-    return distinct[::-1], len(distinct) - 1 - inverse
-
-
-class TestWeightClasses:
-    @given(st.lists(st.integers(1, 30), min_size=1, max_size=20),
-           st.sampled_from([np.int64, np.int32, np.uint16]))
-    @settings(max_examples=200, deadline=None)
-    def test_rank_table_matches_unique(self, w, dtype):
-        # the largest weight is at most twice the count: the counting sort
-        w = np.array(w + [1] * 15, dtype=dtype)
-        got, want = solver._weight_classes(w), unique_classes(w)
-        for a, b in zip(got, want):
-            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
-
-    @given(st.lists(st.integers(1, 10**15), min_size=1, max_size=20), st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_other_weights_match_unique(self, w, real):
-        # beyond twice the count, or real: np.unique ranks the weights
-        w = np.array(w + [2 * len(w) + 3], dtype=float if real else np.int64)
-        got, want = solver._weight_classes(w), unique_classes(w)
-        for a, b in zip(got, want):
-            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
