@@ -18,7 +18,6 @@ from .graph import (
     _weight_classes,
     backbone_from_flags,
     directed_parents,
-    directed_view,
 )
 
 
@@ -124,21 +123,25 @@ def salience_table(g, sample_cap=10000, seed=0):
     roots = _sample_nodes(g.num_nodes, sample_cap, seed)
     if roots is None:
         roots = np.arange(g.num_nodes)
-    dg = directed_view(g)
+    # the arcs of directed_view(g), read without building that graph
+    parents = directed_parents(g)
+    rev = parents[g.num_edges:]
+    src = np.concatenate([g.src, g.dst[rev]])
+    dst = np.concatenate([g.dst, g.src[rev]])
     n = g.num_nodes
-    d_edge = 1.0 / np.asarray(dg.weights, dtype=float)
+    d_edge = 1.0 / np.asarray(g.weights, dtype=float)[parents]
 
     def arc_matrix(arcs):  # one arc per pair, so no entries are added up
-        return csr_matrix((d_edge[arcs], (dg.src[arcs], dg.dst[arcs])), shape=(n, n))
+        return csr_matrix((d_edge[arcs], (src[arcs], dst[arcs])), shape=(n, n))
 
-    arcs = _pair_shortest(n, dg.src, dg.dst, d_edge)
-    arcs = arcs[dg.src[arcs] != dg.dst[arcs]]  # a loop is on no tree
+    arcs = _pair_shortest(n, src, dst, d_edge)
+    arcs = arcs[src[arcs] != dst[arcs]]  # a loop is on no tree
     if len(arcs):
         landmarks = roots[::-(-len(roots) // _LANDMARKS)]
-        arcs = arcs[_arcs_on_shortest_paths(arc_matrix(arcs), dg.src[arcs], dg.dst[arcs],
+        arcs = arcs[_arcs_on_shortest_paths(arc_matrix(arcs), src[arcs], dst[arcs],
                                             d_edge[arcs], landmarks, not g.directed)]
     dist_mat = arc_matrix(arcs)
-    arc_src, arc_dst, arc_d = dg.src[arcs], dg.dst[arcs], d_edge[arcs]
+    arc_src, arc_dst, arc_d = src[arcs], dst[arcs], d_edge[arcs]
 
     # in-arcs of each node, sorted by (dst, src) so the first feasible
     # predecessor within a segment is the smallest-index one
@@ -148,7 +151,7 @@ def salience_table(g, sample_cap=10000, seed=0):
     in_src = arc_src[in_order]
     in_d = arc_d[in_order]
     M = len(arcs)
-    to_parent_edge = directed_parents(g)[arcs[in_order]]
+    to_parent_edge = parents[arcs[in_order]]
     has_in = in_starts[1:] > in_starts[:-1]
     starts_nz = in_starts[:-1][has_in]
     nodes_nz = np.nonzero(has_in)[0]

@@ -80,6 +80,8 @@ class WeightedGraph:
             object.__setattr__(
                 self, "labels", tuple(str(i) for i in range(self.num_nodes))
             )
+        elif len(self.labels) != self.num_nodes:
+            raise DomainError(f"{len(self.labels)} labels for {self.num_nodes} nodes")
         for arr in (self.src, self.dst, self.weights):
             arr.setflags(write=False)
 
@@ -320,10 +322,15 @@ def backbone_from_flags(parent, flags):
 def backbone_from_edge_subset(parent, pairs):
     """Backbone whose members are the parent edges listed as (src, dst) index
     pairs, an iterable of pairs or an (n, 2) array. Raises DomainError for
-    pairs not present in the parent."""
+    pairs not present in the parent, and for an array that is neither
+    empty nor (n, 2)."""
     if not isinstance(pairs, np.ndarray):
         pairs = list(pairs)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise DomainError(f"pairs must be (src, dst) pairs, shape (n, 2); got {pairs.shape}")
     flags = np.zeros(parent.num_edges, dtype=bool)
     flags[parent.edge_index(pairs[:, 0], pairs[:, 1])] = True
     return Backbone(parent=parent, member_flags=flags)

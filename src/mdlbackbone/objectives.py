@@ -5,12 +5,12 @@ An objective is one of four models at global (whole edge list) or local
 exactly, the canonical weight models (geometric, poisson, exponential) in
 expectation. The poisson and exponential models carry a rate hyperparameter
 ``lam`` for their maximum-entropy exponential prior. All values are in bits
-(base-2 logs), and all combinatorics go through ln n! = gammaln(n + 1).
-Where the greedy sweep scores many states, ln n! of every integer argument
-is read from one table of gammaln over 0..m instead, which holds the same
-doubles: m covers every edge count, and also every weight where the largest
-segment strength is below the curve's length; other weights are floats and
-go through gammaln.
+(base-2 logs), and all combinatorics go through ln n! = gammaln(n + 1),
+which :func:`_ln_factorial` alone evaluates: an integer array n whose
+entries are all >= 0 and below both 2 * n.size and 2**20 is read from a
+read-only table of gammaln over 0..m - 1, m the least power of two above
+its largest entry, built once per process for each m; any other argument
+goes through gammaln. Both give the same doubles.
 Against exact integer arithmetic the global microcanonical curve is off by
 up to about 6e-7 bits at W ~ 1e7, 8e-6 at 1e8, 9e-5 at 1e9 and 1e-2 at 1e11
 (random curves of up to 14 edges), so from W ~ 3e7 on, two backbone sizes
@@ -25,6 +25,7 @@ sweep.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -83,25 +84,33 @@ def _require_weights(g, spec):
                           "2**53; use the exponential model for real weights")
 
 
-def _ln_factorial(n, table=None):
-    """ln n! = gammaln(n + 1). With a ``table``, ``_ln_factorial(arange(m +
-    1))``, an integer array n, every entry at most m, is read as
-    ``table[n]`` instead: gammaln of an integer-valued double is one double,
-    so both give the same bits. Float n always goes through gammaln."""
+@functools.cache
+def _ln_factorial_table(size):
+    """ln n! over n in 0..size - 1, read-only: built once per size."""
+    values = gammaln(np.arange(size) + 1.0)
+    values.setflags(write=False)
+    return values
+
+
+def _ln_factorial(n):
+    """ln n! = gammaln(n + 1), by the rule of the module docstring: gammaln
+    of an integer-valued double is one double, so a table read gives the
+    same bits. Negative integers give inf, as gammaln does."""
     n = np.asarray(n)
-    if table is not None and n.dtype.kind in "iu":
-        return table[n]
+    if n.dtype.kind in "iu" and n.size and n.min() >= 0:
+        top = int(n.max())
+        if top < min(2 * n.size, 2**20):
+            return _ln_factorial_table(1 << top.bit_length())[n]
     return gammaln(np.asarray(n, dtype=float) + 1.0)
 
 
-def _log2_binom_raw(n, k, table=None):
-    """The bare log2 C(n, k), ``table`` as in :func:`_ln_factorial`."""
-    return (_ln_factorial(n, table) - _ln_factorial(k, table)
-            - _ln_factorial(n - k, table)) / _LN2
+def _log2_binom_raw(n, k):
+    """The bare log2 C(n, k)."""
+    return (_ln_factorial(n) - _ln_factorial(k) - _ln_factorial(n - k)) / _LN2
 
 
-def _log2_factorial(n, table=None):
-    return _ln_factorial(n, table) / _LN2
+def _log2_factorial(n):
+    return _ln_factorial(n) / _LN2
 
 
 def _check_global_args(E, W, E_b, W_b, integer=True):
@@ -136,11 +145,10 @@ def _check_global_args(E, W, E_b, W_b, integer=True):
             )
 
 
-def dl_global_micro_arr(E, W, E_b, W_b, table=None):
+def dl_global_micro_arr(E, W, E_b, W_b):
     """Vectorized microcanonical global description length in bits. The
     edge counts E and E_b are integers; the weights W and W_b are integers
-    below 2**53 or floats. The log-factorial ``table``, as in
-    :func:`_ln_factorial`, serves the integer arguments."""
+    below 2**53 or floats."""
     E, W, E_b, W_b = map(np.asarray, (E, W, E_b, W_b))
     # the compositions of the backbone and of the rest: at sizes 0 and E one
     # side is empty, (W_x, E_x) = (0, 0), and the clamp turns C(-1, -1) into
@@ -148,11 +156,9 @@ def dl_global_micro_arr(E, W, E_b, W_b, table=None):
     return (
         np.log2(E + 1.0)
         + np.log2(W - E + 1.0)
-        + _log2_binom_raw(E, E_b, table)
-        + _log2_binom_raw(np.maximum(W_b - 1, 0), np.maximum(E_b - 1, 0), table)
-        + _log2_binom_raw(
-            np.maximum(W - W_b - 1, 0), np.maximum(E - E_b - 1, 0), table
-        )
+        + _log2_binom_raw(E, E_b)
+        + _log2_binom_raw(np.maximum(W_b - 1, 0), np.maximum(E_b - 1, 0))
+        + _log2_binom_raw(np.maximum(W - W_b - 1, 0), np.maximum(E - E_b - 1, 0))
     )
 
 
@@ -238,34 +244,27 @@ def description_length(g, backbone, spec):
     return float(const + np.sum(_dl_curve(k, s, k_b, s_b, spec, wfact)))
 
 
-def _dl_curve(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
+def _dl_curve(E, W, E_b, W_b, spec, log2_wfact=0.0):
     """Vectorized description length of ``spec``'s model; scope is up to
-    the caller. ``log2_wfact`` as in :func:`_dl_canonical_arr`, ``table``
-    as in :func:`dl_global_micro_arr`. Every state must be valid
-    (:func:`_check_global_args`): an invalid one comes back as a finite
-    value of nothing or as -inf, not as an error, and a minimum would pick
-    it."""
+    the caller. ``log2_wfact`` is the poisson constant sum_e log2(w_e!)
+    over all edges in scope; the other models ignore it. Every state must
+    be valid (:func:`_check_global_args`): an invalid one comes back as a
+    finite value of nothing or as -inf, not as an error, and a minimum
+    would pick it."""
     if spec.model == "microcanonical":
-        return dl_global_micro_arr(E, W, E_b, W_b, table)
-    return _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact, table)
-
-
-def _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
-    """Vectorized canonical description length. ``log2_wfact`` is the
-    poisson constant sum_e log2(w_e!) over all edges in scope, ``table`` as
-    in :func:`dl_global_micro_arr`."""
+        return dl_global_micro_arr(E, W, E_b, W_b)
     E, W, E_b, W_b = map(np.asarray, (E, W, E_b, W_b))
     Et = E - E_b
     Wt = W - W_b
-    base = np.log2(E + 1.0) + _log2_binom_raw(E, E_b, table)
+    base = np.log2(E + 1.0) + _log2_binom_raw(E, E_b)
     model = spec.model
     if model == "geometric":
         return (
             base
             + np.log2(W_b + 1.0)
             + np.log2(Wt + 1.0)
-            + _log2_binom_raw(W_b, E_b, table)
-            + _log2_binom_raw(Wt, Et, table)
+            + _log2_binom_raw(W_b, E_b)
+            + _log2_binom_raw(Wt, Et)
         )
     lam = spec.lam
     if model == "poisson":
@@ -273,9 +272,9 @@ def _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
             base
             - 2.0 * np.log2(lam)
             + (W_b + 1.0) * np.log2(E_b + lam)
-            - _log2_factorial(W_b, table)
+            - _log2_factorial(W_b)
             + (Wt + 1.0) * np.log2(Et + lam)
-            - _log2_factorial(Wt, table)
+            - _log2_factorial(Wt)
             + log2_wfact
         )
     # exponential, the last of the MODELS
@@ -283,8 +282,7 @@ def _dl_canonical_arr(E, W, E_b, W_b, spec, log2_wfact=0.0, table=None):
         base
         - 2.0 * np.log2(lam)
         + (E_b + 1.0) * np.log2(W_b + lam)
-        - _log2_factorial(E_b, table)
+        - _log2_factorial(E_b)
         + (Et + 1.0) * np.log2(Wt + lam)
-        - _log2_factorial(Et, table)
+        - _log2_factorial(Et)
     )
-

@@ -115,6 +115,13 @@ class HalfEdgeSystem:
         return sums
 
 
+def _require_positive(tolerance):
+    """Raise DomainError unless ``tolerance`` > 0, which NaN is not: a
+    stopping rule of ``step < tolerance`` could never be met."""
+    if not tolerance > 0:
+        raise DomainError(f"tolerance must be positive, got {tolerance}")
+
+
 def message_passing_cluster(
     g, p, tolerance=1e-10, max_iters=1000000, init="random", seed=None
 ):
@@ -129,6 +136,7 @@ def message_passing_cluster(
     sweeps).
 
     Returns (S, per-node S_i, MessageState)."""
+    _require_positive(tolerance)
     sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
     m = sys_.num_half_edges
     if isinstance(init, str):
@@ -202,6 +210,7 @@ def nb_leading_eigenvalue(g, p, tolerance=1e-8, max_iters=10000):
     as the only eigenvalue of largest modulus even where the spectrum also
     holds -rho (bipartite graphs). B is nilpotent when the graph has no
     cycle; its radius is 0."""
+    _require_positive(tolerance)
     sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
     if sys_.acyclic:
         return 0.0
@@ -224,8 +233,7 @@ def critical_probability(g, tolerance=1e-7):
     neither takes the check. Stops when |lambda(p) - 1| < ``tolerance``
     (positive), when the bracket is below 1e-15, or at p = 1 if lambda(1) <
     1 + ``tolerance`` (a cycle gives lambda(1) >= 1). None means no cycle."""
-    if not tolerance > 0:
-        raise DomainError(f"tolerance must be positive, got {tolerance}")
+    _require_positive(tolerance)
     sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
     if sys_.acyclic:
         return None

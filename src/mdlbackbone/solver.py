@@ -27,7 +27,6 @@ from .graph import Backbone, _first_in_order, _weight_classes, backbone_from_fla
 from .objectives import (
     ObjectiveSpec,
     _dl_curve,
-    _ln_factorial,
     _objective_name,
     _require_weights,
     _segments,
@@ -134,39 +133,21 @@ def _curve(w, segments, spec, last):
     k[i] weights ``w[starts[i]:starts[i + 1]]``, sorted heaviest first,
     where ``starts`` is the cumulative sum of ``k`` from 0.
 
-    Prefix weights are differences of one float cumulative sum, exact for
-    integer weights (their total is below 2**53); real ones round, and are
+    Prefix weights are differences of one cumulative sum: int64 for
+    integer weights, exact as their total is below 2**53, so integer
+    states stay integers; float for real weights, which round, and are
     clipped to the segment's strength, so every prefix state is valid.
-
-    Log-factorials are read from one table of ln n! over n in 0..m, built
-    here. With integer weights and every segment strength below the
-    curve's length, m is the largest strength and the prefix weights stay
-    integers, so every count and weight log-factorial reads the table (no
-    count exceeds its segment's strength). Otherwise, and for the
-    exponential model, m is the largest segment size: only the counts read
-    the table, and the float prefix weights go through gammaln. Both give
-    the same bits. The counts read there are at most the longest scored
-    size or, in a longer segment, at least the length of its unscored tail
-    less 1; the table holds those, and NaN between them.
+    ln n! is :func:`objectives._ln_factorial`'s: a table read for integers
+    >= 0 below both 2**20 and twice the block's length, else gammaln.
 
     Size k, where it is scored, is given size 0's value exactly.
     """
     k, strength, wfact, _ = segments
     starts = np.concatenate([[0], np.cumsum(k)])
     curve_starts = np.concatenate([[0], np.cumsum(last + 1)])
-    if (not spec.continuous and w.dtype.kind in "iu"
-            and np.max(strength) < curve_starts[-1]):
-        strength = np.asarray(strength, dtype=np.int64)
-        m, cum = np.max(strength), np.zeros(len(w) + 1, dtype=np.int64)
-        n = np.arange(m + 1)
-    else:
-        m, cum = k.max(), np.zeros(len(w) + 1)
-        a = last.max()
-        b = max(a + 1, np.min(k - last - 1, where=k > a, initial=m + 1))
-        n = np.r_[0:a + 1, b:m + 1]
-    np.cumsum(w, dtype=cum.dtype, out=cum[1:])
-    table = np.full(m + 1, np.nan)
-    table[n] = _ln_factorial(n)
+    dtype = np.int64 if w.dtype.kind in "iu" else float
+    strength, cum = np.asarray(strength, dtype=dtype), np.zeros(len(w) + 1, dtype=dtype)
+    np.cumsum(w, dtype=dtype, out=cum[1:])
     curve = np.empty(curve_starts[-1])
     for lo in range(0, len(curve), _CURVE_BLOCK):
         hi = min(lo + _CURVE_BLOCK, len(curve))
@@ -176,7 +157,7 @@ def _curve(w, segments, spec, last):
         seg = np.repeat(np.arange(first, last_seg + 1), overlap)
         j = np.arange(lo, hi) - curve_starts[seg]
         w_b = np.minimum(cum[starts[seg] + j] - cum[starts[seg]], strength[seg])
-        curve[lo:hi] = _dl_curve(k[seg], strength[seg], j, w_b, spec, wfact[seg], table)
+        curve[lo:hi] = _dl_curve(k[seg], strength[seg], j, w_b, spec, wfact[seg])
     # the full segment has the empty backbone's DL (bit-flip symmetry); copy
     # it so rounding never ranks the full segment below the empty backbone
     at, full = curve_starts[:-1], (last == k) & (k > 0)

@@ -35,7 +35,6 @@ from mdlbackbone.graph import Backbone, _sample_nodes, directed_parents, directe
 from mdlbackbone.metrics import reachable_pair_count
 from mdlbackbone.objectives import (
     _check_global_args,
-    _dl_canonical_arr,
     _dl_curve,
     _log2_binom_raw,
     _log2_factorial,
@@ -71,7 +70,7 @@ def dl_global_canonical(E, W, E_b, W_b, spec, log2_wfact=0.0):
     _check_global_args(E, W, E_b, W_b, integer=not spec.continuous)
     if E == 0:
         return 0.0
-    return float(_dl_canonical_arr(E, float(W), E_b, float(W_b), spec, log2_wfact))
+    return float(_dl_curve(E, float(W), E_b, float(W_b), spec, log2_wfact))
 
 
 class Optimum(NamedTuple):

@@ -152,6 +152,13 @@ class TestSalience:
         g = make_graph(src, dst, weights, directed=False, weight_kind="real")
         assert salience_table(g).tolist() == saliency
 
+    def test_view_past_the_float_range(self):
+        # the graph's total is finite; its directed view, counting the edge
+        # twice, would not be
+        g = parse_edge_list("a b 1.5e308\n", directed=False)
+        assert salience_table(g).tolist() == [1.0]
+        assert high_salience_skeleton(g).num_edges == 1
+
     def test_loop_joins_no_tree(self):
         # 1 + 1e-17 rounds to 1, so the loop at node 0 ties the arc 2 -> 0
         g = make_graph([2, 0, 0], [0, 0, 1], [1.0, 1e17, 1.0], weight_kind="real")

@@ -156,6 +156,15 @@ class TestBackboneCommand:
             "mdlbackbone: error: real weights must total below the float range\n")
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_hss_on_a_view_past_the_float_range(self, tmp_path):
+        # the undirected total is finite, the directed view's would not be
+        path = tmp_path / "huge.tsv"
+        path.write_text("a b 1.5e308\n")
+        assert main(["backbone", "--method", "hss", "--undirected", str(path),
+                     "--output", str(tmp_path / "out")]) == 0
+        assert read_json(tmp_path / "out.json")["E_b"] == 1
+        assert (tmp_path / "out.tsv").read_text() == "a\tb\t1.5e+308\n"
+
     def test_round_weights_with_real_weights(self, tmp_path):
         # rounded, the weights are whole ones, which every objective reads
         path, whole = tmp_path / "real.tsv", tmp_path / "star.tsv"

@@ -509,10 +509,24 @@ class TestGraph:
         with pytest.raises(DomainError, match="edge arrays must have equal length"):
             WeightedGraph(3, np.array([0, 1]), np.array(dst), np.array(weights), True)
 
+    def test_labels_of_the_wrong_length_rejected(self):
+        with pytest.raises(DomainError, match="1 labels for 3 nodes"):
+            WeightedGraph(3, np.array([0, 1]), np.array([1, 2]), np.array([1, 1]), True,
+                          labels=("a",))
+
     def test_backbone_from_edge_subset_rejects_foreign(self):
         g = make_graph([0], [1], [3], directed=True)
         with pytest.raises(DomainError):
             backbone_from_edge_subset(g, [(1, 0)])
+
+    @pytest.mark.parametrize("pairs", [
+        np.array([[0, 1, 1], [2, 2, 0]]),  # (2, 3): read as pairs it is every edge
+        np.array([0, 1, 1, 2]), [(0, 1, 2)], np.zeros((1, 2, 1), dtype=int),
+    ])
+    def test_backbone_from_edge_subset_rejects_other_shapes(self, pairs):
+        g = parse_edge_list("a b 1\nb c 1\nc a 1\n", directed=True)
+        with pytest.raises(DomainError, match="shape \\(n, 2\\)"):
+            backbone_from_edge_subset(g, pairs)
 
     def test_backbone_accessors(self):
         g = make_graph([0, 0, 1], [1, 2, 2], [5, 1, 2], directed=True)
@@ -752,14 +766,16 @@ class TestEdgeIndex:
 
     def test_empty_subset(self):
         g = make_graph([0, 1], [1, 2], [3, 4], directed=False)
-        assert backbone_from_edge_subset(g, []).num_edges == 0
+        for pairs in ([], np.zeros((0, 2), dtype=int), np.zeros(0)):
+            assert backbone_from_edge_subset(g, pairs).num_edges == 0
 
     def test_uint64_indices_pack_into_int64_keys(self):
         # 2**26 * n + 1 is 2**53 + 2**26 + 1: as a float64 it rounds to the
         # key of (2**26, 0), and the two edges would share one key
         n, hub = 2**27 + 1, np.uint64(2**26)
         src, dst = np.array([hub, hub]), np.array([1, 0], dtype=np.uint64)
-        g = WeightedGraph(n, src, dst, np.array([1, 2]), True, labels=())
+        # labels of the right length, never read, without n strings
+        g = WeightedGraph(n, src, dst, np.array([1, 2]), True, labels=range(n))
         assert g.edge_index(src, dst).tolist() == [0, 1]
         assert g._key_index[1].dtype == np.int64
         assert graph._pair_key(src, dst, n).tolist() == [2**53 + 2**26 + 1, 2**53 + 2**26]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from mdlbackbone.errors import DomainError
 from mdlbackbone.graph import backbone_from_flags
@@ -12,6 +13,8 @@ from mdlbackbone.objectives import (
     ObjectiveSpec,
     _check_global_args,
     _dl_curve,
+    _ln_factorial,
+    _ln_factorial_table,
     _log2_binom_raw,
     _log2_factorial,
     _strength_prior_bits,
@@ -42,6 +45,82 @@ def valid_tuples(rng, count, max_e=30, max_excess=60):
         W_b = int(rng.integers(E_b, W - (E - E_b) + 1))
         out.append((E, W, E_b, W_b))
     return out
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def factorial_args(draw):
+    """Arguments of ``_ln_factorial``: integer arrays of every dtype whose
+    largest entry is below twice their size, at it, or anywhere in the
+    dtype's range, with or without negative entries, 0-d or empty; and
+    float arrays, whole or not."""
+    dtype = np.dtype(draw(st.sampled_from([*INT_DTYPES, np.float64])))
+    if dtype.kind == "f":
+        values = st.one_of(st.integers(0, 10**6).map(float), st.floats(0, 1e6))
+        return np.array(draw(st.lists(values, max_size=40)), dtype)
+    info = np.iinfo(dtype)
+    size = draw(st.integers(0, 40))
+    top = min(max(draw(st.sampled_from([2 * size - 1, 2 * size, info.max])), 0), info.max)
+    low = max(info.min, -3) if draw(st.booleans()) else 0
+    n = np.array(draw(st.lists(st.integers(low, top), min_size=size, max_size=size)), dtype)
+    return n.reshape(()) if size == 1 and draw(st.booleans()) else n
+
+
+def table_reads(n):
+    """How many kept ln n! tables ``_ln_factorial(n)`` reads: 0 or 1."""
+    before = _ln_factorial_table.cache_info()
+    _ln_factorial(n)
+    after = _ln_factorial_table.cache_info()
+    return after.hits + after.misses - before.hits - before.misses
+
+
+class TestLnFactorial:
+    """``_ln_factorial`` is the one evaluator of ln n!: a table read for
+    integer n, all >= 0, with a maximum below both 2 * n.size and 2**20;
+    gammaln otherwise. Both must give gammaln's bits."""
+
+    @given(factorial_args())
+    @settings(max_examples=500, deadline=None)
+    def test_bits_of_gammaln(self, n):
+        want = gammaln(np.asarray(n, dtype=float) + 1.0)
+        got = _ln_factorial(n)
+        assert np.shape(got) == n.shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # a negative entry is never a wrapped table read
+        assert (np.asarray(got)[np.asarray(n) < 0] == np.inf).all()
+
+    @pytest.mark.parametrize("n, reads", [
+        (np.arange(10), 1),
+        (np.array([0, 3]), 1),  # 3 < 2 * 2
+        (np.array([0, 4]), 0),  # 4 is twice the size
+        (np.array(1), 1),  # 0-d: its size is 1
+        (np.array(2), 0),
+        (np.array([], dtype=np.int64), 0),
+        (np.array([-1, 0, 1], dtype=np.int8), 0),
+        (np.array([0.0, 1.0]), 0),
+        (np.arange(2**20, dtype=np.uint32), 1),  # the table of 2**20 entries
+        (np.arange(2**19 + 1) * 2, 0),  # 2**20 is below twice the size, not below 2**20
+    ], ids=lambda x: None if isinstance(x, np.ndarray) else str(x))
+    def test_rule(self, n, reads):
+        assert table_reads(n) == reads
+        assert _ln_factorial(n).tobytes() == gammaln(n.astype(float) + 1.0).tobytes()
+
+    def test_tables_kept_read_only(self):
+        n = np.arange(100)
+        _ln_factorial(n)
+        built = _ln_factorial_table.cache_info().misses
+        for m in (n, n[::-1], np.arange(64, 128, dtype=np.uint8)):
+            _ln_factorial(m)
+        # one table of 128 entries served all three
+        assert _ln_factorial_table.cache_info().misses == built
+        table = _ln_factorial_table(128)
+        assert table is _ln_factorial_table(128)
+        assert table.tobytes() == gammaln(np.arange(128) + 1.0).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
 
 
 class TestLog2Binomial:

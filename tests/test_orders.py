@@ -200,11 +200,12 @@ class TestPackedKeysAt63Bits:
          7, 7, 1, 2**58, 2**58]
 
     def graph(self):
-        # labels are never read here; the default would be 2**31 strings
+        # labels are never read here; the default would be 2**31 strings,
+        # and range(N) has their length without them
         return WeightedGraph(
             num_nodes=self.N, src=np.array(self.SRC, dtype=np.int64),
             dst=np.array(self.DST, dtype=np.int64),
-            weights=np.array(self.W, dtype=float), directed=True, labels=(),
+            weights=np.array(self.W, dtype=float), directed=True, labels=range(self.N),
         )
 
     def test_neighborhood_order(self):

@@ -355,8 +355,16 @@ class TestCriticalProbability:
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-7, float("nan")])
     def test_tolerance_must_be_positive(self, tolerance):
+        # the two solvers refuse it before the first sweep: max_iters=1
+        # keeps an accepted tolerance, which no step goes below, from
+        # running long
+        g = complete_graph(3)
         with pytest.raises(DomainError, match="tolerance must be positive"):
-            critical_probability(complete_graph(3), tolerance=tolerance)
+            critical_probability(g, tolerance=tolerance)
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            message_passing_cluster(g, 0.5, tolerance=tolerance, max_iters=1)
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            nb_leading_eigenvalue(g, 1.0, tolerance=tolerance, max_iters=1)
 
     def test_bipartite_grid(self):
         g = grid_graph(3, 3)

@@ -727,11 +727,12 @@ class TestRoundedWeightSums:
 @st.composite
 def sweep_segments(draw, real, fits):
     """Heaviest-first segments of up to ~100 weights, some empty, reals or
-    integers. ``fits`` picks the side of the sweep's table rule for integer
-    weights: True draws weights up to 60 and pads with a segment of ones
-    until every segment strength is below the curve's length; False draws
-    weights up to 1e10, small ones likely, and adds one of 10**10, far
-    beyond it."""
+    integers. ``fits`` picks the side of ``_ln_factorial``'s table rule for
+    integer weights: True draws weights up to 60 and pads with a segment of
+    ones until every segment strength is below the curve's length, so every
+    argument is below twice the block's size and is read from a table;
+    False draws weights up to 1e10, small ones likely, and adds one of
+    10**10, past 2**20, so the weight arguments go through gammaln."""
     if real:
         weight = st.floats(0.01, 1e6)
     elif fits:
@@ -750,10 +751,12 @@ def sweep_segments(draw, real, fits):
 
 
 class TestSweepTable:
-    """The sweep reads ln n! from a table: of every edge count, and of every
-    weight where the segment strengths are below the curve's length. Its
-    curve must be the bits of the closed form evaluated through gammaln,
-    state by state, on both sides of that rule."""
+    """``_ln_factorial`` reads ln n! from a table where an integer
+    argument's entries are >= 0 and below twice its size and 2**20: in the
+    sweeps drawn here, every edge count, and every weight where the
+    segment strengths are below the curve's length. The sweep's curve must
+    be the bits of the closed form evaluated through gammaln, state by
+    state, on both sides of that rule."""
 
     @pytest.mark.parametrize("model, real", [
         *((model, False) for model in MODELS), ("exponential", True),
