@@ -14,7 +14,8 @@ direct-address table, without a sort.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -301,12 +302,20 @@ def _weight_classes(w):
     return distinct[::-1], len(distinct) - 1 - cls
 
 
-def _sample_nodes(num_nodes, sample_cap, seed):
-    """The sorted seeded draw of ``sample_cap`` (at least 1, or DomainError)
-    distinct nodes, as a read-only array, or None where there are no more
-    nodes than that."""
+def _check_sampling(sample_cap, seed):
+    """Raise DomainError unless ``sample_cap`` is at least 1 and ``seed`` is
+    None or an integer >= 0 (numpy's included), the CLI's --seed rule."""
     if sample_cap < 1:
         raise DomainError(f"sample_cap must be at least 1, got {sample_cap}")
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be None or an integer >= 0, got {seed!r}")
+
+
+def _sample_nodes(num_nodes, sample_cap, seed):
+    """The sorted seeded draw of ``sample_cap`` distinct nodes, as a
+    read-only array, or None where there are no more nodes than that. The
+    arguments are checked first, by :func:`_check_sampling`."""
+    _check_sampling(sample_cap, seed)
     if num_nodes <= sample_cap:
         return None
     rng = np.random.default_rng(seed)
@@ -322,11 +331,15 @@ def backbone_from_flags(parent, flags):
 def backbone_from_edge_subset(parent, pairs):
     """Backbone whose members are the parent edges listed as (src, dst) index
     pairs, an iterable of pairs or an (n, 2) array. Raises DomainError for
-    pairs not present in the parent, and for an array that is neither
+    pairs not present in the parent, for pairs that are not integers (a
+    float is not truncated to an index), and for an array that is neither
     empty nor (n, 2)."""
     if not isinstance(pairs, np.ndarray):
         pairs = list(pairs)
-    pairs = np.asarray(pairs, dtype=np.int64)
+    pairs = np.asarray(pairs)
+    if pairs.size and pairs.dtype.kind not in "iu":
+        raise DomainError(f"pairs need an integer dtype, got {pairs.dtype}")
+    pairs = pairs.astype(np.int64, copy=False)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -683,10 +696,35 @@ def parse_edge_list(text, directed, round_weights=False):
     return WeightedGraph(num_nodes, src, dst, w, directed, labels)
 
 
+def _check_labels(g):
+    """Raise DomainError, naming the label, unless every edge line of
+    :func:`serialize_edge_list` reads back as its edge: the labels must be
+    distinct and non-empty, hold no whitespace (``\\s`` is exactly
+    ``str.isspace``), and no edge's source, its line's first token, may
+    start with '#', which would make the line a comment."""
+    labels = g.labels
+    distinct = set(labels)
+    if len(distinct) < len(labels):
+        dup = next(lab for lab, n in Counter(labels).items() if n > 1)
+        raise DomainError(f"label {dup!r} names more than one node")
+    if "" in distinct:
+        raise DomainError("label '' is empty")
+    joined = "".join(labels)
+    if re.search(r"\s", joined):
+        bad = next(lab for lab in labels if re.search(r"\s", lab))
+        raise DomainError(f"label {bad!r} holds whitespace")
+    if "#" in joined:
+        for i in np.unique(g.src):
+            if labels[i].startswith("#"):
+                raise DomainError(f"label {labels[i]!r} starts an edge line with '#'")
+
+
 def serialize_edge_list(g):
     """Serialize to the tab-separated exchange format with original labels,
     one edge per line, sorted by (src, dst) dense index; a graph without
-    edges gives the empty string."""
+    edges gives the empty string. Labels that would not read back, as
+    :func:`_check_labels` finds them, raise DomainError."""
+    _check_labels(g)
     order = np.argsort(_pair_key(g.src, g.dst, g.num_nodes), kind="stable")
     labels = np.array(g.labels, dtype=object)
     rows = zip(labels[g.src[order]].tolist(), labels[g.dst[order]].tolist(),

@@ -10,7 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import DomainError
-from .graph import _require_parent, _sample_nodes
+from .graph import _check_sampling, _require_parent, _sample_nodes
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,9 @@ def _sampled_reach(g, sample_cap, seed):
     and the full graph's reachable-pair count on them. The graph is
     immutable, so the pair is kept on it per (sample_cap, seed), the way
     ``cached_property`` keeps values: scoring several backbones of one
-    graph counts the full graph once."""
+    graph counts the full graph once. The arguments are checked first, so
+    an unhashable seed is a DomainError, not a failed lookup."""
+    _check_sampling(sample_cap, seed)
     memo = vars(g).setdefault("_sampled_reach", {})
     if (sample_cap, seed) not in memo:
         nodes = _sample_nodes(g.num_nodes, sample_cap, seed)

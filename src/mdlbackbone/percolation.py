@@ -34,7 +34,6 @@ class MessageState:
     u: np.ndarray
     iterations: int
     max_delta: float
-    converged: bool
 
 
 @dataclass(eq=False)
@@ -84,13 +83,19 @@ class HalfEdgeSystem:
     def num_half_edges(self):
         return len(self.src)
 
-    def segment_products(self, values):
-        """Product of ``values`` over each node's outgoing half-edges (1 for
-        a node with none)."""
-        prods = np.ones(self.num_nodes)
+    def _reduce(self, ufunc, values):
+        """``ufunc`` (np.add or np.multiply) over each node's outgoing
+        half-edges; a node with none gets its identity, 0 or 1."""
+        out = np.full(self.num_nodes, float(ufunc.identity))
         if len(self.seg_starts):
-            prods[self.nonempty] = np.multiply.reduceat(values, self.seg_starts)
-        return prods
+            out[self.nonempty] = ufunc.reduceat(values, self.seg_starts)
+        return out
+
+    def segment_products(self, values):
+        return self._reduce(np.multiply, values)
+
+    def segment_sums(self, values):
+        return self._reduce(np.add, values)
 
     def leave_one_out_products(self, values):
         """For each half-edge h = (i -> j): product of values over half-edges
@@ -108,18 +113,14 @@ class HalfEdgeSystem:
         out[zeros[self.dst] > rev_zero] = 0.0
         return out
 
-    def segment_sums(self, values):
-        sums = np.zeros(self.num_nodes)
-        if len(self.seg_starts):
-            sums[self.nonempty] = np.add.reduceat(values, self.seg_starts)
-        return sums
 
-
-def _require_positive(tolerance):
-    """Raise DomainError unless ``tolerance`` > 0, which NaN is not: a
-    stopping rule of ``step < tolerance`` could never be met."""
+def _system(g, tolerance):
+    """The half-edge system of ``g`` (``g`` itself if it is one), once
+    ``tolerance`` > 0 is checked; NaN is not, and a stopping rule of
+    ``step < tolerance`` could never be met."""
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
+    return g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
 
 
 def message_passing_cluster(
@@ -133,11 +134,10 @@ def message_passing_cluster(
     u, so a start below the least fixed point (u = 0, or the solution at a
     larger p) rises to it. ``max_iters`` allows for the threshold itself,
     where the updates shrink only like 1/t^2 (K4 at p = 1/2 takes 141,408
-    sweeps).
+    sweeps); past it, DomainError names p, the sweeps and the last update.
 
     Returns (S, per-node S_i, MessageState)."""
-    _require_positive(tolerance)
-    sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
+    sys_ = _system(g, tolerance)
     m = sys_.num_half_edges
     if isinstance(init, str):
         if init != "random":
@@ -149,25 +149,20 @@ def message_passing_cluster(
             raise DomainError(f"init has shape {u.shape}, expected ({m},)")
     phi = contact_transmission(sys_.weights, p)
 
-    max_delta = 0.0
-    iterations = 0
-    converged = m == 0
+    max_delta, iterations = 0.0, 0
     for iterations in range(1, int(max_iters) + 1):
-        prod = sys_.leave_one_out_products(u)
-        new_u = 1.0 - phi + phi * prod
-        max_delta = float(np.max(np.abs(new_u - u))) if m else 0.0
+        new_u = 1.0 - phi + phi * sys_.leave_one_out_products(u)
+        max_delta = float(np.max(np.abs(new_u - u), initial=0.0))
         u = new_u
         if max_delta < tolerance:
-            converged = True
             break
-
-    node_prod = sys_.segment_products(u)
-    s_i = 1.0 - node_prod
-    S = float(np.mean(s_i))
-    state = MessageState(
-        u=u, iterations=iterations, max_delta=max_delta, converged=converged,
-    )
-    return S, s_i, state
+    else:
+        raise DomainError(
+            f"message passing did not converge at p={p:.6g} in {iterations} "
+            f"sweeps (last max_delta {max_delta:.3e})"
+        )
+    s_i = 1.0 - sys_.segment_products(u)
+    return float(np.mean(s_i)), s_i, MessageState(u, iterations, max_delta)
 
 
 def _power_iteration(sys_, p, x, tolerance=1e-10, max_iters=10000):
@@ -198,7 +193,8 @@ def _power_iteration(sys_, p, x, tolerance=1e-10, max_iters=10000):
         x = y / norm
         lam = new_lam
     raise DomainError(
-        f"power iteration did not converge (last |delta lambda| {delta:.3e})"
+        f"power iteration did not converge at p={p:.6g} in {int(max_iters)} "
+        f"iterations (last |delta lambda| {delta:.3e})"
     )
 
 
@@ -210,8 +206,7 @@ def nb_leading_eigenvalue(g, p, tolerance=1e-8, max_iters=10000):
     as the only eigenvalue of largest modulus even where the spectrum also
     holds -rho (bipartite graphs). B is nilpotent when the graph has no
     cycle; its radius is 0."""
-    _require_positive(tolerance)
-    sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
+    sys_ = _system(g, tolerance)
     if sys_.acyclic:
         return 0.0
     x = np.ones(sys_.num_half_edges)
@@ -233,8 +228,7 @@ def critical_probability(g, tolerance=1e-7):
     neither takes the check. Stops when |lambda(p) - 1| < ``tolerance``
     (positive), when the bracket is below 1e-15, or at p = 1 if lambda(1) <
     1 + ``tolerance`` (a cycle gives lambda(1) >= 1). None means no cycle."""
-    _require_positive(tolerance)
-    sys_ = g if isinstance(g, HalfEdgeSystem) else HalfEdgeSystem.build(g)
+    sys_ = _system(g, tolerance)
     if sys_.acyclic:
         return None
     lam, x, _ = _power_iteration(sys_, 1.0, np.ones(sys_.num_half_edges))
@@ -290,7 +284,8 @@ def backbone_percolation_study(g, backbones, p_grid):
     The grid is solved from its largest p downward: the first point starts
     from u = 0, each later one from the previous point's messages, a
     sub-solution at the smaller p, so every point reaches its least fixed
-    point (the physical solution). A solve that does not converge raises."""
+    point (the physical solution). A solve that does not converge raises
+    the solver's error behind the graph's label, "full" or "backbone-i"."""
     p_grid = np.sort(np.asarray(p_grid, dtype=float))
     named = [("full", g)] + [
         (f"backbone-{i}", bb.subgraph()) for i, bb in enumerate(backbones)
@@ -304,12 +299,10 @@ def backbone_percolation_study(g, backbones, p_grid):
         u = np.zeros(sys_.num_half_edges)
         for i in reversed(range(len(p_grid))):
             p = p_grid[i]
-            S, _, state = message_passing_cluster(sys_, p, init=u)
-            if not state.converged:
-                raise DomainError(
-                    f"message passing on {label} did not converge at p={p:.6g} "
-                    f"(last max_delta {state.max_delta:.3e})"
-                )
+            try:
+                S, _, state = message_passing_cluster(sys_, p, init=u)
+            except DomainError as err:
+                raise DomainError(f"{label} graph: {err}") from err
             S_vals[i] = S
             iters[i] = state.iterations
             u = state.u

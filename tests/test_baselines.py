@@ -181,6 +181,11 @@ class TestSalience:
         with pytest.raises(DomainError, match="sample_cap"):
             salience_table(star_graph, sample_cap=sample_cap)
 
+    @pytest.mark.parametrize("seed", [[1, 2], -1, 1.5, "1"])
+    def test_seed_outside_the_rule_rejected(self, star_graph, seed):
+        with pytest.raises(DomainError, match="seed must be None or an integer"):
+            salience_table(star_graph, seed=seed)
+
 
 def salience_reference(g, sample_cap=10000, seed=0):
     """The per-root loop of ``salience_table`` over every arc of the

@@ -1,4 +1,5 @@
 import io
+import re
 import warnings
 from unittest import mock
 
@@ -528,6 +529,23 @@ class TestGraph:
         with pytest.raises(DomainError, match="shape \\(n, 2\\)"):
             backbone_from_edge_subset(g, pairs)
 
+    @pytest.mark.parametrize("pairs", [
+        np.array([[0.9, 1.7]]), [(0.0, 1.0)], np.array([[0, 1]], dtype=float),
+        [("0", "1")], np.array([[True, False]]),
+    ])
+    def test_backbone_from_edge_subset_rejects_non_integer_pairs(self, pairs):
+        # a float pair is not truncated to the edge (0, 1)
+        g = parse_edge_list("a b 1\nb c 1\nc a 1\n", directed=True)
+        with pytest.raises(DomainError, match="pairs need an integer dtype"):
+            backbone_from_edge_subset(g, pairs)
+
+    def test_backbone_from_edge_subset_takes_integer_pairs(self):
+        g = parse_edge_list("a b 1\nb c 1\nc a 1\n", directed=True)
+        for pairs in ([(0, 1)], np.array([[0, 1]], dtype=np.uint32),
+                      [(np.int64(0), np.int64(1))]):
+            assert backbone_from_edge_subset(g, pairs).member_flags.tolist() == [
+                True, False, False]
+
     def test_backbone_accessors(self):
         g = make_graph([0, 0, 1], [1, 2, 2], [5, 1, 2], directed=True)
         bb = backbone_from_flags(g, [True, False, True])
@@ -698,6 +716,51 @@ class TestNodeIndices:
     def test_no_edges_serialize_to_the_empty_string(self):
         empty = np.zeros(0, dtype=np.int64)
         assert serialize_edge_list(WeightedGraph(3, empty, empty, empty, True)) == ""
+
+
+class TestSerializeLabels:
+    """``serialize_edge_list`` writes only lines that read back as their
+    edges: a label that would not is refused, by name, before any line."""
+
+    @staticmethod
+    def one_edge(labels, src=0, dst=1):
+        return WeightedGraph(len(labels), np.array([src]), np.array([dst]),
+                             np.array([1]), True, labels=labels)
+
+    @pytest.mark.parametrize("labels, bad, reason", [
+        (("a", "a"), "a", "names more than one node"),  # read as a self-loop
+        (("a b", "c"), "a b", "holds whitespace"),  # a line of four tokens
+        (("a", "b\u2003c"), "b\u2003c", "holds whitespace"),
+        (("a", "b\nc"), "b\nc", "holds whitespace"),
+        (("", "c"), "", "is empty"),  # a line of two tokens
+        (("#a", "c"), "#a", "starts an edge line with '#'"),  # a comment
+    ])
+    def test_refused(self, labels, bad, reason):
+        with pytest.raises(DomainError, match=re.escape(f"label {bad!r} {reason}")):
+            serialize_edge_list(self.one_edge(labels))
+
+    def test_refused_on_an_unwritten_node_too(self):
+        # the labels are one set: a duplicate off every edge is refused as well
+        with pytest.raises(DomainError, match="label 'x' names more than one node"):
+            serialize_edge_list(self.one_edge(("a", "b", "x", "x")))
+
+    def test_hash_written_second_reads_back(self):
+        g = self.one_edge(("a", "#b"))
+        text = serialize_edge_list(g)
+        assert text == "a\t#b\t1\n"
+        back = parse_edge_list(text, directed=True)
+        assert back.labels == ("a", "#b") and back.num_edges == 1
+
+    def test_parsed_graph_turned_round(self):
+        # the undirected edge a - #b is fine, but its directed view writes
+        # the line "#b a 1", which would read back as a comment
+        g = parse_edge_list("a #b 1\n", directed=False)
+        assert serialize_edge_list(g) == "a\t#b\t1\n"
+        with pytest.raises(DomainError, match="label '#b' starts an edge line"):
+            serialize_edge_list(directed_view(g))
+
+    def test_hash_source_off_every_edge_accepted(self):
+        assert serialize_edge_list(self.one_edge(("a", "b", "#c"))) == "a\tb\t1\n"
 
 
 class TestNeighborhoods:

@@ -177,6 +177,25 @@ class TestReachability:
         with pytest.raises(DomainError, match="sample_cap"):
             summarize(star_graph, bb, sample_cap=sample_cap)
 
+    @pytest.mark.parametrize("seed", [[1, 2], -1, 1.5, "1", np.float64(2.0)])
+    def test_seed_outside_the_rule_rejected(self, star_graph, seed):
+        # the rule runs before the memo, whose key a list cannot be, and
+        # before the shortcut of a graph no larger than sample_cap
+        bb = backbone_from_flags(star_graph, [True] * 4)
+        with pytest.raises(DomainError, match="seed must be None or an integer"):
+            reachability_ratio(star_graph, bb, seed=seed)
+        with pytest.raises(DomainError, match="seed must be None or an integer"):
+            summarize(star_graph, bb, seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, np.int64(7), np.uint8(7)])
+    def test_seed_within_the_rule_accepted(self, seed):
+        # every two nodes of a 3-cycle share an arc, so a sample of two has
+        # a reachable pair
+        g = make_graph([0, 1, 2], [1, 2, 0], [1, 1, 1])
+        bb = backbone_from_flags(g, [True] * 3)
+        assert reachability_ratio(g, bb, sample_cap=2, seed=seed) == 1.0
+        assert summarize(g, bb, sample_cap=2, seed=seed).reachability == 1.0
+
     def test_full_graph_counted_once(self, monkeypatch):
         g = make_graph([0, 1, 2, 3], [1, 2, 0, 2], [1, 1, 1, 1])
         calls = []

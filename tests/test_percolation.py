@@ -193,7 +193,7 @@ class TestMessagePassing:
     def test_k4_fixed_point(self):
         g = complete_graph(4)
         S, s_i, state = message_passing_cluster(g, 0.8, seed=0)
-        assert state.converged
+        assert state.max_delta < 1e-10
         assert S == pytest.approx(0.984375, abs=1e-6)
         assert np.allclose(s_i, S, atol=1e-6)
 
@@ -223,9 +223,50 @@ class TestMessagePassing:
         g = complete_graph(4)
         start = np.zeros(12)
         S, _, state = message_passing_cluster(g, 0.8, init=start)
-        assert state.converged
+        assert state.max_delta < 1e-10
         assert S == pytest.approx(0.984375, abs=1e-9)
         assert not start.any()  # the start is copied, not updated
+
+    def test_non_convergence_raises(self):
+        # one sweep from random messages leaves K4 at p = 1/2, its
+        # threshold, far from the fixed point
+        with pytest.raises(DomainError, match=r"p=0\.5 in 1 sweeps") as info:
+            message_passing_cluster(complete_graph(4), 0.5, max_iters=1)
+        last = float(str(info.value).split("last max_delta ")[1].rstrip(")"))
+        assert last > 0.0
+
+    def test_no_half_edges(self):
+        # isolated nodes and a self-loop: no message, so S = 0 after the
+        # first sweep's empty update
+        g = make_graph([1], [1], [2], num_nodes=3, directed=False)
+        S, s_i, state = message_passing_cluster(g, 0.7, max_iters=1)
+        assert S == 0.0 and s_i.tolist() == [0.0, 0.0, 0.0]
+        assert (state.u.size, state.iterations, state.max_delta) == (0, 1, 0.0)
+
+
+class TestSegmentReductions:
+    @given(messages_on_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_match_per_node_reduceat(self, case):
+        # bit for bit: each node's half-edges reduced on their own, in
+        # order; a node without half-edges reads 0 and 1
+        sys_, values = case
+        for method, ufunc, empty in [(sys_.segment_sums, np.add, 0.0),
+                                     (sys_.segment_products, np.multiply, 1.0)]:
+            expected = np.array([
+                ufunc.reduceat(values[a:b], [0])[0] if b > a else empty
+                for a, b in zip(sys_.starts[:-1], sys_.starts[1:])
+            ])
+            assert method(values).tobytes() == expected.tobytes()
+
+    def test_nodes_without_half_edges(self):
+        # node 0 has one self-loop, node 3 nothing: neither has a half-edge
+        sys_ = HalfEdgeSystem.build(
+            make_graph([0, 1], [0, 2], [1, 1], num_nodes=4, directed=False)
+        )
+        values = np.array([0.25, 0.5])
+        assert sys_.segment_sums(values).tolist() == [0.0, 0.25, 0.5, 0.0]
+        assert sys_.segment_products(values).tolist() == [1.0, 0.25, 0.5, 1.0]
 
 
 class TestLeaveOneOut:
@@ -312,7 +353,7 @@ class TestEigenvalue:
                 assert nb_leading_eigenvalue(g, p) == 0.0
 
     def test_non_convergence_reports_last_change(self):
-        with pytest.raises(DomainError, match="did not converge") as info:
+        with pytest.raises(DomainError, match="did not converge at p=0.5 in 3 ") as info:
             nb_leading_eigenvalue(grid_graph(3, 3), 0.5, max_iters=3)
         assert "0.000e+00" not in str(info.value)
 
